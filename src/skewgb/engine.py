@@ -39,6 +39,7 @@ from .poly import (
     Monomial,
     MonomialOrdering,
     LEX,
+    PLACE_STEP,
     Polynomial,
     mono_coprime,
     mono_div,
@@ -186,15 +187,18 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
 
 
 class _Entry:
-    """A monic basis element with cached shifted images."""
+    """A monic basis element with cached shifted images; ``rest`` is its
+    leading monomial without the top variable."""
 
-    __slots__ = ("poly", "sdeg", "lm", "lmw", "index", "_shifted", "_shifted_lm")
+    __slots__ = ("poly", "sdeg", "lm", "rest", "lmw", "index", "_shifted",
+                 "_shifted_lm")
 
     def __init__(self, poly: Polynomial, sdeg: int, index: int):
         self.poly = poly
         self.sdeg = sdeg
         self.index = index
         self.lm = poly.lm()
+        self.rest = self.lm[1:]
         self.lmw = top_place(self.lm) if self.lm else -1
         self._shifted = {0: poly}
         self._shifted_lm = {0: self.lm}
@@ -217,15 +221,25 @@ class _Entry:
 def _make_finder(entries: list[_Entry], cfg: GBConfig, level_capped: bool):
     """Reducer search over the lazily shifted basis closure.
 
-    Returns find(m, level) -> (entry, shift, shifted_lm) or None, choosing
-    the candidate with the smallest shifted leading monomial, ties broken by
-    insertion index.  In level-capped (skew) modes the shift may not push the
-    reducer past the working s-degree; in weight mode the shift range is
-    bounded by the weight gap, which is exact for the place shift.
+    Returns find(m, level) -> (cofactor, reducer tail, shift, entry index)
+    or None, for the _nf_terms kernel.  Among all entries and shifts whose
+    image divides m it picks the smallest (okey(shifted lm), entry index,
+    shift).  Shifting strictly raises a monomial under lex and deglex, so
+    the smallest dividing shift of an entry gives that entry's smallest
+    image, and the search may stop at it.  In level-capped (skew) modes the
+    shift may not push the reducer past the working s-degree; in weight mode
+    the shift range is bounded by the weight gap, which is exact for the
+    place shift.
+
+    For the place shift only the shifts u that carry the top variable of an
+    entry's lm onto a variable of m with the same letter can divide, so each
+    call maps the letters of m to their codes, ascending, and walks the list
+    of the entry's top letter.  A constant lm divides at u = 0.
     """
     sigma = cfg.sigma
     okey = cfg.ordering.key
     is_shift = isinstance(sigma, ShiftEndo)
+    letter_mask = PLACE_STEP - 1
 
     def find(m: Monomial, level: int):
         if not m:
@@ -233,10 +247,14 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig, level_capped: bool):
             # and every shift fixes that; first such entry wins.
             for ent in entries:
                 if not ent.lm and (not level_capped or ent.sdeg <= level):
-                    return (ent, 0, MONO_ONE)
+                    return MONO_ONE, ent.poly.terms[1:], 0, ent.index
             return None
         wm = m[0][0] >> LETTER_BITS
         md = dict(m)
+        if is_shift:
+            by_letter: dict[int, list] = {}
+            for c, e in reversed(m):
+                by_letter.setdefault(c & letter_mask, []).append((c, e))
         best_sel = None
         best = None
         for ent in entries:
@@ -244,80 +262,105 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig, level_capped: bool):
                 ucap = level - ent.sdeg
                 if ucap < 0:
                     continue
-                if is_shift:
-                    ucap = min(ucap, wm - ent.lmw)
-            else:
-                ucap = wm - ent.lmw
-            if ucap < 0:
-                continue
-            lm0 = ent.lm
             if is_shift:
-                for u in range(ucap + 1):
-                    step = u << LETTER_BITS
-                    for c, e in lm0:
-                        if md.get(c + step, 0) < e:
+                u = 0
+                if ent.lm:
+                    u = None
+                    c0, e0 = ent.lm[0]
+                    for c, e in by_letter.get(c0 & letter_mask, ()):
+                        step = c - c0
+                        if step < 0 or e < e0:
+                            continue
+                        if level_capped and step >> LETTER_BITS > ucap:
                             break
-                    else:
-                        img = ent.shifted_lm(sigma, u)
-                        sel = (okey(img), ent.index, u)
-                        if best_sel is None or sel < best_sel:
-                            best_sel, best = sel, (ent, u, img)
-                        break
-            else:
-                seen = set()
-                for u in range(ucap + 1):
-                    img = ent.shifted_lm(sigma, u)
-                    if img in seen:
-                        break
-                    seen.add(img)
-                    if img and img[0][0] >> LETTER_BITS > wm:
+                        for cc, k in ent.rest:
+                            if md.get(cc + step, 0) < k:
+                                break
+                        else:
+                            u = step >> LETTER_BITS
+                            break
+                    if u is None:
                         continue
-                    for c, e in img:
-                        if md.get(c, 0) < e:
-                            break
-                    else:
-                        sel = (okey(img), ent.index, u)
-                        if best_sel is None or sel < best_sel:
-                            best_sel, best = sel, (ent, u, img)
+                img = ent.shifted_lm(sigma, u)
+                sel = (okey(img), ent.index, u)
+                if best_sel is None or sel < best_sel:
+                    best_sel, best = sel, (ent, u, img)
+                continue
+            if not level_capped:
+                ucap = wm - ent.lmw
+                if ucap < 0:
+                    continue
+            seen = set()
+            for u in range(ucap + 1):
+                img = ent.shifted_lm(sigma, u)
+                if img in seen:
+                    break
+                seen.add(img)
+                if img and img[0][0] >> LETTER_BITS > wm:
+                    continue
+                for c, e in img:
+                    if md.get(c, 0) < e:
                         break
-        return best
+                else:
+                    sel = (okey(img), ent.index, u)
+                    if best_sel is None or sel < best_sel:
+                        best_sel, best = sel, (ent, u, img)
+                    break
+        if best is None:
+            return None
+        ent, u, img = best
+        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent.index
 
     return find
 
 
-def _nf_terms(terms, level, find, sigma, ordering, record=None):
-    """Full normal form of a term list against a reducer finder.
+def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
+    """Full normal form of (term, coefficient) pairs against a finder.
 
-    Returns the irreducible terms in descending order.  When ``record`` is a
-    list, every reduction step appends (coeff, cofactor, shift, entry index),
+    Returns the irreducible terms in descending order.  ``find(term,
+    level)`` gives None for an irreducible term, else (cofactor, tail,
+    shift, entry index), where the reducer's tail terms, times the cofactor
+    under ``mul``, are what the step subtracts.  When ``record`` is a list,
+    every reduction step appends (coeff, cofactor, shift, entry index),
     reconstructing the subtracted combination exactly.
+
+    Pending coefficients live in a term -> coefficient dict, and each term
+    also sits in a heap under ``hkey`` (a descending key, computed once when
+    the term enters the dict).  A step only adds terms strictly below the
+    term it reduces, so the top of the heap is always the largest pending
+    term.  A term that cancels leaves the dict only; its stale heap entry
+    is skipped when popped (lazy deletion), and a term that enters again
+    is pushed again.
     """
     work = dict(terms)
+    heap = [(hkey(t), t) for t in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     out = []
-    key = ordering.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = find(m, level)
-        if hit is None:
-            out.append((m, c))
+    while heap:
+        t = pop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
             continue
-        ent, u, img = hit
-        g = ent.shifted(sigma, u)
-        q = mono_div(m, img)
+        hit = find(t, level)
+        if hit is None:
+            out.append((t, c))
+            continue
+        q, tail, u, index = hit
         if record is not None:
-            record.append((c, q, u, ent.index))
-        for mm, cc in g.terms[1:]:
-            t = mono_mul(q, mm)
-            prev = work.get(t)
+            record.append((c, q, u, index))
+        for tt, cc in tail:
+            t2 = mul(q, tt)
+            prev = work.get(t2)
             if prev is None:
-                work[t] = -c * cc
+                work[t2] = -c * cc
+                push(heap, (hkey(t2), t2))
             else:
                 s = prev - c * cc
                 if s:
-                    work[t] = s
+                    work[t2] = s
                 else:
-                    del work[t]
+                    del work[t2]
     return out
 
 
@@ -335,6 +378,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
     sigma = cfg.sigma
     ordering = cfg.ordering
     okey = ordering.key
+    hkey = ordering.heap_key
     d = cfg.degree_bound
     product_on = cfg.product_enabled()
     chain_on = cfg.chain_criterion
@@ -428,7 +472,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
             continue
         s = spoly_poly(ea.poly, eb.shifted(sigma, sh))
         level = stratum if skew_mode else 0
-        nf = _nf_terms(s.terms, level, find, sigma, ordering)
+        nf = _nf_terms(s.terms, level, find, hkey)
         if not nf:
             stats.reduced_to_zero += 1
             if trace is not None:
@@ -532,17 +576,17 @@ class _LeftEntry:
 
 
 def _nf_left(element: SkewElement, entries, cfg: GBConfig):
-    """Full left-module normal form against s-power multiples of entries."""
+    """Full left-module normal form against s-power multiples of entries.
+
+    Terms are (s-degree, monomial) pairs, taken s-degree first and by the
+    monomial ordering on ties."""
     sigma = cfg.sigma
-    okey = cfg.ordering.key
-    work: dict[tuple[int, Monomial], object] = {}
-    for i, p in element.parts:
-        for m, c in p.terms:
-            work[(i, m)] = c
-    out: dict[int, list] = {}
-    while work:
-        e, m = max(work, key=lambda k: (k[0], okey(k[1])))
-        c = work.pop((e, m))
+    ordering = cfg.ordering
+    okey = ordering.key
+    hk = ordering.heap_key
+
+    def find(t, level):
+        e, m = t
         best_sel = None
         best = None
         for ent in entries:
@@ -555,30 +599,24 @@ def _nf_left(element: SkewElement, entries, cfg: GBConfig):
                 if best_sel is None or sel < best_sel:
                     best_sel, best = sel, (ent, u, img)
         if best is None:
-            out.setdefault(e, []).append((m, c))
-            continue
+            return None
         ent, u, img = best
         g = ent.shifted(sigma, u)
-        q = mono_div(m, img)
-        lead = True
-        for i, p in g.parts:
-            for mm, cc in p.terms:
-                if lead:
-                    lead = False
-                    continue
-                t = (i, mono_mul(q, mm))
-                prev = work.get(t)
-                if prev is None:
-                    work[t] = -c * cc
-                else:
-                    s2 = prev - c * cc
-                    if s2:
-                        work[t] = s2
-                    else:
-                        del work[t]
-    ordering = cfg.ordering
+        tail = [((i, mm), c) for i, p in g.parts for mm, c in p.terms][1:]
+        return mono_div(m, img), tail, u, ent.index
+
+    terms = [((i, m), c) for i, p in element.parts for m, c in p.terms]
+    out: dict[int, list] = {}
+    for (e, m), c in _nf_terms(
+        terms,
+        None,
+        find,
+        lambda t: (-t[0], hk(t[1])),
+        lambda q, t: (t[0], mono_mul(q, t[1])),
+    ):
+        out.setdefault(e, []).append((m, c))
     return SkewElement(
-        {e: Polynomial(terms, ordering) for e, terms in out.items()}
+        {e: Polynomial(ts, ordering, _sorted=True) for e, ts in out.items()}
     )
 
 
@@ -687,7 +725,7 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     if cfg.mode == "sigma":
         entries = [_Entry(g.monic(), 0, i) for i, g in enumerate(G) if g]
         find = _make_finder(entries, cfg, level_capped=False)
-        nf = _nf_terms(f.terms, 0, find, cfg.sigma, cfg.ordering, record)
+        nf = _nf_terms(f.terms, 0, find, cfg.ordering.heap_key, record=record)
         return Polynomial(nf, cfg.ordering, _sorted=True)
     if cfg.mode == "left":
         entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(G) if g]
@@ -704,7 +742,9 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     find = _make_finder(entries, cfg, level_capped=True)
     parts = {}
     for level, poly in f.parts:
-        nf = _nf_terms(poly.terms, level, find, cfg.sigma, cfg.ordering, record)
+        nf = _nf_terms(
+            poly.terms, level, find, cfg.ordering.heap_key, record=record
+        )
         if nf:
             parts[level] = Polynomial(nf, cfg.ordering, _sorted=True)
     return SkewElement(parts)
@@ -714,7 +754,7 @@ def _tail_reduce_entry(poly: Polynomial, sdeg: int, entries, cfg: GBConfig):
     """Reduce every term below the leading one; the lm is already minimal."""
     find = _make_finder(entries, cfg, level_capped=(cfg.mode == "skew"))
     level = sdeg if cfg.mode == "skew" else 0
-    nf = _nf_terms(poly.terms[1:], level, find, cfg.sigma, cfg.ordering)
+    nf = _nf_terms(poly.terms[1:], level, find, cfg.ordering.heap_key)
     return Polynomial((poly.terms[0],) + tuple(nf), poly.ordering, _sorted=True)
 
 
@@ -737,20 +777,19 @@ def interreduce(basis, cfg: GBConfig):
             wl = top_place(lm) if lm else -1
             for p, sd in kept:
                 plm = p.lm()
+                if skew_mode and sd > sdeg:
+                    continue
+                if not plm:
+                    # a constant divides every monomial, at every shift
+                    return True
                 if skew_mode:
                     ucap = sdeg - sd
-                    if ucap < 0:
-                        continue
-                    if not plm:
-                        return True
                     if isinstance(sigma, ShiftEndo):
                         ucap = min(ucap, wl - top_place(plm))
-                        if ucap < 0:
-                            continue
                 else:
                     ucap = wl - top_place(plm)
-                    if ucap < 0:
-                        continue
+                if ucap < 0:
+                    continue
                 for u in range(ucap + 1):
                     if mono_divides(sigma.mono(plm, u), lm):
                         return True
@@ -857,9 +896,7 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
                         continue
                     s = spoly_poly(ea.poly, eb.shifted(sigma, sh))
                     level = stratum if skew_mode else 0
-                    nf = _nf_terms(
-                        s.terms, level, find, sigma, cfg.ordering
-                    )
+                    nf = _nf_terms(s.terms, level, find, cfg.ordering.heap_key)
                     if nf:
                         failures.append(
                             f"pair (g{a + 1}, sigma^{sh}.g{b + 1}) does not "

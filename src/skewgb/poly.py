@@ -16,6 +16,8 @@ all truncation windows downstream.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import neg
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -350,6 +352,20 @@ class MonomialOrdering:
         if self.kind == "lex":
             return m
         return (sum(e for _, e in m), m)
+
+    def heap_key(self, m: Monomial):
+        """A key whose native comparison realizes the reverse ordering.
+
+        ``heapq`` pops the smallest key first, so a heap under this key pops
+        the largest monomial first.  The exponent vector is flattened (which
+        keeps lex: a pair compares by code, then exponent) and negated; the
+        trailing 1 lies above every negated entry, so a monomial still sorts
+        after each of its proper extensions, which lex places above it.
+        """
+        flat = (*map(neg, chain.from_iterable(m)), 1)
+        if self.kind == "lex":
+            return flat
+        return (sum(flat[1:-1:2]), flat)
 
     def compare(self, m: Monomial, n: Monomial) -> int:
         km, kn = self.key(m), self.key(n)

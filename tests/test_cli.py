@@ -1,10 +1,15 @@
 """End-to-end tests of the batch front end via subprocess."""
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 DIFFERENCE_BASIS = """\
 x(2)*x(0) - x(1)
@@ -61,6 +66,15 @@ def test_trace_lines():
     p = run_cli(CORPUS / "difference-d6.txt", "--trace")
     assert p.returncode == 0
     assert p.stdout.splitlines()[:8] == TRACE_HEAD
+
+
+@pytest.mark.parametrize("label", ["c41w-d6", "serf-g2"])
+def test_stats_output_matches_recorded_digest(label):
+    # The benchmark's recorded SHA-256 digests of `skewgb <problem> --stats`.
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())
+    p = run_cli(CORPUS / f"{label}.txt", "--stats")
+    assert p.returncode == 0
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == golden[label]
 
 
 def test_byte_determinism():

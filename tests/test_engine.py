@@ -218,6 +218,13 @@ def test_interreduce_is_idempotent_and_monic():
     assert all(g.lc() == QQ.one for g in red)
 
 
+def test_interreduce_constant_dominates_in_sigma_mode():
+    cfg = GBConfig(mode="sigma", degree_bound=3)
+    one = [parse_poly("1")]
+    for texts in (["2", "x(1)*x(0) - 1"], ["x(1)*x(0) - 1", "x(3) + 2", "-3"]):
+        assert interreduce([parse_poly(t) for t in texts], cfg) == one
+
+
 def test_certify_accepts_and_rejects():
     cfg = GBConfig(mode="sigma", degree_bound=6)
     ok, failures = certify(FIVE, cfg)
