@@ -9,7 +9,6 @@ from .poly import (
     ORDERINGS,
     MonomialOrdering,
     Polynomial,
-    Variable,
     Weight,
     W_BOTTOM,
     mono,
@@ -18,23 +17,8 @@ from .poly import (
     mono_lcm,
     weight,
 )
-from .endo import (
-    MonomialEndomorphism,
-    PowerEndo,
-    ShiftEndo,
-    TableEndo,
-    check_div_compatible,
-    check_order_compatible,
-)
-from .skew import (
-    SkewElement,
-    SkewMonomial,
-    left_divides,
-    shift_left,
-    shift_right,
-    skew_mul,
-    two_sided_divides,
-)
+from .endo import MonomialEndomorphism, PowerEndo, ShiftEndo
+from .skew import SkewElement, SkewMonomial, shift_left, skew_mul
 from .engine import (
     EndomorphismRejected,
     GBConfig,

@@ -266,8 +266,6 @@ def build_argparser() -> argparse.ArgumentParser:
                     help="print one line per critical pair")
     ap.add_argument("--stats", action="store_true",
                     help="print pair statistics")
-    ap.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads (output is identical for any N)")
     return ap
 
 
@@ -277,9 +275,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return 1
 
     try:
         with open(args.path, encoding="utf-8") as fh:

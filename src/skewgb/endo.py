@@ -1,56 +1,40 @@
 """Monomial endomorphisms of the base polynomial ring.
 
 An endomorphism sigma maps every variable to a monomial and extends
-multiplicatively.  Three families are provided:
+multiplicatively.  Two families are provided:
 
 * ``ShiftEndo`` — x_i(j) -> x_i(j+1), the difference-operator action;
-* ``PowerEndo(e)`` — x -> x**e for a fixed e >= 2;
-* ``TableEndo`` — finitely many explicit variable images over a default
-  Shift or Power rule for the unlisted variables.
+* ``PowerEndo(e)`` — x -> x**e for a fixed e >= 2.
 
 Two compatibility properties gate the engine.  sigma is divisibility
 compatible when images of distinct variables are pairwise coprime (then
 sigma respects divisibility, gcd and lcm), and order compatible with a
 monomial ordering when it is strictly monotone (then every monomial sits
-below its image).  Shift and Power are certified analytically; Table
-endomorphisms are checked exactly for divisibility compatibility and by
-randomized search for order compatibility (a found violation is a proof
-of incompatibility; absence of one is not a proof of compatibility).
+below its image).  Both families have both properties under lex and
+deglex, as a theorem; ``div_compatible`` records the first, and the engine
+refuses an endomorphism without it.
 """
 
 from __future__ import annotations
 
-import random
-
 from .poly import (
-    DEGLEX,
-    LEX,
     LETTER_BITS,
-    MONO_ONE,
     Monomial,
-    MonomialOrdering,
     PLACE_STEP,
     Polynomial,
-    code_letter,
-    code_place,
-    mono_from_pairs,
-    mono_mul,
     mono_pow,
-    var_code,
 )
 
 __all__ = [
     "MonomialEndomorphism",
     "ShiftEndo",
     "PowerEndo",
-    "TableEndo",
-    "check_div_compatible",
-    "check_order_compatible",
 ]
 
 
 class MonomialEndomorphism:
-    """Base class; subclasses implement the image of a single variable."""
+    """Base class: the image of one variable, and sigma**k applied to a
+    monomial and (coefficient-wise) to a polynomial."""
 
     #: True when images of distinct variables are pairwise coprime.
     div_compatible: bool = False
@@ -59,23 +43,10 @@ class MonomialEndomorphism:
         raise NotImplementedError
 
     def mono(self, m: Monomial, k: int = 1) -> Monomial:
-        """Apply sigma**k to a monomial."""
-        if k < 0:
-            raise ValueError("negative power of an endomorphism")
-        for _ in range(k):
-            acc = MONO_ONE
-            for c, e in m:
-                acc = mono_mul(acc, mono_pow(self.image(c), e))
-            m = acc
-        return m
+        raise NotImplementedError
 
     def poly(self, f: Polynomial, k: int = 1) -> Polynomial:
-        """Apply sigma**k coefficient-wise to a polynomial."""
-        if k == 0:
-            return f
-        return Polynomial(
-            ((self.mono(m, k), c) for m, c in f.terms), f.ordering
-        )
+        raise NotImplementedError
 
 
 class ShiftEndo(MonomialEndomorphism):
@@ -152,112 +123,3 @@ class PowerEndo(MonomialEndomorphism):
 
     def __repr__(self):
         return f"power({self.e})"
-
-
-class TableEndo(MonomialEndomorphism):
-    """Explicit images for finitely many variables over a default rule.
-
-    ``images`` maps variable codes to monomial images; every other variable
-    follows ``default`` (a ShiftEndo or PowerEndo).  The user asserts that
-    the composite has infinite order; a sampled sanity check rejects tables
-    that act as the identity on their support.
-    """
-
-    def __init__(self, images: dict[int, Monomial], default: MonomialEndomorphism | None = None):
-        self.images = dict(images)
-        self.default = default if default is not None else ShiftEndo()
-        for code, img in self.images.items():
-            if img == MONO_ONE:
-                raise ValueError("a variable may not map to 1")
-            if any(e <= 0 for _, e in img):
-                raise ValueError("malformed image monomial")
-        if self.images and all(
-            img == ((code, 1),) for code, img in self.images.items()
-        ):
-            raise ValueError("table acts as the identity on its support")
-        self.div_compatible = self._check_div()
-
-    def image(self, code: int) -> Monomial:
-        img = self.images.get(code)
-        if img is not None:
-            return img
-        return self.default.image(code)
-
-    def _check_div(self) -> bool:
-        # Pairwise coprimality across the support images.
-        support = sorted(self.images)
-        imgs = [self.images[c] for c in support]
-        seen: set[int] = set()
-        for img in imgs:
-            for c, _ in img:
-                if c in seen:
-                    return False
-            seen.update(c for c, _ in img)
-        # A support image must also avoid the default image of every
-        # non-support variable.  Default rules map a variable to a power of
-        # a single predictable variable, so the clash test is exact: for
-        # every variable occurring in a support image, ask whether it is
-        # the default image of some variable outside the support.
-        support_set = set(support)
-        for img in imgs:
-            for c, _ in img:
-                if isinstance(self.default, ShiftEndo):
-                    pre = c - PLACE_STEP
-                    if pre >= 0 and pre not in support_set:
-                        return False
-                else:  # PowerEndo: default image of v is v**e
-                    if c not in support_set:
-                        return False
-        return True
-
-    def __repr__(self):
-        pairs = ", ".join(f"{c}->{img}" for c, img in sorted(self.images.items()))
-        return f"table({pairs}; default={self.default!r})"
-
-
-def check_div_compatible(sigma: MonomialEndomorphism) -> bool:
-    """True when sigma provably respects divisibility, gcd and lcm."""
-    return sigma.div_compatible
-
-
-def _random_monomial(rng: random.Random, letters: int, max_place: int, max_len: int) -> Monomial:
-    pairs = []
-    for _ in range(rng.randint(1, max_len)):
-        code = var_code(rng.randrange(letters), rng.randint(0, max_place))
-        pairs.append((code, rng.randint(1, 3)))
-    return mono_from_pairs(pairs)
-
-
-def check_order_compatible(
-    sigma: MonomialEndomorphism,
-    ordering: MonomialOrdering,
-    sample_bound: int = 400,
-    letters: int = 4,
-    max_place: int = 6,
-    seed: int = 0,
-) -> bool:
-    """Decide (Shift/Power) or probe (Table) strict monotonicity of sigma.
-
-    For the built-in Shift and Power maps under lex or deglex the answer is
-    a theorem and no sampling happens.  For table endomorphisms the check
-    searches ``sample_bound`` random monomial pairs for a violation of
-    m < n => sigma(m) < sigma(n) and of m <= sigma(m); finding one refutes
-    compatibility, finding none proves nothing.
-    """
-    if isinstance(sigma, (ShiftEndo, PowerEndo)) and ordering in (LEX, DEGLEX):
-        return True
-    rng = random.Random(seed)
-    for _ in range(sample_bound):
-        m = _random_monomial(rng, letters, max_place, 3)
-        n = _random_monomial(rng, letters, max_place, 3)
-        cmp_mn = ordering.compare(m, n)
-        if cmp_mn == 0:
-            continue
-        if cmp_mn > 0:
-            m, n = n, m
-        sm, sn = sigma.mono(m), sigma.mono(n)
-        if ordering.compare(sm, sn) >= 0:
-            return False
-        if ordering.compare(m, sm) > 0:
-            return False
-    return True

@@ -18,6 +18,12 @@ modes.  One pair per decoration class suffices: shifting a pair shifts its
 whole reduction trace, so only shift-minimal representatives are enumerated.
 Truncation is mandatory; the undecorated enumerations do not terminate.
 
+The weight window of sigma mode and the s-degree window of skew mode are one
+rule (the letterplace correspondence maps weight onto s-degree), so a single
+enumerator, ``_window_pairs``, feeds both the completion and ``certify``;
+left mode has its own, ``_left_pairs``.  Each mode has one reducer search,
+which normal forms, interreduction and the completion all go through.
+
 Criteria: the product criterion is applied only in ideal modes (difference
 ideals and the letterplace image of free ideals) where coprime leading
 monomials really do force a trivial syzygy; it is unsound for modules and
@@ -48,7 +54,7 @@ from .poly import (
     mono_mul,
     top_place,
 )
-from .skew import SkewElement, SkewMonomial, shift_left
+from .skew import SkewElement, shift_left
 
 __all__ = [
     "EndomorphismRejected",
@@ -218,7 +224,22 @@ class _Entry:
         return m
 
 
-def _make_finder(entries: list[_Entry], cfg: GBConfig, level_capped: bool):
+def _split(g, cfg: GBConfig):
+    """A nonzero sigma/skew basis element as (monic polynomial, s-degree).
+
+    Two-sided reduction works one s-degree at a time, so in skew mode an
+    element spread over several s-degrees is refused rather than cut down
+    to its leading component.
+    """
+    if cfg.mode != "skew":
+        return g.monic(), 0
+    if not g.is_s_homogeneous():
+        raise ValueError("two-sided reducers must be s-homogeneous")
+    sdeg, poly = g.parts[0]
+    return poly.monic(), sdeg
+
+
+def _make_finder(entries: list[_Entry], cfg: GBConfig):
     """Reducer search over the lazily shifted basis closure.
 
     Returns find(m, level) -> (cofactor, reducer tail, shift, entry index)
@@ -238,6 +259,7 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig, level_capped: bool):
     """
     sigma = cfg.sigma
     okey = cfg.ordering.key
+    level_capped = cfg.mode == "skew"
     is_shift = isinstance(sigma, ShiftEndo)
     letter_mask = PLACE_STEP - 1
 
@@ -368,6 +390,36 @@ def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
 # The completion core (sigma and two-sided skew modes)
 
 
+def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
+    """The in-window critical pairs of entry t against entries 0..t.
+
+    Yields (a, b, shift, stratum, lcm) for spoly(a, sigma**shift . b): for
+    each j < t first (j, t) from shift 0, then (t, j) from shift 1, and last
+    (t, t) from shift 1.  Over t = 0, 1, ... this is every ordered pair once
+    up to sign: shift 0 of (a, b) equals that of (b, a), and of (a, a) it is
+    zero.  With w the s-degree in skew mode and the weight of the leading
+    monomial in sigma mode, a pair lies in stratum max(w(a), w(b) + shift),
+    and the shifts run exactly up to stratum d.  That is one rule for both
+    modes, because the letterplace correspondence maps the weight of an
+    ideal of P onto the s-degree of its image in S.  ``pair_filter(lcm,
+    stratum)``, when given, vetoes pairs the caller knows to be irrelevant.
+    """
+    skew_mode = cfg.mode == "skew"
+    sigma = cfg.sigma
+    d = cfg.degree_bound
+    for j in range(t + 1):
+        for a, b, sh0 in ((t, t, 1),) if j == t else ((j, t, 0), (t, j, 1)):
+            ea, eb = entries[a], entries[b]
+            wa, wb = (ea.sdeg, eb.sdeg) if skew_mode else (ea.lmw, eb.lmw)
+            if wa > d:
+                continue
+            for sh in range(sh0, d - wb + 1):
+                l = mono_lcm(ea.lm, eb.shifted_lm(sigma, sh))
+                stratum = max(wa, wb + sh)
+                if pair_filter is None or pair_filter(l, stratum):
+                    yield a, b, sh, stratum, l
+
+
 def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
     """Run pair completion on monic (polynomial, s-degree) seeds.
 
@@ -379,7 +431,6 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
     ordering = cfg.ordering
     okey = ordering.key
     hkey = ordering.heap_key
-    d = cfg.degree_bound
     product_on = cfg.product_enabled()
     chain_on = cfg.chain_criterion
 
@@ -388,40 +439,19 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
     trace = collect_trace
     heap: list = []
     seq = 0
-    find = _make_finder(entries, cfg, level_capped=skew_mode)
+    find = _make_finder(entries, cfg)
 
     def describe(a, b, sh, stratum):
         return f"(g{a + 1}, sigma^{sh}.g{b + 1})@{stratum}"
 
     def push_pairs(t: int):
         nonlocal seq
-        for j in range(t + 1):
-            for a, b, sh0 in (
-                ((t, t, 1),) if j == t else ((j, t, 0), (t, j, 1))
-            ):
-                ea, eb = entries[a], entries[b]
-                if skew_mode:
-                    if ea.sdeg > d:
-                        continue
-                    sh_hi = d - eb.sdeg
-                else:
-                    if ea.lmw > d:
-                        continue
-                    sh_hi = d - eb.lmw
-                for sh in range(sh0, sh_hi + 1):
-                    blm = eb.shifted_lm(sigma, sh)
-                    l = mono_lcm(ea.lm, blm)
-                    if skew_mode:
-                        stratum = max(ea.sdeg, eb.sdeg + sh)
-                    else:
-                        stratum = max(ea.lmw, sh + eb.lmw)
-                    if stratum > d:
-                        continue
-                    if pair_filter is not None and not pair_filter(l, stratum):
-                        continue
-                    stats.considered += 1
-                    heapq.heappush(heap, (stratum, okey(l), seq, a, b, sh, l))
-                    seq += 1
+        for a, b, sh, stratum, l in _window_pairs(
+            entries, t, cfg, pair_filter
+        ):
+            stats.considered += 1
+            heapq.heappush(heap, (stratum, okey(l), seq, a, b, sh, l))
+            seq += 1
 
     def chain_kills(a, b, sh, l, level) -> bool:
         ea, eb = entries[a], entries[b]
@@ -575,15 +605,13 @@ class _LeftEntry:
         return g
 
 
-def _nf_left(element: SkewElement, entries, cfg: GBConfig):
-    """Full left-module normal form against s-power multiples of entries.
-
-    Terms are (s-degree, monomial) pairs, taken s-degree first and by the
-    monomial ordering on ties."""
+def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
+    """Left reducer search: find((s-degree, monomial), level) returns the
+    s-power multiple of an entry whose lm divides the term, as (cofactor,
+    tail, shift, entry index) for the _nf_terms kernel, or None.  The entry
+    with the smallest (okey(shifted lm), index) wins."""
     sigma = cfg.sigma
-    ordering = cfg.ordering
-    okey = ordering.key
-    hk = ordering.heap_key
+    okey = cfg.ordering.key
 
     def find(t, level):
         e, m = t
@@ -605,19 +633,42 @@ def _nf_left(element: SkewElement, entries, cfg: GBConfig):
         tail = [((i, mm), c) for i, p in g.parts for mm, c in p.terms][1:]
         return mono_div(m, img), tail, u, ent.index
 
+    return find
+
+
+def _nf_left(element: SkewElement, find, ordering: MonomialOrdering):
+    """Full left-module normal form against a ``_left_finder`` search.
+
+    Terms are (s-degree, monomial) pairs, taken s-degree first and by the
+    monomial ordering on ties."""
+    hk = ordering.heap_key
     terms = [((i, m), c) for i, p in element.parts for m, c in p.terms]
     out: dict[int, list] = {}
-    for (e, m), c in _nf_terms(
-        terms,
-        None,
-        find,
-        lambda t: (-t[0], hk(t[1])),
-        lambda q, t: (t[0], mono_mul(q, t[1])),
-    ):
+    nf = _nf_terms(terms, None, find, lambda t: (-t[0], hk(t[1])),
+                   lambda q, t: (t[0], mono_mul(q, t[1])))
+    for (e, m), c in nf:
         out.setdefault(e, []).append((m, c))
     return SkewElement(
         {e: Polynomial(ts, ordering, _sorted=True) for e, ts in out.items()}
     )
+
+
+def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
+    """The in-window left critical pairs of entry t against entries 0..t-1.
+
+    Yields (a, b, shift, s-degree, lcm) for spoly(a, s**shift . b): the
+    entry of larger leading s-degree comes first and the other is lifted to
+    meet it; on equal s-degree (shift 0) entry t comes first.  Pairs above
+    s-degree d are dropped.
+    """
+    sigma = cfg.sigma
+    for j in range(t):
+        da, db = entries[t].lm.sdeg, entries[j].lm.sdeg
+        a, b, sh = (t, j, da - db) if da >= db else (j, t, db - da)
+        e = max(da, db)
+        if e <= cfg.degree_bound:
+            blm = sigma.mono(entries[b].lm.mono, sh)
+            yield a, b, sh, e, mono_lcm(entries[a].lm.mono, blm)
 
 
 def left_gbasis(H, cfg: GBConfig) -> GBResult:
@@ -627,8 +678,8 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
     cfg.check_sigma()
     okey = cfg.ordering.key
     sigma = cfg.sigma
-    d = cfg.degree_bound
     entries: list[_LeftEntry] = []
+    find = _left_finder(entries, cfg)
     stats = PairStats()
     trace = [] if cfg.trace else None
     heap: list = []
@@ -636,19 +687,7 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
 
     def push_pairs(t: int):
         nonlocal seq
-        A = entries[t]
-        for j in range(t):
-            B = entries[j]
-            da, db = A.lm.sdeg, B.lm.sdeg
-            if da >= db:
-                a, b, sh = t, j, da - db
-            else:
-                a, b, sh = j, t, db - da
-            ea, eb = entries[a], entries[b]
-            e = ea.lm.sdeg
-            if e > d:
-                continue
-            l = mono_lcm(ea.lm.mono, sigma.mono(eb.lm.mono, sh))
+        for a, b, sh, e, l in _left_pairs(entries, t, cfg):
             stats.considered += 1
             heapq.heappush(heap, (e, okey(l), seq, a, b, sh, l))
             seq += 1
@@ -690,7 +729,7 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
             continue
         ea, eb = entries[a], entries[b]
         s = spoly(ea.element, eb.shifted(sigma, sh))
-        nf = _nf_left(s, entries, cfg) if s else s
+        nf = _nf_left(s, find, cfg.ordering) if s else s
         if nf.is_zero():
             stats.reduced_to_zero += 1
             if trace is not None:
@@ -722,110 +761,69 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     closure carries the matching s-power decorations.
     """
     cfg.check_sigma()
-    if cfg.mode == "sigma":
-        entries = [_Entry(g.monic(), 0, i) for i, g in enumerate(G) if g]
-        find = _make_finder(entries, cfg, level_capped=False)
-        nf = _nf_terms(f.terms, 0, find, cfg.ordering.heap_key, record=record)
-        return Polynomial(nf, cfg.ordering, _sorted=True)
     if cfg.mode == "left":
         entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(G) if g]
-        return _nf_left(f, entries, cfg)
+        return _nf_left(f, _left_finder(entries, cfg), cfg.ordering)
+    entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
+    find = _make_finder(entries, cfg)
+    hkey = cfg.ordering.heap_key
+    if cfg.mode == "sigma":
+        nf = _nf_terms(f.terms, 0, find, hkey, record=record)
+        return Polynomial(nf, cfg.ordering, _sorted=True)
     # two-sided: reduce each s-homogeneous layer at its own level
-    entries = []
-    for i, g in enumerate(G):
-        if not g:
-            continue
-        if not g.is_s_homogeneous():
-            raise ValueError("two-sided reducers must be s-homogeneous")
-        sdeg, poly = g.parts[0]
-        entries.append(_Entry(poly.monic(), sdeg, i))
-    find = _make_finder(entries, cfg, level_capped=True)
     parts = {}
     for level, poly in f.parts:
-        nf = _nf_terms(
-            poly.terms, level, find, cfg.ordering.heap_key, record=record
-        )
+        nf = _nf_terms(poly.terms, level, find, hkey, record=record)
         if nf:
             parts[level] = Polynomial(nf, cfg.ordering, _sorted=True)
     return SkewElement(parts)
 
 
-def _tail_reduce_entry(poly: Polynomial, sdeg: int, entries, cfg: GBConfig):
-    """Reduce every term below the leading one; the lm is already minimal."""
-    find = _make_finder(entries, cfg, level_capped=(cfg.mode == "skew"))
-    level = sdeg if cfg.mode == "skew" else 0
-    nf = _nf_terms(poly.terms[1:], level, find, cfg.ordering.heap_key)
-    return Polynomial((poly.terms[0],) + tuple(nf), poly.ordering, _sorted=True)
-
-
 def interreduce(basis, cfg: GBConfig):
-    """Minimalize lm-redundant elements, reduce all tails, sort canonically."""
+    """Minimalize lm-redundant elements, reduce all tails, sort canonically.
+
+    Elements are taken smallest first, and one is kept when the reducer
+    search over those kept so far finds no divisor of its leading monomial;
+    the same search then reduces every tail.
+    """
     cfg.check_sigma()
-    sigma = cfg.sigma
     okey = cfg.ordering.key
 
-    if cfg.mode in ("sigma", "skew"):
-        skew_mode = cfg.mode == "skew"
-        if skew_mode:
-            items = [(g.parts[0][1].monic(), g.parts[0][0]) for g in basis if g]
-        else:
-            items = [(g.monic(), 0) for g in basis if g]
-        items.sort(key=lambda t: (t[1], okey(t[0].lm())))
-        kept: list[tuple[Polynomial, int]] = []
+    if cfg.mode == "left":
+        items = sorted(
+            (g.monic() for g in basis if g),
+            key=lambda g: (g.lm().sdeg, okey(g.lm().mono)),
+        )
+        kept: list = []
+        find = _left_finder(kept, cfg)
+        for g in items:
+            v = g.lm()
+            if find((v.sdeg, v.mono), None) is None:
+                kept.append(_LeftEntry(g, len(kept)))
+        out = []
+        for ent in kept:
+            lt = ent.element.lt()
+            out.append(lt + _nf_left(ent.element - lt, find, cfg.ordering))
+        return out
 
-        def dominated(lm, sdeg):
-            wl = top_place(lm) if lm else -1
-            for p, sd in kept:
-                plm = p.lm()
-                if skew_mode and sd > sdeg:
-                    continue
-                if not plm:
-                    # a constant divides every monomial, at every shift
-                    return True
-                if skew_mode:
-                    ucap = sdeg - sd
-                    if isinstance(sigma, ShiftEndo):
-                        ucap = min(ucap, wl - top_place(plm))
-                else:
-                    ucap = wl - top_place(plm)
-                if ucap < 0:
-                    continue
-                for u in range(ucap + 1):
-                    if mono_divides(sigma.mono(plm, u), lm):
-                        return True
-            return False
-
-        for poly, sdeg in items:
-            if not dominated(poly.lm(), sdeg):
-                kept.append((poly, sdeg))
-        entries = [_Entry(p, sd, i) for i, (p, sd) in enumerate(kept)]
-        out = [
-            (_tail_reduce_entry(p, sd, entries, cfg), sd) for p, sd in kept
-        ]
-        if skew_mode:
-            return [SkewElement.of_poly(p, sd) for p, sd in out]
-        return [p for p, _ in out]
-
-    # left mode
-    items = [g.monic() for g in basis if g]
-    items.sort(key=lambda g: (g.lm().sdeg, okey(g.lm().mono)))
+    items = sorted(
+        (_split(g, cfg) for g in basis if g),
+        key=lambda t: (t[1], okey(t[0].lm())),
+    )
     kept = []
-    for g in items:
-        v = g.lm()
-        hit = False
-        for p in kept:
-            u = v.sdeg - p.lm().sdeg
-            if u >= 0 and mono_divides(sigma.mono(p.lm().mono, u), v.mono):
-                hit = True
-                break
-        if not hit:
-            kept.append(g)
-    entries = [_LeftEntry(g, i) for i, g in enumerate(kept)]
+    find = _make_finder(kept, cfg)
+    for poly, sdeg in items:
+        if find(poly.lm(), sdeg) is None:
+            kept.append(_Entry(poly, sdeg, len(kept)))
+    hkey = cfg.ordering.heap_key
     out = []
-    for g in kept:
-        lt = g.lt()
-        nf = _nf_left(g - lt, entries, cfg)
-        out.append(lt + nf)
+    for ent in kept:
+        tail = _nf_terms(ent.poly.terms[1:], ent.sdeg, find, hkey)
+        poly = Polynomial(ent.poly.terms[:1] + tuple(tail), cfg.ordering,
+                          _sorted=True)
+        if cfg.mode == "skew":
+            poly = SkewElement.of_poly(poly, ent.sdeg)
+        out.append(poly)
     return out
 
 
@@ -835,20 +833,17 @@ def member(f, basis, cfg: GBConfig) -> bool:
     Only decidable inside the window: in sigma mode every monomial of f must
     have weight <= d, in skew/left modes s-degree <= d.
     """
+    if f.is_zero():
+        return True
     if isinstance(f, Polynomial):
-        if f.is_zero():
-            return True
         if cfg.mode == "sigma" and not f.weight() <= cfg.degree_bound:
             raise WindowExceeded(
                 f"weight of query exceeds truncation bound {cfg.degree_bound}"
             )
-    else:
-        if f.is_zero():
-            return True
-        if f.sdeg() > cfg.degree_bound:
-            raise WindowExceeded(
-                f"s-degree of query exceeds truncation bound {cfg.degree_bound}"
-            )
+    elif f.sdeg() > cfg.degree_bound:
+        raise WindowExceeded(
+            f"s-degree of query exceeds truncation bound {cfg.degree_bound}"
+        )
     return not normal_form(f, basis, cfg)
 
 
@@ -858,67 +853,37 @@ def member(f, basis, cfg: GBConfig) -> bool:
 
 def certify(basis, cfg: GBConfig, pair_filter=None):
     """Re-enumerate every in-window critical pair with no criteria and check
-    that each S-polynomial reduces to zero.  Returns (ok, failures)."""
+    that each S-polynomial reduces to zero.  Returns (ok, failures).
+
+    The pairs come from the completion's own enumerators, so the two see the
+    same window; failures are listed in enumeration order."""
     cfg.check_sigma()
     sigma = cfg.sigma
-    d = cfg.degree_bound
     failures: list[str] = []
 
-    if cfg.mode in ("sigma", "skew"):
-        skew_mode = cfg.mode == "skew"
-        if skew_mode:
-            items = [(g.parts[0][1], g.parts[0][0]) for g in basis if g]
-        else:
-            items = [(g, 0) for g in basis if g]
-        entries = [_Entry(p.monic(), sd, i) for i, (p, sd) in enumerate(items)]
-        find = _make_finder(entries, cfg, level_capped=skew_mode)
-        n = len(entries)
-        for a in range(n):
-            for b in range(n):
-                ea, eb = entries[a], entries[b]
-                if skew_mode:
-                    sh_hi = d - eb.sdeg
-                else:
-                    if ea.lmw > d:
-                        continue
-                    sh_hi = d - eb.lmw
-                sh_lo = 1 if a >= b else 0
-                for sh in range(sh_lo, sh_hi + 1):
-                    blm = eb.shifted_lm(sigma, sh)
-                    l = mono_lcm(ea.lm, blm)
-                    if skew_mode:
-                        stratum = max(ea.sdeg, eb.sdeg + sh)
-                    else:
-                        stratum = max(ea.lmw, sh + eb.lmw)
-                    if stratum > d:
-                        continue
-                    if pair_filter is not None and not pair_filter(l, stratum):
-                        continue
-                    s = spoly_poly(ea.poly, eb.shifted(sigma, sh))
-                    level = stratum if skew_mode else 0
-                    nf = _nf_terms(s.terms, level, find, cfg.ordering.heap_key)
-                    if nf:
-                        failures.append(
-                            f"pair (g{a + 1}, sigma^{sh}.g{b + 1}) does not "
-                            f"reduce to zero"
-                        )
+    if cfg.mode == "left":
+        entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(basis) if g]
+        find = _left_finder(entries, cfg)
+        for t in range(len(entries)):
+            for a, b, sh, _, _ in _left_pairs(entries, t, cfg):
+                s = spoly(entries[a].element, entries[b].shifted(sigma, sh))
+                if s and _nf_left(s, find, cfg.ordering):
+                    failures.append(f"pair (g{a + 1}, s^{sh}.g{b + 1}) "
+                                    f"does not reduce to zero")
         return not failures, failures
 
-    # left mode
-    entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(basis) if g]
-    n = len(entries)
-    for a in range(n):
-        for b in range(n):
-            ea, eb = entries[a], entries[b]
-            sh = ea.lm.sdeg - eb.lm.sdeg
-            if sh < 0 or (sh == 0 and a >= b):
-                continue
-            if ea.lm.sdeg > d:
-                continue
-            s = spoly(ea.element, eb.shifted(sigma, sh))
-            if s and not _nf_left(s, entries, cfg).is_zero():
+    nonzero = [g for g in basis if g]
+    entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(nonzero)]
+    find = _make_finder(entries, cfg)
+    hkey = cfg.ordering.heap_key
+    for t in range(len(entries)):
+        pairs = _window_pairs(entries, t, cfg, pair_filter)
+        for a, b, sh, stratum, _ in pairs:
+            s = spoly_poly(entries[a].poly, entries[b].shifted(sigma, sh))
+            if _nf_terms(s.terms, stratum, find, hkey):
                 failures.append(
-                    f"pair (g{a + 1}, s^{sh}.g{b + 1}) does not reduce to zero"
+                    f"pair (g{a + 1}, sigma^{sh}.g{b + 1}) does not "
+                    f"reduce to zero"
                 )
     return not failures, failures
 

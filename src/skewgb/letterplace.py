@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import engine
-from .endo import ShiftEndo
 from .poly import (
     LETTER_BITS,
-    MONO_ONE,
     Monomial,
     MonomialOrdering,
     LEX,

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import neg
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "LETTER_BITS",
     "PLACE_STEP",
-    "Variable",
     "Monomial",
     "MONO_ONE",
     "var_code",
@@ -39,8 +38,6 @@ __all__ = [
     "mono_lcm",
     "mono_coprime",
     "mono_degree",
-    "mono_variables",
-    "multidegree",
     "Weight",
     "W_BOTTOM",
     "weight",
@@ -49,7 +46,6 @@ __all__ = [
     "LEX",
     "DEGLEX",
     "ORDERINGS",
-    "compare",
     "Polynomial",
 ]
 
@@ -78,21 +74,6 @@ def code_letter(code: int) -> int:
 
 def code_place(code: int) -> int:
     return code >> LETTER_BITS
-
-
-class Variable(NamedTuple):
-    """A doubly indexed variable x_letter(place)."""
-
-    letter: int
-    place: int
-
-    @property
-    def code(self) -> int:
-        return var_code(self.letter, self.place)
-
-    @classmethod
-    def from_code(cls, code: int) -> "Variable":
-        return cls(code_letter(code), code_place(code))
 
 
 def mono(*pairs: tuple[int, int, int]) -> Monomial:
@@ -242,19 +223,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_variables(m: Monomial) -> list[Variable]:
-    return [Variable.from_code(c) for c, _ in m]
-
-
-def multidegree(m: Monomial) -> dict[int, int]:
-    """Per-place variable count (with multiplicity), as a sparse map."""
-    out: dict[int, int] = {}
-    for c, e in m:
-        p = c >> LETTER_BITS
-        out[p] = out.get(p, 0) + e
-    return out
-
-
 class Weight:
     """An element of {-inf} union N under (max, +).
 
@@ -367,14 +335,6 @@ class MonomialOrdering:
             return flat
         return (sum(flat[1:-1:2]), flat)
 
-    def compare(self, m: Monomial, n: Monomial) -> int:
-        km, kn = self.key(m), self.key(n)
-        if km < kn:
-            return -1
-        if km > kn:
-            return 1
-        return 0
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrdering) and other.kind == self.kind
 
@@ -388,11 +348,6 @@ class MonomialOrdering:
 LEX = MonomialOrdering("lex")
 DEGLEX = MonomialOrdering("deglex")
 ORDERINGS = {"lex": LEX, "deglex": DEGLEX}
-
-
-def compare(m: Monomial, n: Monomial, ordering: MonomialOrdering) -> int:
-    """Three-way comparison of monomials under the given ordering."""
-    return ordering.compare(m, n)
 
 
 class Polynomial:

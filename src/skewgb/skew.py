@@ -8,12 +8,8 @@ concentrated in one s-degree is s-homogeneous.
 Monomials of S are pairs m * s**i.  They are compared s-degree first and
 by the base ordering on ties, which makes the leading monomial of an
 s-homogeneous element the decorated leading monomial of its base part.
-Three divisibility relations matter downstream:
-
-* left:       w = q * v for a monomial q of S;
-* base-ring:  equal s-degree and plain divisibility of the base parts;
-* two-sided:  w = q * s**i * v * s**j, which for divisibility-compatible
-  sigma is the same as being a base-ring multiple of some s**i * v * s**j.
+Divisibility of monomials of S (left or two-sided) is decided by the
+engine's reducer searches, not here.
 """
 
 from __future__ import annotations
@@ -21,18 +17,13 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .endo import MonomialEndomorphism
-from .poly import Monomial, MonomialOrdering, Polynomial, mono_div, mono_divides
+from .poly import Monomial, MonomialOrdering, Polynomial
 
 __all__ = [
     "SkewMonomial",
     "SkewElement",
-    "skew_mono_mul",
     "skew_mul",
     "shift_left",
-    "shift_right",
-    "left_divides",
-    "p_divides",
-    "two_sided_divides",
 ]
 
 
@@ -184,15 +175,6 @@ class SkewElement:
         return f"<{format_skew(self)}>"
 
 
-def skew_mono_mul(
-    v: SkewMonomial, w: SkewMonomial, sigma: MonomialEndomorphism
-) -> SkewMonomial:
-    """(m s**i)(n s**j) = m sigma**i(n) s**(i+j)."""
-    from .poly import mono_mul
-
-    return SkewMonomial(mono_mul(v.mono, sigma.mono(w.mono, v.sdeg)), v.sdeg + w.sdeg)
-
-
 def skew_mul(a: SkewElement, b: SkewElement, sigma: MonomialEndomorphism) -> SkewElement:
     """Product in S, twisting b's scalars past each power of s."""
     acc: dict[int, Polynomial] = {}
@@ -216,52 +198,3 @@ def shift_left(k: int, a: SkewElement, sigma: MonomialEndomorphism) -> SkewEleme
     return SkewElement(
         tuple((i + k, sigma.poly(f, k)) for i, f in a.parts), _sorted=True
     )
-
-
-def shift_right(a: SkewElement, k: int) -> SkewElement:
-    """a * s**k."""
-    if k < 0:
-        raise ValueError("negative s-power")
-    if k == 0:
-        return a
-    return SkewElement(tuple((i + k, f) for i, f in a.parts), _sorted=True)
-
-
-def left_divides(
-    v: SkewMonomial, w: SkewMonomial, sigma: MonomialEndomorphism
-) -> SkewMonomial | None:
-    """The monomial q with q * v = w, or None.
-
-    Requires sdeg(v) <= sdeg(w) and sigma**(j-i)(m) | n; the quotient is
-    (n / sigma**(j-i)(m)) * s**(j-i).
-    """
-    k = w.sdeg - v.sdeg
-    if k < 0:
-        return None
-    img = sigma.mono(v.mono, k)
-    if not mono_divides(img, w.mono):
-        return None
-    return SkewMonomial(mono_div(w.mono, img), k)
-
-
-def p_divides(v: SkewMonomial, w: SkewMonomial) -> Monomial | None:
-    """The base-ring quotient n/m when sdeg matches and m | n, else None."""
-    if v.sdeg != w.sdeg:
-        return None
-    if not mono_divides(v.mono, w.mono):
-        return None
-    return mono_div(w.mono, v.mono)
-
-
-def two_sided_divides(
-    v: SkewMonomial, w: SkewMonomial, sigma: MonomialEndomorphism
-) -> tuple[int, int, Monomial] | None:
-    """A witness (i, j, q) with w = q * s**i * v * s**j, smallest i first."""
-    d = w.sdeg - v.sdeg
-    if d < 0:
-        return None
-    for i in range(d + 1):
-        img = sigma.mono(v.mono, i)
-        if mono_divides(img, w.mono):
-            return i, d - i, mono_div(w.mono, img)
-    return None

@@ -207,18 +207,10 @@ def test_criterion_7_benchmark_scale():
 
 
 def test_criterion_8_invariant_suites():
-    import test_properties as props
+    from test_properties import SUITES
 
-    suites = [
-        props.test_ordering_axioms_bulk,
-        props.test_gcd_lcm_shift_compat_bulk,
-        props.test_skew_mul_associativity_and_lm_bulk,
-        props.test_spoly_identities_bulk,
-        props.test_iota_homomorphism_bulk,
-        props.test_weight_lemmas_bulk,
-    ]
     t0 = time.perf_counter()
-    for suite in suites:
+    for suite in SUITES:
         suite()
     dt = time.perf_counter() - t0
     assert dt < 30.0

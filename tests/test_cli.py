@@ -85,13 +85,6 @@ def test_byte_determinism():
     assert first.returncode == second.returncode == 0
 
 
-def test_threads_flag_is_inert():
-    base = run_cli(CORPUS / "difference-d6.txt", "--stats")
-    four = run_cli(CORPUS / "difference-d6.txt", "--stats", "--threads", "4")
-    assert base.stdout == four.stdout
-    assert four.returncode == 0
-
-
 def test_free_corpus_runs_and_certifies():
     p = run_cli(CORPUS / "c41-d4.txt", "--certify")
     assert p.returncode == 0
@@ -212,13 +205,10 @@ def test_usage_errors(tmp_path):
         assert fragment in p.stderr, text
 
 
-def test_missing_file_and_bad_thread_count():
+def test_missing_file():
     p = run_cli("/no/such/file.txt")
     assert p.returncode == 1
     assert "error:" in p.stderr
-    q = run_cli(CORPUS / "difference-d6.txt", "--threads", "0")
-    assert q.returncode == 1
-    assert "--threads must be positive" in q.stderr
 
 
 def test_criteria_toggle_preserves_basis(tmp_path):

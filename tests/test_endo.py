@@ -1,23 +1,16 @@
-"""Tests for monomial endomorphisms and their compatibility checks."""
+"""Tests for monomial endomorphisms and their compatibility properties."""
 
 import random
 
 import pytest
 
-from skewgb.endo import (
-    PowerEndo,
-    ShiftEndo,
-    TableEndo,
-    check_div_compatible,
-    check_order_compatible,
-)
+from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.field import QQ
 from skewgb.poly import (
     DEGLEX,
     LEX,
     MONO_ONE,
     Polynomial,
-    compare,
     mono,
     mono_divides,
     mono_from_pairs,
@@ -103,8 +96,8 @@ def test_power_endo():
 
 
 def test_div_compat_shift_power():
-    assert check_div_compatible(SHIFT)
-    assert check_div_compatible(PowerEndo(2))
+    assert SHIFT.div_compatible
+    assert PowerEndo(2).div_compatible
     rng = random.Random(17)
     for sigma in (SHIFT, PowerEndo(2)):
         for _ in range(200):
@@ -124,59 +117,18 @@ def test_div_compat_shift_power():
 
 
 def test_order_compat_shift_power():
-    for ordering in (LEX, DEGLEX):
-        assert check_order_compatible(SHIFT, ordering)
-        assert check_order_compatible(PowerEndo(2), ordering)
     rng = random.Random(23)
     for sigma in (SHIFT, PowerEndo(3)):
         for ordering in (LEX, DEGLEX):
+            key = ordering.key
             for _ in range(200):
                 a = rand_mono(rng)
                 b = rand_mono(rng)
-                c = compare(a, b, ordering)
-                ci = compare(sigma.mono(a), sigma.mono(b), ordering)
-                assert (c < 0) == (ci < 0) and (c > 0) == (ci > 0)
+                ka, kb = key(a), key(b)
+                sa, sb = key(sigma.mono(a)), key(sigma.mono(b))
+                assert (ka < kb) == (sa < sb) and (ka > kb) == (sa > sb)
                 # Expansivity: m <= sigma(m).
-                assert compare(a, sigma.mono(a), ordering) <= 0
-
-
-def test_table_endo_basic():
-    # Send x(0) to y(1)^2, shift everything else.
-    t = TableEndo({var_code(0, 0): mono((1, 1, 2))})
-    assert t.image(var_code(0, 0)) == mono((1, 1, 2))
-    assert t.image(var_code(0, 1)) == mono((0, 2, 1))
-    m = mono((0, 0, 2), (2, 3, 1))
-    assert t.mono(m) == mono_mul(mono((1, 1, 4)), mono((2, 4, 1)))
-
-
-def test_table_endo_rejects_identity():
-    c = var_code(0, 0)
-    with pytest.raises(ValueError):
-        TableEndo({c: ((c, 1),)})
-    with pytest.raises(ValueError):
-        TableEndo({c: MONO_ONE})
-
-
-def test_table_endo_div_compat_detection():
-    # Images sharing a variable cannot respect gcds.
-    a, b = var_code(0, 0), var_code(1, 0)
-    shared = TableEndo({a: mono((0, 1, 1)), b: mono((0, 1, 2))})
-    assert not check_div_compatible(shared)
-    # A clean relabeling away from every default image is compatible.
-    clean = TableEndo({a: mono((0, 0, 2))})
-    assert check_div_compatible(clean)
-    # x(0) -> x(2) collides with the default image of x(1).
-    clash = TableEndo({a: mono((0, 2, 1))})
-    assert not check_div_compatible(clash)
-
-
-def test_table_endo_order_probe_finds_violation():
-    # Swap-like table: x(0) -> y(0)^2, y(0) -> x(0) under deglex shrinks
-    # some comparisons, and the sampler must notice.
-    t = TableEndo(
-        {var_code(0, 0): mono((1, 0, 2)), var_code(1, 0): mono((0, 0, 1))}
-    )
-    assert not check_order_compatible(t, DEGLEX)
+                assert ka <= sa
 
 
 def test_endo_equality():

@@ -47,7 +47,7 @@ def test_spoly_poly_cancels_leading_terms():
     assert s == parse_poly("x(0)^2 - x(1)^2")
     # lcm leading monomials cancel: the result is below the lcm.
     l = mono_lcm(f.lm(), g.lm())
-    assert s.ordering.compare(s.lm(), l) < 0
+    assert s.ordering.key(s.lm()) < s.ordering.key(l)
 
 
 def test_spoly_of_shifted_pair():
@@ -85,7 +85,7 @@ def test_spoly_skew_random_cancellation():
             continue
         l = mono_lcm(f.lm().mono, g.lm().mono)
         assert s.lm().sdeg == 1
-        assert LEX.compare(s.lm().mono, l) < 0
+        assert LEX.key(s.lm().mono) < LEX.key(l)
 
 
 def test_sigma_basis_small_bounds():
@@ -286,6 +286,19 @@ def test_skew_rejects_s_inhomogeneous():
     bad = SkewElement({0: G1, 1: G1})
     with pytest.raises(ValueError):
         skew_gbasis([bad], GBConfig(mode="skew", degree_bound=3))
+
+
+def test_skew_refuses_inhomogeneous_reducers_everywhere():
+    # interreduce used to cut this down to x(1)*s^2, dropping a component
+    # and changing the ideal, and certify passed it; normal_form refused it.
+    bad = parse_skew("x(1)*s^2 + x(0)*s")
+    cfg = GBConfig(mode="skew", degree_bound=3)
+    with pytest.raises(ValueError, match="s-homogeneous"):
+        interreduce([bad], cfg)
+    with pytest.raises(ValueError, match="s-homogeneous"):
+        certify([bad], cfg)
+    with pytest.raises(ValueError, match="s-homogeneous"):
+        normal_form(parse_skew("x(1)*s^2"), [bad], cfg)
 
 
 def test_skew_constant_s_power_generator():

@@ -1,4 +1,9 @@
-"""Bulk randomized invariant suites: 10^4 cases per algebraic law."""
+"""Bulk randomized invariant suites: 10^4 cases per algebraic law.
+
+The suites are plain functions listed in ``SUITES``, not ``test_``
+functions: acceptance criterion 8 runs them all under its time bound, so
+pytest does not collect them a second time here.
+"""
 
 import random
 
@@ -28,7 +33,7 @@ from skewgb.poly import (
     mono_mul,
     weight,
 )
-from skewgb.skew import SkewElement, shift_left, skew_mono_mul, skew_mul
+from skewgb.skew import SkewElement, SkewMonomial, shift_left, skew_mul
 
 N = 10_000
 SIGMA = ShiftEndo()
@@ -60,7 +65,7 @@ def rand_skew(rng, ordering):
     return SkewElement(parts)
 
 
-def test_ordering_axioms_bulk():
+def ordering_axioms_bulk():
     rng = random.Random(81)
     for i in range(N):
         ordering = LEX if i % 2 else DEGLEX
@@ -73,7 +78,7 @@ def test_ordering_axioms_bulk():
         assert ka <= ordering.key(mono_mul(a, c))
 
 
-def test_gcd_lcm_shift_compat_bulk():
+def gcd_lcm_shift_compat_bulk():
     rng = random.Random(82)
     for _ in range(N):
         m, n = rand_mono(rng), rand_mono(rng)
@@ -94,7 +99,7 @@ def test_gcd_lcm_shift_compat_bulk():
             assert mono_mul(m, mono_div(n, m)) == n
 
 
-def test_skew_mul_associativity_and_lm_bulk():
+def skew_mul_associativity_and_lm_bulk():
     rng = random.Random(83)
     for i in range(N):
         ordering = LEX if i % 2 else DEGLEX
@@ -111,7 +116,7 @@ def test_skew_mul_associativity_and_lm_bulk():
             assert ab.lc() == a.lc() * b.lc()
 
 
-def test_spoly_identities_bulk():
+def spoly_identities_bulk():
     rng = random.Random(84)
     for i in range(N):
         ordering = LEX if i % 2 else DEGLEX
@@ -137,13 +142,15 @@ def test_spoly_identities_bulk():
             assert (v.sdeg, ordering.key(v.mono)) < (k, ordering.key(l))
 
 
-def test_iota_homomorphism_bulk():
+def iota_homomorphism_bulk():
     rng = random.Random(85)
     for _ in range(N):
         u = tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
         v = tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
         iu, iv = iota_word(u), iota_word(v)
-        assert iota_word(u + v) == skew_mono_mul(iu, iv, SIGMA)
+        assert iota_word(u + v) == SkewMonomial(
+            mono_mul(iu.mono, SIGMA.mono(iv.mono, iu.sdeg)), iu.sdeg + iv.sdeg
+        )
         assert iu.sdeg == len(u)
         if u:
             assert word_of_mono(iu.mono) == u
@@ -156,7 +163,7 @@ def test_iota_homomorphism_bulk():
             assert iota(f).lm() == iota_word(f.lm())
 
 
-def test_weight_lemmas_bulk():
+def weight_lemmas_bulk():
     rng = random.Random(86)
     assert weight(MONO_ONE) is W_BOTTOM
     assert max(W_BOTTOM, 0) == 0
@@ -173,3 +180,13 @@ def test_weight_lemmas_bulk():
         g = rand_poly(rng, ordering)
         if not (f.is_zero() or g.is_zero()):
             assert (f * g).weight() == max(f.weight(), g.weight())
+
+
+SUITES = [
+    ordering_axioms_bulk,
+    gcd_lcm_shift_compat_bulk,
+    skew_mul_associativity_and_lm_bulk,
+    spoly_identities_bulk,
+    iota_homomorphism_bulk,
+    weight_lemmas_bulk,
+]

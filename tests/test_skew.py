@@ -5,6 +5,7 @@ import random
 import pytest
 
 from skewgb.endo import ShiftEndo
+from skewgb.engine import GBConfig, normal_form
 from skewgb.field import QQ
 from skewgb.poly import (
     DEGLEX,
@@ -13,25 +14,21 @@ from skewgb.poly import (
     Polynomial,
     mono,
     mono_from_pairs,
+    mono_mul,
     var_code,
 )
-from skewgb.skew import (
-    SkewElement,
-    SkewMonomial,
-    left_divides,
-    p_divides,
-    shift_left,
-    shift_right,
-    skew_mono_mul,
-    skew_mul,
-    two_sided_divides,
-)
+from skewgb.skew import SkewElement, SkewMonomial, shift_left, skew_mul
 
 SHIFT = ShiftEndo()
 
 
 def p(terms, ordering=LEX):
     return Polynomial([(m, QQ.of(c)) for m, c in terms], ordering)
+
+
+def monomial(v: SkewMonomial) -> SkewElement:
+    """The one-term element of S with monomial v and coefficient 1."""
+    return SkewElement.of_poly(p([(v.mono, 1)]), v.sdeg)
 
 
 def rand_poly(rng, ordering=LEX, letters=2, max_place=2, max_len=3, terms=3):
@@ -128,12 +125,13 @@ def test_s_times_poly_twists():
 
 
 def test_skew_mono_mul():
+    # (m s^i)(n s^j) = m sigma^i(n) s^(i+j), on one-term elements.
     v = SkewMonomial(mono((0, 1, 1)), 2)
     w = SkewMonomial(mono((0, 0, 1)), 1)
-    vw = skew_mono_mul(v, w, SHIFT)
-    assert vw == SkewMonomial(mono((0, 2, 1), (0, 1, 1)), 3)
-    wv = skew_mono_mul(w, v, SHIFT)
-    assert wv == SkewMonomial(mono((0, 2, 1), (0, 0, 1)), 3)
+    vw = skew_mul(monomial(v), monomial(w), SHIFT)
+    assert vw == monomial(SkewMonomial(mono((0, 2, 1), (0, 1, 1)), 3))
+    wv = skew_mul(monomial(w), monomial(v), SHIFT)
+    assert wv == monomial(SkewMonomial(mono((0, 2, 1), (0, 0, 1)), 3))
 
 
 def test_shift_left_right():
@@ -141,18 +139,14 @@ def test_shift_left_right():
     a = SkewElement.of_poly(f, 1)
     la = shift_left(2, a, SHIFT)
     assert la == SkewElement.of_poly(p([(mono((0, 3, 1)), 1), (MONO_ONE, 4)]), 3)
-    ra = shift_right(a, 2)
-    assert ra == SkewElement.of_poly(f, 3)
     assert shift_left(0, a, SHIFT) == a
-    assert shift_right(a, 0) == a
     with pytest.raises(ValueError):
         shift_left(-1, a, SHIFT)
-    with pytest.raises(ValueError):
-        shift_right(a, -1)
-    # s^k a equals the product with the bare power of s.
+    # s^k a equals the product with the bare power of s; a s^k only raises
+    # the s-degree.
     sk = SkewElement.of_poly(p([(MONO_ONE, 1)]), 2)
     assert skew_mul(sk, a, SHIFT) == shift_left(2, a, SHIFT)
-    assert skew_mul(a, sk, SHIFT) == shift_right(a, 2)
+    assert skew_mul(a, sk, SHIFT) == SkewElement.of_poly(f, 3)
 
 
 def test_skew_mul_associative_random():
@@ -179,7 +173,11 @@ def test_skew_mul_lm_multiplicative():
                 continue
             ab = skew_mul(a, b, SHIFT)
             assert not ab.is_zero()
-            assert ab.lm() == skew_mono_mul(a.lm(), b.lm(), SHIFT)
+            va, vb = a.lm(), b.lm()
+            assert ab.lm() == SkewMonomial(
+                mono_mul(va.mono, SHIFT.mono(vb.mono, va.sdeg)),
+                va.sdeg + vb.sdeg,
+            )
             assert ab.lc() == a.lc() * b.lc()
 
 
@@ -193,46 +191,46 @@ def test_monic():
 
 
 def test_left_divides():
-    v = SkewMonomial(mono((0, 0, 1)), 1)       # x(0) s
-    w = SkewMonomial(mono((0, 2, 1), (0, 1, 1)), 2)  # x(2)x(1) s^2
-    q = left_divides(v, w, SHIFT)
-    assert q == SkewMonomial(mono((0, 2, 1)), 1)
-    # Verify the witness: q * v = w.
-    assert skew_mono_mul(q, v, SHIFT) == w
-    assert left_divides(w, v, SHIFT) is None
+    # x(0) s divides x(2)x(1) s^2 on the left: (x(2) s)(x(0) s) = w.  The
+    # left-mode reducer search finds it; the converse and a miss fail.
+    v = SkewMonomial(mono((0, 0, 1)), 1)
+    w = SkewMonomial(mono((0, 2, 1), (0, 1, 1)), 2)
+    q = SkewMonomial(mono((0, 2, 1)), 1)
+    assert skew_mul(monomial(q), monomial(v), SHIFT) == monomial(w)
+    cfg = GBConfig(mode="left", degree_bound=2)
+    assert not normal_form(monomial(w), [monomial(v)], cfg)
+    assert normal_form(monomial(v), [monomial(w)], cfg) == monomial(v)
     miss = SkewMonomial(mono((1, 0, 1)), 1)
-    assert left_divides(miss, w, SHIFT) is None
-
-
-def test_p_divides():
-    v = SkewMonomial(mono((0, 1, 1)), 1)
-    w = SkewMonomial(mono((0, 1, 2), (0, 0, 1)), 1)
-    assert p_divides(v, w) == mono((0, 1, 1), (0, 0, 1))
-    assert p_divides(v, SkewMonomial(w.mono, 2)) is None
-    assert p_divides(SkewMonomial(mono((1, 1, 1)), 1), w) is None
+    assert normal_form(monomial(w), [monomial(miss)], cfg) == monomial(w)
 
 
 def test_two_sided_divides():
-    sigma = SHIFT
+    # x(2)x(0) s^3 = x(0) s (x(1) s) s: the two-sided reducer search finds
+    # the witness with left shift 1 and cofactor x(0).
     v = SkewMonomial(mono((0, 1, 1)), 1)      # x(1) s
     w = SkewMonomial(mono((0, 2, 1), (0, 0, 1)), 3)  # x(2)x(0) s^3
-    hit = two_sided_divides(v, w, sigma)
-    assert hit == (1, 1, mono((0, 0, 1)))
-    i, j, q = hit
-    # Verify: q * s^i * v * s^j has the monomial of w.
-    m = skew_mono_mul(SkewMonomial(q, i), v, sigma)
-    m = SkewMonomial(m.mono, m.sdeg + j)
-    assert m == w
-    assert two_sided_divides(w, v, sigma) is None
+    cfg = GBConfig(mode="skew", degree_bound=3)
+    record = []
+    assert not normal_form(monomial(w), [monomial(v)], cfg, record=record)
+    assert record == [(1, mono((0, 0, 1)), 1, 0)]
+    s = monomial(SkewMonomial(MONO_ONE, 1))
+    qsi = monomial(SkewMonomial(mono((0, 0, 1)), 1))
+    assert skew_mul(skew_mul(qsi, monomial(v), SHIFT), s, SHIFT) == monomial(w)
+    assert normal_form(monomial(v), [monomial(w)], cfg) == monomial(v)
     # x(5) s^2 is not reachable from x(1) s by shifts 0..1.
-    far = SkewMonomial(mono((0, 5, 1)), 2)
-    assert two_sided_divides(v, far, sigma) is None
+    far = monomial(SkewMonomial(mono((0, 5, 1)), 2))
+    assert normal_form(far, [monomial(v)], cfg) == far
 
 
 def test_two_sided_prefers_smallest_left_shift():
+    # x(1) divides x(2)x(1) s^2 at left shift 0 (cofactor x(2)) and at
+    # left shift 1 (cofactor x(1)); the search takes shift 0.
     v = SkewMonomial(mono((0, 1, 1)), 0)
     w = SkewMonomial(mono((0, 2, 1), (0, 1, 1)), 2)
-    assert two_sided_divides(v, w, SHIFT) == (0, 2, mono((0, 2, 1)))
+    record = []
+    cfg = GBConfig(mode="skew", degree_bound=2)
+    assert not normal_form(monomial(w), [monomial(v)], cfg, record=record)
+    assert record == [(1, mono((0, 2, 1)), 0, 0)]
 
 
 def test_hash_and_repr():
