@@ -207,11 +207,8 @@ def test_criterion_7_benchmark_scale():
 
 
 def test_criterion_8_invariant_suites():
-    from test_properties import SUITES
+    from test_properties import SUITES, run_once
 
-    t0 = time.perf_counter()
-    for suite in SUITES:
-        suite()
-    dt = time.perf_counter() - t0
+    dt = sum(run_once(suite) for suite in SUITES)
     assert dt < 30.0
     print(f"ACCEPT 8: PASS ({dt:.3f}s; 6 suites x 10^4 cases)")

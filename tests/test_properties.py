@@ -1,11 +1,13 @@
 """Bulk randomized invariant suites: 10^4 cases per algebraic law.
 
-The suites are plain functions listed in ``SUITES``, not ``test_``
-functions: acceptance criterion 8 runs them all under its time bound, so
-pytest does not collect them a second time here.
+The suites are plain functions listed in ``SUITES``. Each ``test_``
+function and acceptance criterion 8 run them through ``run_once``, so a
+suite that already passed in this process is not run a second time, and
+criterion 8 bounds the summed run time of the six suites.
 """
 
 import random
+import time
 
 from skewgb.endo import ShiftEndo
 from skewgb.engine import spoly, spoly_poly
@@ -190,3 +192,38 @@ SUITES = [
     iota_homomorphism_bulk,
     weight_lemmas_bulk,
 ]
+
+_SECONDS = {}
+
+
+def run_once(suite):
+    """Run ``suite`` unless it already passed in this process; return its run time."""
+    if suite not in _SECONDS:
+        t0 = time.perf_counter()
+        suite()
+        _SECONDS[suite] = time.perf_counter() - t0
+    return _SECONDS[suite]
+
+
+def test_ordering_axioms_bulk():
+    run_once(ordering_axioms_bulk)
+
+
+def test_gcd_lcm_shift_compat_bulk():
+    run_once(gcd_lcm_shift_compat_bulk)
+
+
+def test_skew_mul_associativity_and_lm_bulk():
+    run_once(skew_mul_associativity_and_lm_bulk)
+
+
+def test_spoly_identities_bulk():
+    run_once(spoly_identities_bulk)
+
+
+def test_iota_homomorphism_bulk():
+    run_once(iota_homomorphism_bulk)
+
+
+def test_weight_lemmas_bulk():
+    run_once(weight_lemmas_bulk)
