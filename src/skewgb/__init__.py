@@ -9,13 +9,11 @@ from .poly import (
     ORDERINGS,
     MonomialOrdering,
     Polynomial,
-    Weight,
-    W_BOTTOM,
     mono,
     mono_divides,
     mono_gcd,
     mono_lcm,
-    weight,
+    top_place,
 )
 from .endo import MonomialEndomorphism, PowerEndo, ShiftEndo
 from .skew import SkewElement, SkewMonomial, shift_left, skew_mul

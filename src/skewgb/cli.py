@@ -43,7 +43,7 @@ class ProblemFile:
     names: tuple = textio.DEFAULT_NAMES
     ordering_name: str = "lex"
     sigma: object = dc_field(default_factory=ShiftEndo)
-    product_criterion: bool | None = None
+    product_criterion: bool = True
     chain_criterion: bool = True
     interreduce: bool = True
     trace: bool = False
@@ -90,7 +90,7 @@ def _parse_endo(value: str):
 def _parse_criteria(value: str):
     v = value.strip().lower()
     if v == "all":
-        return None, True
+        return True, True
     if v == "none":
         return False, False
     chosen = {w.strip() for w in v.split(",")}
@@ -232,9 +232,7 @@ def _run_problem(pf: ProblemFile, cfg: engine.GBConfig, gens):
 
 def _certify(pf: ProblemFile, cfg: engine.GBConfig, basis):
     if pf.mode in ("free", "free2"):
-        return letterplace.certify_free(
-            basis, cfg, two_sided=(pf.mode == "free2")
-        )
+        return letterplace.certify_free(basis, cfg)
     return engine.certify(basis, cfg)
 
 

@@ -112,7 +112,7 @@ class GBConfig:
     degree_bound: int
     ordering: MonomialOrdering = LEX
     sigma: MonomialEndomorphism = dc_field(default_factory=ShiftEndo)
-    product_criterion: bool | None = None  # None = on exactly in ideal modes
+    product_criterion: bool = True  # takes effect in sigma mode only
     chain_criterion: bool = True
     interreduce: bool = True
     trace: bool = False
@@ -124,8 +124,6 @@ class GBConfig:
             raise ValueError("truncation bound must be at least 1")
 
     def product_enabled(self) -> bool:
-        if self.product_criterion is None:
-            return self.mode == "sigma"
         return self.product_criterion and self.mode == "sigma"
 
     def check_sigma(self):
@@ -247,15 +245,15 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
     image divides m it picks the smallest (okey(shifted lm), entry index,
     shift).  Shifting strictly raises a monomial under lex and deglex, so
     the smallest dividing shift of an entry gives that entry's smallest
-    image, and the search may stop at it.  In level-capped (skew) modes the
-    shift may not push the reducer past the working s-degree; in weight mode
-    the shift range is bounded by the weight gap, which is exact for the
-    place shift.
+    image, and the search may stop at it.  In skew mode the shift may not
+    push the reducer past the working s-degree.
 
     For the place shift only the shifts u that carry the top variable of an
     entry's lm onto a variable of m with the same letter can divide, so each
     call maps the letters of m to their codes, ascending, and walks the list
-    of the entry's top letter.  A constant lm divides at u = 0.
+    of the entry's top letter.  A constant lm divides at u = 0.  Any other
+    endomorphism comes only in skew mode (``check_sigma`` refuses it where
+    the window is a weight), so its shifts are tried up to the s-degree cap.
     """
     sigma = cfg.sigma
     okey = cfg.ordering.key
@@ -271,7 +269,6 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
                 if not ent.lm and (not level_capped or ent.sdeg <= level):
                     return MONO_ONE, ent.poly.terms[1:], 0, ent.index
             return None
-        wm = m[0][0] >> LETTER_BITS
         md = dict(m)
         if is_shift:
             by_letter: dict[int, list] = {}
@@ -308,18 +305,8 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
                 if best_sel is None or sel < best_sel:
                     best_sel, best = sel, (ent, u, img)
                 continue
-            if not level_capped:
-                ucap = wm - ent.lmw
-                if ucap < 0:
-                    continue
-            seen = set()
             for u in range(ucap + 1):
                 img = ent.shifted_lm(sigma, u)
-                if img in seen:
-                    break
-                seen.add(img)
-                if img and img[0][0] >> LETTER_BITS > wm:
-                    continue
                 for c, e in img:
                     if md.get(c, 0) < e:
                         break
@@ -541,12 +528,13 @@ def _prepare_seeds(polys_with_sdeg, cfg: GBConfig):
     return seeds, None
 
 
-def sigma_gbasis(H, cfg: GBConfig) -> GBResult:
+def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     """d-truncated Gröbner basis of the difference ideal generated by H.
 
     H is a set of polynomials of P; the ideal is closed under the shift, and
     every S-polynomial spoly(f, sigma**k . g) whose lcm has weight <= d
-    reduces to zero modulo the shifted basis closure.
+    reduces to zero modulo the shifted basis closure.  ``pair_filter`` is
+    passed to the completion (the letterplace V filter).
     """
     if cfg.mode != "sigma":
         raise ValueError("config mode must be 'sigma'")
@@ -555,15 +543,16 @@ def sigma_gbasis(H, cfg: GBConfig) -> GBResult:
     if seeds is None:
         return GBResult([unit], cfg.mode, cfg.degree_bound, PairStats(), None)
     trace = [] if cfg.trace else None
-    entries, stats, trace = _complete(seeds, cfg, collect_trace=trace)
+    entries, stats, trace = _complete(seeds, cfg, pair_filter, trace)
     basis = [e.poly for e in entries]
     if cfg.interreduce:
         basis = interreduce(basis, cfg)
     return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
 
 
-def skew_gbasis(H, cfg: GBConfig) -> GBResult:
-    """d-truncated two-sided Gröbner basis for s-homogeneous generators."""
+def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
+    """d-truncated two-sided Gröbner basis for s-homogeneous generators;
+    ``pair_filter`` is passed to the completion (the letterplace R filter)."""
     if cfg.mode != "skew":
         raise ValueError("config mode must be 'skew'")
     cfg.check_sigma()
@@ -577,7 +566,7 @@ def skew_gbasis(H, cfg: GBConfig) -> GBResult:
         pairs.append((poly, sdeg))
     seeds, _ = _prepare_seeds(pairs, cfg)
     trace = [] if cfg.trace else None
-    entries, stats, trace = _complete(seeds, cfg, collect_trace=trace)
+    entries, stats, trace = _complete(seeds, cfg, pair_filter, trace)
     basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
     if cfg.interreduce:
         basis = interreduce(basis, cfg)
@@ -836,7 +825,8 @@ def member(f, basis, cfg: GBConfig) -> bool:
     if f.is_zero():
         return True
     if isinstance(f, Polynomial):
-        if cfg.mode == "sigma" and not f.weight() <= cfg.degree_bound:
+        w = f.weight()  # None for a constant, which lies in every window
+        if cfg.mode == "sigma" and w is not None and w > cfg.degree_bound:
             raise WindowExceeded(
                 f"weight of query exceeds truncation bound {cfg.degree_bound}"
             )
@@ -978,10 +968,10 @@ def expand_window_sigma(H, cfg: GBConfig):
         if h.is_zero():
             continue
         w = h.weight()
-        if w.is_bottom:  # constant: shift-invariant
+        if w is None:  # constant: shift-invariant
             out.append(h)
             continue
-        for i in range(cfg.degree_bound - int(w) + 1):
+        for i in range(cfg.degree_bound - w + 1):
             out.append(cfg.sigma.poly(h, i))
     return out
 
@@ -1041,17 +1031,17 @@ def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
                 continue
             lm = g.lm()
             if not lm:
-                A.add(MONO_ONE)
+                A.add((0, MONO_ONE))
                 continue
             w = top_place(lm)
             for i in range(d - w + 1):
-                A.add(sigma.mono(lm, i))
+                A.add((0, sigma.mono(lm, i)))
         B = {
-            b.lm()
+            (0, b.lm())
             for b in oracle.basis
             if b and (not b.lm() or top_place(b.lm()) <= d)
         }
-        return _mutually_divisible(A, B)
+        return _mutually_divisible_leveled(A, B)
     if cfg.mode == "skew":
         A = set()
         for g in main.basis:
@@ -1072,17 +1062,9 @@ def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
     raise ValueError("lm window comparison supports sigma and skew modes")
 
 
-def _mutually_divisible(A: set, B: set) -> bool:
-    for a in A:
-        if not any(mono_divides(b, a) for b in B):
-            return False
-    for b in B:
-        if not any(mono_divides(a, b) for a in A):
-            return False
-    return True
-
-
 def _mutually_divisible_leveled(A: set, B: set) -> bool:
+    """Each (level, monomial) of A is divided by one of B on its level, and
+    the other way round; sigma-mode monomials all sit on level 0."""
     for la, a in A:
         if not any(lb == la and mono_divides(b, a) for lb, b in B):
             return False

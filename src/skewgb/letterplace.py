@@ -31,7 +31,7 @@ from .poly import (
     LEX,
     Polynomial,
     mono_divides,
-    weight,
+    top_place,
 )
 from .skew import SkewElement, SkewMonomial
 
@@ -66,54 +66,29 @@ def word_key(w: Word):
     return (len(w), tuple(reversed(w)))
 
 
-class FreePolynomial:
-    """A noncommutative polynomial; terms descend under the word ordering."""
+class _WordOrdering:
+    """The word ordering, in the role of a Polynomial's monomial ordering."""
 
-    __slots__ = ("terms",)
+    key = staticmethod(word_key)
 
-    def __init__(self, terms, _sorted: bool = False):
-        if _sorted:
-            self.terms = tuple(terms)
-            return
-        acc: dict[Word, object] = {}
-        for w, c in terms:
-            if w in acc:
-                acc[w] = acc[w] + c
-            else:
-                acc[w] = c
-        self.terms = tuple(
-            sorted(
-                ((w, c) for w, c in acc.items() if c),
-                key=lambda t: word_key(t[0]),
-                reverse=True,
-            )
-        )
+
+_WORD_ORDERING = _WordOrdering()
+
+
+class FreePolynomial(Polynomial):
+    """A noncommutative polynomial: a Polynomial whose monomials are words,
+    with terms descending under the word ordering.  Sums, scaling and
+    ``monic`` are Polynomial's; the product concatenates words.  The
+    placed-monomial methods ``mul_mono`` and ``weight`` do not apply."""
+
+    __slots__ = ()
+
+    def __init__(self, terms, ordering=_WORD_ORDERING, _sorted: bool = False):
+        super().__init__(terms, ordering, _sorted)
 
     @classmethod
     def zero(cls) -> "FreePolynomial":
         return cls((), _sorted=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def leading(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        w, c = self.terms[0]
-        return c, w
-
-    def lm(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return self.terms[0][0]
-
-    def lc(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
 
     def degree(self) -> int:
         if not self.terms:
@@ -126,24 +101,6 @@ class FreePolynomial:
         d = len(self.terms[0][0])
         return all(len(w) == d for w, _ in self.terms)
 
-    def __add__(self, other: "FreePolynomial") -> "FreePolynomial":
-        return FreePolynomial(self.terms + other.terms)
-
-    def __sub__(self, other: "FreePolynomial") -> "FreePolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "FreePolynomial":
-        return FreePolynomial(
-            tuple((w, -c) for w, c in self.terms), _sorted=True
-        )
-
-    def scale(self, c) -> "FreePolynomial":
-        if not c:
-            return FreePolynomial.zero()
-        return FreePolynomial(
-            tuple((w, coef * c) for w, coef in self.terms), _sorted=True
-        )
-
     def __mul__(self, other: "FreePolynomial") -> "FreePolynomial":
         acc: dict[Word, object] = {}
         for u, c in self.terms:
@@ -153,27 +110,10 @@ class FreePolynomial:
                     acc[w] = acc[w] + c * d
                 else:
                     acc[w] = c * d
-        return FreePolynomial(acc.items())
-
-    def monic(self) -> "FreePolynomial":
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        one = lc / lc
-        if lc == one:
-            return self
-        return self.scale(one / lc)
+        return type(self)(acc.items())
 
     def letters(self) -> set:
         return {x for w, _ in self.terms for x in w}
-
-    def __eq__(self, other):
-        if isinstance(other, FreePolynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         from .textio import format_free
@@ -276,17 +216,16 @@ def xi(f: Polynomial) -> SkewElement:
     """Decorate each weight-homogeneous piece f_i with s^i.
 
     Defined for polynomials whose pieces all have weight >= 1; a nonzero
-    constant part (weight bottom) or a weight-0 piece is rejected.
+    constant part (weight None) or a weight-0 piece is rejected.
     """
     pieces: dict[int, list] = {}
     for m, c in f.terms:
-        w = weight(m)
-        if w.is_bottom:
+        w = top_place(m)
+        if w is None:
             raise ValueError("xi: input has a nonzero constant part")
-        iw = int(w)
-        if iw < 1:
+        if w < 1:
             raise ValueError("xi: input has a weight-0 piece")
-        pieces.setdefault(iw, []).append((m, c))
+        pieces.setdefault(w, []).append((m, c))
     return SkewElement(
         {i: Polynomial(ts, f.ordering, _sorted=True) for i, ts in pieces.items()}
     )
@@ -347,37 +286,23 @@ def _normalize_output(out: list) -> list:
 def _free_run(H, cfg: engine.GBConfig):
     """Difference-ideal completion of iota'(H) under the V pair filter."""
     cfg.check_sigma()
-    gens = _validate_input(H)
-    ecfg = replace(cfg, mode="sigma")
-    seeds, _ = engine._prepare_seeds(
-        ((iota_prime(h, cfg.ordering), 0) for h in gens), ecfg
+    gens = [iota_prime(h, cfg.ordering) for h in _validate_input(H)]
+    res = engine.sigma_gbasis(
+        gens, replace(cfg, mode="sigma"), pair_filter=_v_filter
     )
-    trace = [] if cfg.trace else None
-    entries, stats, trace = engine._complete(
-        seeds, ecfg, pair_filter=_v_filter, collect_trace=trace
-    )
-    polys = [e.poly for e in entries]
-    if cfg.interreduce:
-        polys = engine.interreduce(polys, ecfg)
-    return _normalize_output([iota_prime_inv(p) for p in polys]), stats, trace
+    out = _normalize_output([iota_prime_inv(p) for p in res.basis])
+    return out, res.stats, res.trace
 
 
 def _free2_run(H, cfg: engine.GBConfig):
     """Two-sided skew completion of iota(H) under the R pair filter."""
     cfg.check_sigma()
-    gens = _validate_input(H)
-    ecfg = replace(cfg, mode="skew")
-    seeds, _ = engine._prepare_seeds(
-        ((iota_prime(h, cfg.ordering), h.degree()) for h in gens), ecfg
+    gens = [iota(h, cfg.ordering) for h in _validate_input(H)]
+    res = engine.skew_gbasis(
+        gens, replace(cfg, mode="skew"), pair_filter=_r_filter
     )
-    trace = [] if cfg.trace else None
-    entries, stats, trace = engine._complete(
-        seeds, ecfg, pair_filter=_r_filter, collect_trace=trace
-    )
-    basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
-    if cfg.interreduce:
-        basis = engine.interreduce(basis, ecfg)
-    return _normalize_output([iota_inv(a) for a in basis]), stats, trace
+    out = _normalize_output([iota_inv(a) for a in res.basis])
+    return out, res.stats, res.trace
 
 
 def free_gbasis(H, cfg: engine.GBConfig) -> list:
@@ -394,9 +319,10 @@ def free_gbasis2(H, cfg: engine.GBConfig) -> list:
     return _free2_run(H, cfg)[0]
 
 
-def certify_free(G, cfg: engine.GBConfig, two_sided: bool = False):
-    """Exhaustive in-window pair check of a free basis through its embedding."""
-    if two_sided:
+def certify_free(G, cfg: engine.GBConfig):
+    """Exhaustive in-window pair check of a free basis through its embedding:
+    in S with the R filter in free2 mode, in P with the V filter otherwise."""
+    if cfg.mode == "free2":
         ecfg = replace(cfg, mode="skew")
         basis = [iota(g, cfg.ordering) for g in G]
         return engine.certify(basis, ecfg, pair_filter=_r_filter)

@@ -9,9 +9,9 @@ variable of largest place sits in front.
 
 Two monomial orderings are provided, lex and deglex, both well-orderings
 compatible with the place-shift endomorphism.  The weight of a monomial is
-its largest place (with a distinguished bottom value for the monomial 1);
-it bounds how far a shifted divisor can sit inside a multiple and drives
-all truncation windows downstream.
+its largest place, ``top_place``, and ``None`` for the monomial 1, which
+lies below every place; it bounds how far a shifted divisor can sit inside
+a multiple and drives all truncation windows downstream.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "Monomial",
     "MONO_ONE",
     "var_code",
-    "code_letter",
-    "code_place",
     "mono",
     "mono_from_pairs",
     "mono_mul",
@@ -38,9 +36,6 @@ __all__ = [
     "mono_lcm",
     "mono_coprime",
     "mono_degree",
-    "Weight",
-    "W_BOTTOM",
-    "weight",
     "top_place",
     "MonomialOrdering",
     "LEX",
@@ -51,7 +46,6 @@ __all__ = [
 
 LETTER_BITS = 20
 PLACE_STEP = 1 << LETTER_BITS
-_LETTER_MASK = PLACE_STEP - 1
 
 # A monomial is a tuple of (code, exponent) pairs, codes strictly descending,
 # exponents positive.  The empty tuple is the monomial 1.
@@ -66,14 +60,6 @@ def var_code(letter: int, place: int) -> int:
     if place < 0:
         raise ValueError(f"place {place} must be nonnegative")
     return (place << LETTER_BITS) | letter
-
-
-def code_letter(code: int) -> int:
-    return code & _LETTER_MASK
-
-
-def code_place(code: int) -> int:
-    return code >> LETTER_BITS
 
 
 def mono(*pairs: tuple[int, int, int]) -> Monomial:
@@ -223,86 +209,9 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class Weight:
-    """An element of {-inf} union N under (max, +).
-
-    The bottom element -inf (the weight of the monomial 1) is a genuine
-    distinguished value, absorbing under addition and below every natural
-    number; it is never conflated with an integer.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None = None):
-        if value is not None and value < 0:
-            raise ValueError("weights are nonnegative (or bottom)")
-        self.value = value
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.value is None
-
-    def _key(self):
-        return (0, 0) if self.value is None else (1, self.value)
-
-    def __lt__(self, other):
-        return self._key() < _as_weight(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= _as_weight(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > _as_weight(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= _as_weight(other)._key()
-
-    def __eq__(self, other):
-        if isinstance(other, (Weight, int)):
-            return self._key() == _as_weight(other)._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __add__(self, other):
-        other = _as_weight(other)
-        if self.value is None or other.value is None:
-            return W_BOTTOM
-        return Weight(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __int__(self) -> int:
-        if self.value is None:
-            raise ValueError("bottom weight has no integer value")
-        return self.value
-
-    def __repr__(self):
-        return "-inf" if self.value is None else str(self.value)
-
-
-def _as_weight(x) -> Weight:
-    if isinstance(x, Weight):
-        return x
-    if isinstance(x, int):
-        return Weight(x)
-    raise TypeError(f"cannot compare Weight with {type(x).__name__}")
-
-
-W_BOTTOM = Weight()
-
-
-def weight(m: Monomial) -> Weight:
-    """Largest place occurring in m; bottom for the monomial 1."""
-    if not m:
-        return W_BOTTOM
-    return Weight(m[0][0] >> LETTER_BITS)
-
-
-def top_place(m: Monomial) -> int:
-    """Largest place of a nontrivial monomial (precondition: m != 1)."""
-    return m[0][0] >> LETTER_BITS
+def top_place(m: Monomial) -> int | None:
+    """Largest place occurring in m; None for the monomial 1."""
+    return m[0][0] >> LETTER_BITS if m else None
 
 
 class MonomialOrdering:
@@ -355,7 +264,9 @@ class Polynomial:
 
     Terms are (monomial, coefficient) pairs with nonzero coefficients; the
     zero polynomial has no terms.  All operands of a binary operation must
-    share the same ordering.
+    share the same ordering.  Results are built through ``type(self)``, so a
+    subclass whose ordering is not a monomial ordering (the free algebra's
+    word ordering) reuses the term arithmetic.
     """
 
     __slots__ = ("terms", "ordering")
@@ -408,7 +319,7 @@ class Polynomial:
         return self.terms[0][1]
 
     def tail(self) -> "Polynomial":
-        return Polynomial(self.terms[1:], self.ordering, _sorted=True)
+        return type(self)(self.terms[1:], self.ordering, _sorted=True)
 
     def _check(self, other: "Polynomial"):
         if self.ordering != other.ordering:
@@ -427,7 +338,7 @@ class Polynomial:
             else:
                 acc[m] = c
         key = self.ordering.key
-        return Polynomial(
+        return type(self)(
             sorted(acc.items(), key=lambda t: key(t[0]), reverse=True),
             self.ordering,
             _sorted=True,
@@ -437,15 +348,15 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(
+        return type(self)(
             tuple((m, -c) for m, c in self.terms), self.ordering, _sorted=True
         )
 
     def scale(self, c) -> "Polynomial":
         """Multiply by a nonzero scalar (returns zero if c is zero)."""
         if not c:
-            return Polynomial.zero(self.ordering)
-        return Polynomial(
+            return type(self)((), self.ordering, _sorted=True)
+        return type(self)(
             tuple((m, coef * c) for m, coef in self.terms), self.ordering, _sorted=True
         )
 
@@ -453,7 +364,7 @@ class Polynomial:
         """Multiply by a monomial; term order is preserved."""
         if not q:
             return self
-        return Polynomial(
+        return type(self)(
             tuple((mono_mul(q, m), c) for m, c in self.terms),
             self.ordering,
             _sorted=True,
@@ -469,7 +380,7 @@ class Polynomial:
                     acc[mn] = acc[mn] + c * d
                 else:
                     acc[mn] = c * d
-        return Polynomial(acc.items(), self.ordering)
+        return type(self)(acc.items(), self.ordering)
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -486,14 +397,9 @@ class Polynomial:
             return -1
         return max(mono_degree(m) for m, _ in self.terms)
 
-    def weight(self) -> Weight:
-        """Maximal weight over the monomials (bottom for zero)."""
-        w = W_BOTTOM
-        for m, _ in self.terms:
-            wm = weight(m)
-            if wm > w:
-                w = wm
-        return w
+    def weight(self) -> int | None:
+        """Largest place over the monomials; None for zero and constants."""
+        return max((top_place(m) for m, _ in self.terms if m), default=None)
 
     def monomials(self) -> list[Monomial]:
         return [m for m, _ in self.terms]

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .endo import MonomialEndomorphism, ShiftEndo
 from .field import QQ
+from .letterplace import FreePolynomial
 from .poly import LETTER_BITS, LEX, MonomialOrdering, Polynomial, mono
 from .skew import SkewElement, skew_mul
 
@@ -52,10 +53,6 @@ def _is_negative(c) -> bool:
     return isinstance(c, (Fraction, int)) and c < 0
 
 
-def format_coeff(c) -> str:
-    return str(c)
-
-
 def _format_mono(m, names) -> str:
     if not m:
         return "1"
@@ -69,12 +66,17 @@ def _format_mono(m, names) -> str:
     return "*".join(parts)
 
 
-def _format_terms(pairs, names, render) -> str:
+def _format_terms(pairs, names, format_mono) -> str:
+    """Signed terms; ``format_mono`` renders a monomial or a word."""
     out = []
     for i, (m, c) in enumerate(pairs):
         neg = _is_negative(c)
-        mag = -c if neg else c
-        body = render(m, mag, names)
+        mag = str(-c if neg else c)
+        body = format_mono(m, names)
+        if body == "1":
+            body = mag
+        elif mag != "1":
+            body = f"{mag}*{body}"
         if i == 0:
             out.append("-" + body if neg else body)
         else:
@@ -82,19 +84,10 @@ def _format_terms(pairs, names, render) -> str:
     return " ".join(out)
 
 
-def _render_poly_term(m, mag, names) -> str:
-    ms = _format_mono(m, names)
-    if ms == "1":
-        return format_coeff(mag)
-    if str(mag) == "1":
-        return ms
-    return f"{format_coeff(mag)}*{ms}"
-
-
 def format_poly(f: Polynomial, names=None) -> str:
     if f.is_zero():
         return "0"
-    return _format_terms(f.terms, names, _render_poly_term)
+    return _format_terms(f.terms, names, _format_mono)
 
 
 def format_skew(a: SkewElement, names=None) -> str:
@@ -140,19 +133,10 @@ def _format_word(w, names) -> str:
     )
 
 
-def _render_free_term(w, mag, names) -> str:
-    ws = _format_word(w, names)
-    if ws == "1":
-        return format_coeff(mag)
-    if str(mag) == "1":
-        return ws
-    return f"{format_coeff(mag)}*{ws}"
-
-
 def format_free(f, names=None) -> str:
     if f.is_zero():
         return "0"
-    return _format_terms(f.terms, names, _render_free_term)
+    return _format_terms(f.terms, names, _format_word)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +320,15 @@ class _SkewAlgebra(_BaseAlgebra):
 
 class _FreeAlgebra(_BaseAlgebra):
     def one(self):
-        from .letterplace import FreePolynomial
-
         return FreePolynomial((((), self.field.one),), _sorted=True)
 
     def wrap_coeff(self, c):
-        from .letterplace import FreePolynomial
-
         return FreePolynomial((((), c),))
 
     def mul(self, a, b):
         return a * b
 
     def symbol(self, text, pos, parser: _Parser):
-        from .letterplace import FreePolynomial
-
         letter = self.letter(text, pos)
         if parser.peek()[0] == "(":
             raise ParseError("free-algebra variables take no place", pos)

@@ -17,8 +17,8 @@ from skewgb.poly import (
     mono_gcd,
     mono_lcm,
     mono_mul,
+    top_place,
     var_code,
-    weight,
 )
 
 SHIFT = ShiftEndo()
@@ -48,10 +48,10 @@ def test_shift_raises_weight_by_one():
         m = rand_mono(rng)
         if m == MONO_ONE:
             assert SHIFT.mono(m).__eq__(MONO_ONE)
-            assert weight(SHIFT.mono(m)).is_bottom
+            assert top_place(SHIFT.mono(m)) is None
         else:
-            assert weight(SHIFT.mono(m)) == weight(m) + 1
-            assert weight(SHIFT.mono(m, 3)) == weight(m) + 3
+            assert top_place(SHIFT.mono(m)) == top_place(m) + 1
+            assert top_place(SHIFT.mono(m, 3)) == top_place(m) + 3
 
 
 def test_shift_on_polynomials():

@@ -207,6 +207,18 @@ def test_member_inside_window():
         member(parse_poly("x(7)"), FIVE, cfg)
 
 
+def test_member_of_constants_in_sigma_mode():
+    # A constant has no place, so it lies inside every weight window.
+    cfg = GBConfig(mode="sigma", degree_bound=1)
+    assert not member(parse_poly("3"), FIVE, cfg)
+    assert not member(parse_poly("x(1) + 2"), FIVE, cfg)
+    unit = [parse_poly("1")]
+    assert member(parse_poly("3"), unit, cfg)
+    assert member(parse_poly("x(1)*x(0) - 1"), unit, cfg)
+    with pytest.raises(WindowExceeded):
+        member(parse_poly("x(2) + 1"), FIVE, cfg)
+
+
 def test_interreduce_is_idempotent_and_monic():
     cfg = GBConfig(mode="sigma", degree_bound=6)
     raw = sigma_gbasis(

@@ -1,6 +1,7 @@
 """Tests for the free algebra, its embeddings, and free-mode bases."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -101,6 +102,21 @@ def test_free_monic():
     m = f.monic()
     assert m.lc() == 1
     assert m == fp([((0, 1), 1), ((1, 0), -2)])
+
+
+def test_free_arithmetic_stays_free():
+    f = fp([((0, 1), 2), ((1, 1), -1)])
+    g = fp([((1, 1), 1), ((0,), 1)])
+    results = (f + g, f - g, -f, f * g, f.scale(QQ.of(3)), f.monic(),
+               f - f, f.scale(QQ.zero))
+    for h in results:
+        assert type(h) is FreePolynomial
+    assert f + g == fp([((0, 1), 2), ((0,), 1)])
+    assert f.monic() == fp([((1, 1), 1), ((0, 1), -2)])
+    assert (f - f) == FreePolynomial.zero()
+    # Words and placed monomials never mix.
+    with pytest.raises(ValueError):
+        f + iota_prime(f)
 
 
 def test_iota_word_places_letters():
@@ -221,7 +237,7 @@ def test_two_generator_completion():
     ]
     assert free_oracle_match(G, H, cfg)
     assert certify_free(G, cfg)[0]
-    assert certify_free(G, cfg, two_sided=True)[0]
+    assert certify_free(G, replace(cfg, mode="free2"))[0]
 
 
 def test_both_routes_agree():

@@ -11,12 +11,9 @@ from skewgb.poly import (
     LEX,
     MONO_ONE,
     ORDERINGS,
+    LETTER_BITS,
     PLACE_STEP,
     Polynomial,
-    W_BOTTOM,
-    Weight,
-    code_letter,
-    code_place,
     mono,
     mono_coprime,
     mono_degree,
@@ -29,10 +26,15 @@ from skewgb.poly import (
     mono_pow,
     top_place,
     var_code,
-    weight,
 )
 
 sys_rng = random.Random(20240811)
+
+
+def weight(m):
+    """The weight of a monomial, with the monomial 1 mapped below 0."""
+    w = top_place(m)
+    return -1 if w is None else w
 
 
 def compare(m, n, ordering):
@@ -53,8 +55,8 @@ def test_var_code_round_trip():
     for letter in (0, 1, 2, 500):
         for place in (0, 1, 7, 100):
             c = var_code(letter, place)
-            assert code_letter(c) == letter
-            assert code_place(c) == place
+            assert c & (PLACE_STEP - 1) == letter
+            assert c >> LETTER_BITS == place
 
 
 def test_codes_sort_place_major():
@@ -123,19 +125,10 @@ def test_mono_gcd_lcm_properties():
 
 
 def test_weight_bottom():
-    assert weight(MONO_ONE) is W_BOTTOM or weight(MONO_ONE) == W_BOTTOM
-    assert weight(MONO_ONE).is_bottom
-    assert W_BOTTOM < Weight(0)
-    assert W_BOTTOM < 0
-    assert Weight(2) < Weight(3)
-    assert Weight(3) <= 3
-    assert W_BOTTOM + 5 == W_BOTTOM
-    assert Weight(2) + 3 == Weight(5)
-    assert int(Weight(4)) == 4
-    with pytest.raises(ValueError):
-        int(W_BOTTOM)
-    with pytest.raises(ValueError):
-        Weight(-1)
+    # The monomial 1 has no place at all, which is not place 0.
+    assert top_place(MONO_ONE) is None
+    assert top_place(mono((1, 0, 2))) == 0
+    assert weight(MONO_ONE) < weight(mono((1, 0, 2)))
 
 
 def test_weight_of_products():
@@ -226,7 +219,7 @@ def test_polynomial_leading_of_zero():
     with pytest.raises(ValueError):
         z.lc()
     assert z.degree() == -1
-    assert z.weight().is_bottom
+    assert z.weight() is None
 
 
 def test_polynomial_arithmetic():
@@ -270,7 +263,9 @@ def test_polynomial_degree_weight():
     f = poly_of([(mono((0, 3, 1), (0, 0, 2)), 1), (mono((0, 1, 1)), 5)])
     assert f.degree() == 3
     assert f.weight() == 3
-    assert poly_of([(MONO_ONE, 2)]).weight().is_bottom
+    assert poly_of([(MONO_ONE, 2)]).weight() is None
+    # A constant term lies below every place.
+    assert poly_of([(mono((0, 0, 1)), 1), (MONO_ONE, 2)]).weight() == 0
 
 
 def test_polynomial_ordering_mismatch():
