@@ -54,7 +54,7 @@ from .poly import (
     mono_mul,
     top_place,
 )
-from .skew import SkewElement, shift_left
+from .skew import SkewElement, SkewMonomial, SkewOrdering, shift_left
 
 __all__ = [
     "EndomorphismRejected",
@@ -595,15 +595,15 @@ class _LeftEntry:
 
 
 def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
-    """Left reducer search: find((s-degree, monomial), level) returns the
-    s-power multiple of an entry whose lm divides the term, as (cofactor,
-    tail, shift, entry index) for the _nf_terms kernel, or None.  The entry
-    with the smallest (okey(shifted lm), index) wins."""
+    """Left reducer search: find(monomial of S, level) returns the s-power
+    multiple of an entry whose lm divides the term, as (cofactor, tail,
+    shift, entry index) for the _nf_terms kernel, or None.  The entry with
+    the smallest (okey(shifted lm), index) wins."""
     sigma = cfg.sigma
     okey = cfg.ordering.key
 
     def find(t, level):
-        e, m = t
+        m, e = t
         best_sel = None
         best = None
         for ent in entries:
@@ -618,28 +618,18 @@ def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
         if best is None:
             return None
         ent, u, img = best
-        g = ent.shifted(sigma, u)
-        tail = [((i, mm), c) for i, p in g.parts for mm, c in p.terms][1:]
-        return mono_div(m, img), tail, u, ent.index
+        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent.index
 
     return find
 
 
-def _nf_left(element: SkewElement, find, ordering: MonomialOrdering):
-    """Full left-module normal form against a ``_left_finder`` search.
-
-    Terms are (s-degree, monomial) pairs, taken s-degree first and by the
-    monomial ordering on ties."""
-    hk = ordering.heap_key
-    terms = [((i, m), c) for i, p in element.parts for m, c in p.terms]
-    out: dict[int, list] = {}
-    nf = _nf_terms(terms, None, find, lambda t: (-t[0], hk(t[1])),
-                   lambda q, t: (t[0], mono_mul(q, t[1])))
-    for (e, m), c in nf:
-        out.setdefault(e, []).append((m, c))
-    return SkewElement(
-        {e: Polynomial(ts, ordering, _sorted=True) for e, ts in out.items()}
-    )
+def _nf_left(element: SkewElement, find):
+    """Full left-module normal form against a ``_left_finder`` search,
+    taking the terms of S s-degree first and by the base ordering on ties."""
+    ordering = element.ordering
+    nf = _nf_terms(element.terms, None, find, ordering.heap_key,
+                   lambda q, t: SkewMonomial(mono_mul(q, t[0]), t[1]))
+    return SkewElement(nf, ordering, _sorted=True)
 
 
 def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
@@ -718,7 +708,7 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
             continue
         ea, eb = entries[a], entries[b]
         s = spoly(ea.element, eb.shifted(sigma, sh))
-        nf = _nf_left(s, find, cfg.ordering) if s else s
+        nf = _nf_left(s, find) if s else s
         if nf.is_zero():
             stats.reduced_to_zero += 1
             if trace is not None:
@@ -752,7 +742,7 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     cfg.check_sigma()
     if cfg.mode == "left":
         entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(G) if g]
-        return _nf_left(f, _left_finder(entries, cfg), cfg.ordering)
+        return _nf_left(f, _left_finder(entries, cfg))
     entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
     find = _make_finder(entries, cfg)
     hkey = cfg.ordering.heap_key
@@ -760,12 +750,11 @@ def normal_form(f, G, cfg: GBConfig, record=None):
         nf = _nf_terms(f.terms, 0, find, hkey, record=record)
         return Polynomial(nf, cfg.ordering, _sorted=True)
     # two-sided: reduce each s-homogeneous layer at its own level
-    parts = {}
+    terms = []
     for level, poly in f.parts:
         nf = _nf_terms(poly.terms, level, find, hkey, record=record)
-        if nf:
-            parts[level] = Polynomial(nf, cfg.ordering, _sorted=True)
-    return SkewElement(parts)
+        terms.extend((SkewMonomial(m, level), c) for m, c in nf)
+    return SkewElement(terms, SkewOrdering(cfg.ordering), _sorted=True)
 
 
 def interreduce(basis, cfg: GBConfig):
@@ -786,13 +775,12 @@ def interreduce(basis, cfg: GBConfig):
         kept: list = []
         find = _left_finder(kept, cfg)
         for g in items:
-            v = g.lm()
-            if find((v.sdeg, v.mono), None) is None:
+            if find(g.lm(), None) is None:
                 kept.append(_LeftEntry(g, len(kept)))
         out = []
         for ent in kept:
             lt = ent.element.lt()
-            out.append(lt + _nf_left(ent.element - lt, find, cfg.ordering))
+            out.append(lt + _nf_left(ent.element - lt, find))
         return out
 
     items = sorted(
@@ -857,7 +845,7 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
         for t in range(len(entries)):
             for a, b, sh, _, _ in _left_pairs(entries, t, cfg):
                 s = spoly(entries[a].element, entries[b].shifted(sigma, sh))
-                if s and _nf_left(s, find, cfg.ordering):
+                if s and _nf_left(s, find):
                     failures.append(f"pair (g{a + 1}, s^{sh}.g{b + 1}) "
                                     f"does not reduce to zero")
         return not failures, failures
@@ -882,17 +870,15 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
 # The independent oracle
 
 
-def _oracle_nf(f: SkewElement, gens: list[SkewElement], ordering):
+def _oracle_nf(f: SkewElement, gens: list[SkewElement]):
     """Plain module normal form: first listed generator whose lm divides."""
-    okey = ordering.key
-    work: dict[tuple[int, Monomial], object] = {}
-    for i, p in f.parts:
-        for m, c in p.terms:
-            work[(i, m)] = c
-    out: dict[int, list] = {}
+    okey = f.ordering.key
+    work = dict(f.terms)
+    out = []
     while work:
-        e, m = max(work, key=lambda k: (k[0], okey(k[1])))
-        c = work.pop((e, m))
+        t = max(work, key=okey)
+        c = work.pop(t)
+        m, e = t
         red = None
         for g in gens:
             v = g.lm()
@@ -900,29 +886,24 @@ def _oracle_nf(f: SkewElement, gens: list[SkewElement], ordering):
                 red = g
                 break
         if red is None:
-            out.setdefault(e, []).append((m, c))
+            out.append((t, c))
             continue
         q = mono_div(m, red.lm().mono)
-        lead = True
-        for i, p in red.parts:
-            for mm, cc in p.terms:
-                if lead:
-                    lead = False
-                    continue
-                t = (i, mono_mul(q, mm))
-                prev = work.get(t)
-                if prev is None:
-                    work[t] = -c * cc
+        for (mm, i), cc in red.terms[1:]:
+            t = SkewMonomial(mono_mul(q, mm), i)
+            prev = work.get(t)
+            if prev is None:
+                work[t] = -c * cc
+            else:
+                s2 = prev - c * cc
+                if s2:
+                    work[t] = s2
                 else:
-                    s2 = prev - c * cc
-                    if s2:
-                        work[t] = s2
-                    else:
-                        del work[t]
-    return SkewElement({e: Polynomial(ts, ordering) for e, ts in out.items()})
+                    del work[t]
+    return SkewElement(out, f.ordering)
 
 
-def _oracle_buchberger(gens: list[SkewElement], ordering, degree_cap=None):
+def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     """Textbook module Buchberger: no shifts, no criteria, FIFO pairs.
 
     degree_cap skips pairs whose lcm exceeds that total degree, which is
@@ -952,7 +933,7 @@ def _oracle_buchberger(gens: list[SkewElement], ordering, degree_cap=None):
         s = spoly(G[i], G[j])
         if s.is_zero():
             continue
-        nf = _oracle_nf(s, G, ordering)
+        nf = _oracle_nf(s, G)
         if nf.is_zero():
             continue
         G.append(nf.monic())
@@ -1003,15 +984,10 @@ def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
         expanded = expand_window_skew(H, cfg)
     else:
         raise ValueError("oracle supports sigma and skew modes")
-    G = _oracle_buchberger(expanded, cfg.ordering, degree_cap)
-    basis: list = []
-    for g in G:
-        if cfg.mode == "sigma":
-            basis.append(g.parts[0][1] if g else Polynomial.zero(cfg.ordering))
-        else:
-            basis.append(g)
-    stats = PairStats()
-    return GBResult(basis, cfg.mode, cfg.degree_bound, stats, None)
+    G = _oracle_buchberger(expanded, degree_cap)  # nonzero and monic
+    if cfg.mode == "sigma":
+        G = [g.parts[0][1] for g in G]
+    return GBResult(G, cfg.mode, cfg.degree_bound, PairStats(), None)
 
 
 def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:

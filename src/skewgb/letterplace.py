@@ -30,10 +30,11 @@ from .poly import (
     MonomialOrdering,
     LEX,
     Polynomial,
+    Terms,
     mono_divides,
     top_place,
 )
-from .skew import SkewElement, SkewMonomial
+from .skew import SkewElement, SkewMonomial, SkewOrdering
 
 __all__ = [
     "Word",
@@ -67,7 +68,7 @@ def word_key(w: Word):
 
 
 class _WordOrdering:
-    """The word ordering, in the role of a Polynomial's monomial ordering."""
+    """The word ordering, in the role of a term list's monomial ordering."""
 
     key = staticmethod(word_key)
 
@@ -75,11 +76,10 @@ class _WordOrdering:
 _WORD_ORDERING = _WordOrdering()
 
 
-class FreePolynomial(Polynomial):
-    """A noncommutative polynomial: a Polynomial whose monomials are words,
-    with terms descending under the word ordering.  Sums, scaling and
-    ``monic`` are Polynomial's; the product concatenates words.  The
-    placed-monomial methods ``mul_mono`` and ``weight`` do not apply."""
+class FreePolynomial(Terms):
+    """A noncommutative polynomial: terms over words, descending under the
+    word ordering.  Sums, scaling and ``monic`` are the shared term
+    arithmetic of ``poly.Terms``; the product concatenates words."""
 
     __slots__ = ()
 
@@ -141,11 +141,8 @@ def iota_prime_word(w: Word) -> Monomial:
 
 def iota(f: FreePolynomial, ordering: MonomialOrdering = LEX) -> SkewElement:
     """Linear extension of the embedding into S."""
-    parts: dict[int, list] = {}
-    for w, c in f.terms:
-        parts.setdefault(len(w), []).append((iota_prime_word(w), c))
     return SkewElement(
-        {i: Polynomial(ts, ordering) for i, ts in parts.items()}
+        ((iota_word(w), c) for w, c in f.terms), SkewOrdering(ordering)
     )
 
 
@@ -169,16 +166,6 @@ def word_of_mono(m: Monomial) -> Word | None:
     return tuple(letters)
 
 
-def _word_len(m: Monomial) -> int | None:
-    """Length of the word a monomial encodes, or None if not in V."""
-    expect = len(m)
-    for c, e in m:
-        if e != 1 or (c >> LETTER_BITS) != expect:
-            return None
-        expect -= 1
-    return len(m)
-
-
 def iota_prime_inv(f: Polynomial) -> FreePolynomial:
     """Inverse of iota_prime; every monomial must lie in V."""
     terms = []
@@ -193,23 +180,17 @@ def iota_prime_inv(f: Polynomial) -> FreePolynomial:
 def iota_inv(a: SkewElement) -> FreePolynomial:
     """Inverse of iota; every component must lie in R."""
     terms = []
-    for k, p in a.parts:
-        for m, c in p.terms:
-            w = word_of_mono(m)
-            if w is None or len(w) != k:
-                raise ValueError("element outside R")
-            terms.append((w, c))
+    for (m, k), c in a.terms:
+        w = word_of_mono(m)
+        if w is None or len(w) != k:
+            raise ValueError("element outside R")
+        terms.append((w, c))
     return FreePolynomial(terms)
 
 
-def pi(a: SkewElement, ordering: MonomialOrdering | None = None) -> Polynomial:
+def pi(a: SkewElement) -> Polynomial:
     """Erase the s-powers, summing the components in P."""
-    if a.is_zero():
-        return Polynomial.zero(ordering if ordering is not None else LEX)
-    acc = Polynomial.zero(a.ordering())
-    for _, f in a.parts:
-        acc = acc + f
-    return acc
+    return Polynomial(((m, c) for (m, _), c in a.terms), a.ordering.base)
 
 
 def xi(f: Polynomial) -> SkewElement:
@@ -218,30 +199,28 @@ def xi(f: Polynomial) -> SkewElement:
     Defined for polynomials whose pieces all have weight >= 1; a nonzero
     constant part (weight None) or a weight-0 piece is rejected.
     """
-    pieces: dict[int, list] = {}
+    terms = []
     for m, c in f.terms:
         w = top_place(m)
         if w is None:
             raise ValueError("xi: input has a nonzero constant part")
         if w < 1:
             raise ValueError("xi: input has a weight-0 piece")
-        pieces.setdefault(w, []).append((m, c))
-    return SkewElement(
-        {i: Polynomial(ts, f.ordering, _sorted=True) for i, ts in pieces.items()}
-    )
+        terms.append((SkewMonomial(m, w), c))
+    return SkewElement(terms, SkewOrdering(f.ordering))
 
 
 def in_V(f: Polynomial) -> bool:
     """True iff every monomial has multidegree 1^d for its degree d."""
-    return all(_word_len(m) is not None for m, _ in f.terms)
+    return all(word_of_mono(m) is not None for m, _ in f.terms)
 
 
 def in_R(a: SkewElement) -> bool:
     """True iff every s-degree-i component is multi-homogeneous of type 1^i."""
-    for i, p in a.parts:
-        for m, _ in p.terms:
-            if _word_len(m) != i:
-                return False
+    for (m, i), _ in a.terms:
+        w = word_of_mono(m)
+        if w is None or len(w) != i:
+            return False
     return True
 
 
@@ -270,11 +249,12 @@ def _validate_input(H):
 
 
 def _v_filter(l: Monomial, stratum: int) -> bool:
-    return _word_len(l) is not None
+    return word_of_mono(l) is not None
 
 
 def _r_filter(l: Monomial, level: int) -> bool:
-    return _word_len(l) == level
+    w = word_of_mono(l)
+    return w is not None and len(w) == level
 
 
 def _normalize_output(out: list) -> list:

@@ -12,6 +12,9 @@ compatible with the place-shift endomorphism.  The weight of a monomial is
 its largest place, ``top_place``, and ``None`` for the monomial 1, which
 lies below every place; it bounds how far a shifted divisor can sit inside
 a multiple and drives all truncation windows downstream.
+
+``Terms`` is the term arithmetic shared by the three rings (sums, scaling,
+``monic``, leading data); ``Polynomial`` adds the commutative product of P.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "LEX",
     "DEGLEX",
     "ORDERINGS",
+    "Terms",
     "Polynomial",
 ]
 
@@ -259,23 +263,26 @@ DEGLEX = MonomialOrdering("deglex")
 ORDERINGS = {"lex": LEX, "deglex": DEGLEX}
 
 
-class Polynomial:
-    """A polynomial with terms stored strictly descending under its ordering.
+class Terms:
+    """A linear combination of monomials, stored strictly descending under
+    its ordering.
 
-    Terms are (monomial, coefficient) pairs with nonzero coefficients; the
-    zero polynomial has no terms.  All operands of a binary operation must
-    share the same ordering.  Results are built through ``type(self)``, so a
-    subclass whose ordering is not a monomial ordering (the free algebra's
-    word ordering) reuses the term arithmetic.
+    Terms are (monomial, coefficient) pairs with nonzero coefficients; zero
+    has no terms.  The ordering only has to provide ``key`` (a sort key
+    realizing it), so the same term arithmetic serves the polynomials of P
+    (monomial orderings), the elements of S (s-degree-major orderings) and
+    the free algebra (the word ordering).  All operands of a binary
+    operation must share the same ordering, and results are built through
+    ``type(self)``.  Products are the subclasses' business.
     """
 
     __slots__ = ("terms", "ordering")
 
-    def __init__(self, terms, ordering: MonomialOrdering, _sorted: bool = False):
+    def __init__(self, terms, ordering, _sorted: bool = False):
         if _sorted:
             self.terms = tuple(terms)
         else:
-            acc: dict[Monomial, object] = {}
+            acc: dict = {}
             for m, c in terms:
                 if m in acc:
                     acc[m] = acc[m] + c
@@ -288,12 +295,8 @@ class Polynomial:
         self.ordering = ordering
 
     @classmethod
-    def zero(cls, ordering: MonomialOrdering) -> "Polynomial":
+    def zero(cls, ordering) -> "Terms":
         return cls((), ordering, _sorted=True)
-
-    @classmethod
-    def constant(cls, c, ordering: MonomialOrdering) -> "Polynomial":
-        return cls(((MONO_ONE, c),) if c else (), ordering, _sorted=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -308,7 +311,7 @@ class Polynomial:
         m, c = self.terms[0]
         return c, m
 
-    def lm(self) -> Monomial:
+    def lm(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[0][0]
@@ -318,14 +321,14 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def tail(self) -> "Polynomial":
+    def tail(self) -> "Terms":
         return type(self)(self.terms[1:], self.ordering, _sorted=True)
 
-    def _check(self, other: "Polynomial"):
+    def _check(self, other: "Terms"):
         if self.ordering != other.ordering:
             raise ValueError("mixed monomial orderings")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: "Terms") -> "Terms":
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms:
@@ -344,21 +347,59 @@ class Polynomial:
             _sorted=True,
         )
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other: "Terms") -> "Terms":
         return self + (-other)
 
-    def __neg__(self) -> "Polynomial":
+    def __neg__(self) -> "Terms":
         return type(self)(
             tuple((m, -c) for m, c in self.terms), self.ordering, _sorted=True
         )
 
-    def scale(self, c) -> "Polynomial":
+    def scale(self, c) -> "Terms":
         """Multiply by a nonzero scalar (returns zero if c is zero)."""
         if not c:
             return type(self)((), self.ordering, _sorted=True)
         return type(self)(
             tuple((m, coef * c) for m, coef in self.terms), self.ordering, _sorted=True
         )
+
+    def monic(self) -> "Terms":
+        if not self.terms:
+            return self
+        lc = self.terms[0][1]
+        one = lc / lc
+        if lc == one:
+            return self
+        return self.scale(one / lc)
+
+    def monomials(self) -> list:
+        return [m for m, _ in self.terms]
+
+    def coeff(self, m):
+        """Coefficient of the monomial m, or None if absent."""
+        for mm, c in self.terms:
+            if mm == m:
+                return c
+        return None
+
+    def __eq__(self, other):
+        if isinstance(other, Terms):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.terms)
+
+
+class Polynomial(Terms):
+    """A polynomial of P: terms over placed monomials under a monomial
+    ordering, with the commutative product."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, c, ordering: MonomialOrdering) -> "Polynomial":
+        return cls(((MONO_ONE, c),) if c else (), ordering, _sorted=True)
 
     def mul_mono(self, q: Monomial) -> "Polynomial":
         """Multiply by a monomial; term order is preserved."""
@@ -382,15 +423,6 @@ class Polynomial:
                     acc[mn] = c * d
         return type(self)(acc.items(), self.ordering)
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        one = lc / lc
-        if lc == one:
-            return self
-        return self.scale(one / lc)
-
     def degree(self) -> int:
         """Maximal total degree of a monomial (-1 for the zero polynomial)."""
         if not self.terms:
@@ -400,24 +432,6 @@ class Polynomial:
     def weight(self) -> int | None:
         """Largest place over the monomials; None for zero and constants."""
         return max((top_place(m) for m, _ in self.terms if m), default=None)
-
-    def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.terms]
-
-    def coeff(self, m: Monomial):
-        """Coefficient of the monomial m, or None if absent."""
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return None
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         from .textio import format_poly

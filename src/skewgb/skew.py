@@ -1,26 +1,31 @@
 """The skew polynomial ring S = P[s; sigma].
 
-An element of S is a finite sum of components f_i * s**i with f_i in the
-base ring P; multiplication twists scalars past s by the endomorphism:
-s * f = sigma(f) * s.  Elements are graded by s-degree, and an element
-concentrated in one s-degree is s-homogeneous.
+S is the direct sum of the layers S_i = P s**i, so an element of S is a
+linear combination of monomials m * s**i of S, just as a polynomial of P
+combines monomials of P.  Multiplication twists scalars past s by the
+endomorphism: s * f = sigma(f) * s.  Elements are graded by s-degree, and
+an element concentrated in one s-degree is s-homogeneous.
 
-Monomials of S are pairs m * s**i.  They are compared s-degree first and
-by the base ordering on ties, which makes the leading monomial of an
+Monomials of S are compared s-degree first and by the base ordering on
+ties (``SkewOrdering``), which makes the leading monomial of an
 s-homogeneous element the decorated leading monomial of its base part.
-Divisibility of monomials of S (left or two-sided) is decided by the
-engine's reducer searches, not here.
+Sums, scaling and ``monic`` are the shared term arithmetic of
+``poly.Terms``; the product of S is ``skew_mul``.  Divisibility of
+monomials of S (left or two-sided) is decided by the engine's reducer
+searches, not here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import groupby
+from typing import NamedTuple
 
 from .endo import MonomialEndomorphism
-from .poly import Monomial, MonomialOrdering, Polynomial
+from .poly import LEX, Monomial, MonomialOrdering, Polynomial, Terms, mono_mul
 
 __all__ = [
     "SkewMonomial",
+    "SkewOrdering",
     "SkewElement",
     "skew_mul",
     "shift_left",
@@ -34,52 +39,60 @@ class SkewMonomial(NamedTuple):
     sdeg: int
 
 
-class SkewElement:
-    """An element of S stored as nonzero components, s-degree descending."""
+class SkewOrdering:
+    """The s-degree-major ordering of monomials of S over a base ordering."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("base",)
 
-    def __init__(self, parts, _sorted: bool = False):
-        if _sorted:
-            self.parts = tuple(parts)
-            return
-        if isinstance(parts, dict):
-            items: Iterable = parts.items()
-        else:
-            items = parts
-        acc: dict[int, Polynomial] = {}
-        for sdeg, f in items:
-            if sdeg < 0:
-                raise ValueError("negative s-degree")
-            if sdeg in acc:
-                acc[sdeg] = acc[sdeg] + f
-            else:
-                acc[sdeg] = f
-        self.parts = tuple(
-            sorted(((i, f) for i, f in acc.items() if f), reverse=True)
-        )
+    def __init__(self, base: MonomialOrdering):
+        self.base = base
+
+    def key(self, v: SkewMonomial):
+        return v[1], self.base.key(v[0])
+
+    def heap_key(self, v: SkewMonomial):
+        """A key realizing the reverse ordering (see ``heap_key`` of P)."""
+        return -v[1], self.base.heap_key(v[0])
+
+    def __eq__(self, other):
+        return isinstance(other, SkewOrdering) and other.base == self.base
+
+
+class SkewElement(Terms):
+    """An element of S: terms over monomials ``SkewMonomial(m, i)``,
+    descending under a ``SkewOrdering``.  There is no ``*``: the product
+    needs the endomorphism, so it is ``skew_mul``."""
+
+    __slots__ = ()
 
     @classmethod
-    def zero(cls) -> "SkewElement":
-        return cls((), _sorted=True)
+    def zero(cls, ordering: MonomialOrdering = LEX) -> "SkewElement":
+        return cls((), SkewOrdering(ordering), _sorted=True)
 
     @classmethod
     def of_poly(cls, f: Polynomial, sdeg: int = 0) -> "SkewElement":
         """The element f * s**sdeg."""
         if sdeg < 0:
             raise ValueError("negative s-degree")
-        if f.is_zero():
-            return cls.zero()
-        return cls(((sdeg, f),), _sorted=True)
+        return cls(
+            tuple((SkewMonomial(m, sdeg), c) for m, c in f.terms),
+            SkewOrdering(f.ordering),
+            _sorted=True,
+        )
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
+    @property
+    def parts(self) -> tuple:
+        """The nonzero layers as (s-degree, polynomial) pairs, s-degree
+        descending."""
+        base = self.ordering.base
+        return tuple(
+            (i, Polynomial(tuple((v[0], c) for v, c in layer), base, _sorted=True))
+            for i, layer in groupby(self.terms, key=lambda t: t[0][1])
+        )
 
     def is_s_homogeneous(self) -> bool:
-        return len(self.parts) <= 1
+        # Terms are s-degree-major, so the first and last bound the rest.
+        return not self.terms or self.terms[0][0][1] == self.terms[-1][0][1]
 
     def component(self, sdeg: int) -> Polynomial | None:
         for i, f in self.parts:
@@ -89,85 +102,22 @@ class SkewElement:
 
     def sdeg(self) -> int:
         """The s-degree of the element (maximal component index)."""
-        if not self.parts:
+        if not self.terms:
             raise ValueError("zero element has no s-degree")
-        return self.parts[0][0]
-
-    def ordering(self) -> MonomialOrdering:
-        if not self.parts:
-            raise ValueError("zero element carries no ordering")
-        return self.parts[0][1].ordering
-
-    def lm(self) -> SkewMonomial:
-        """Leading monomial under the s-degree-major ordering."""
-        if not self.parts:
-            raise ValueError("zero element has no leading monomial")
-        i, f = self.parts[0]
-        return SkewMonomial(f.lm(), i)
-
-    def lc(self):
-        if not self.parts:
-            raise ValueError("zero element has no leading coefficient")
-        return self.parts[0][1].lc()
+        return self.terms[0][0][1]
 
     def lt(self) -> "SkewElement":
-        c, m = self.parts[0][1].leading()
-        return SkewElement.of_poly(
-            Polynomial(((m, c),), self.parts[0][1].ordering, _sorted=True),
-            self.parts[0][0],
-        )
-
-    def __add__(self, other: "SkewElement") -> "SkewElement":
-        acc = dict(self.parts)
-        for i, f in other.parts:
-            if i in acc:
-                acc[i] = acc[i] + f
-            else:
-                acc[i] = f
-        return SkewElement(
-            sorted(((i, f) for i, f in acc.items() if f), reverse=True),
-            _sorted=True,
-        )
-
-    def __sub__(self, other: "SkewElement") -> "SkewElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SkewElement":
-        return SkewElement(
-            tuple((i, -f) for i, f in self.parts), _sorted=True
-        )
-
-    def scale(self, c) -> "SkewElement":
-        if not c:
-            return SkewElement.zero()
-        return SkewElement(
-            tuple((i, f.scale(c)) for i, f in self.parts), _sorted=True
-        )
+        return type(self)(self.terms[:1], self.ordering, _sorted=True)
 
     def mul_mono(self, q: Monomial) -> "SkewElement":
-        """Left-multiply by a base-ring monomial."""
+        """Left-multiply by a base-ring monomial; term order is preserved."""
         if not q:
             return self
-        return SkewElement(
-            tuple((i, f.mul_mono(q)) for i, f in self.parts), _sorted=True
+        return type(self)(
+            tuple((SkewMonomial(mono_mul(q, m), i), c) for (m, i), c in self.terms),
+            self.ordering,
+            _sorted=True,
         )
-
-    def monic(self) -> "SkewElement":
-        if not self.parts:
-            return self
-        lc = self.lc()
-        one = lc / lc
-        if lc == one:
-            return self
-        return self.scale(one / lc)
-
-    def __eq__(self, other):
-        if isinstance(other, SkewElement):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         from .textio import format_skew
@@ -176,17 +126,17 @@ class SkewElement:
 
 
 def skew_mul(a: SkewElement, b: SkewElement, sigma: MonomialEndomorphism) -> SkewElement:
-    """Product in S, twisting b's scalars past each power of s."""
-    acc: dict[int, Polynomial] = {}
-    for i, f in a.parts:
-        for j, g in b.parts:
-            h = f * sigma.poly(g, i)
-            k = i + j
-            if k in acc:
-                acc[k] = acc[k] + h
+    """Product in S: (m s**i)(n s**j) = m sigma**i(n) s**(i + j)."""
+    a._check(b)
+    acc: dict[SkewMonomial, object] = {}
+    for (m, i), c in a.terms:
+        for (n, j), d in b.terms:
+            v = SkewMonomial(mono_mul(m, sigma.mono(n, i)), i + j)
+            if v in acc:
+                acc[v] = acc[v] + c * d
             else:
-                acc[k] = h
-    return SkewElement(acc)
+                acc[v] = c * d
+    return SkewElement(acc.items(), a.ordering)
 
 
 def shift_left(k: int, a: SkewElement, sigma: MonomialEndomorphism) -> SkewElement:
@@ -195,6 +145,10 @@ def shift_left(k: int, a: SkewElement, sigma: MonomialEndomorphism) -> SkewEleme
         raise ValueError("negative s-power")
     if k == 0:
         return a
+    # sigma is strictly monotone under lex and deglex, so the stored term
+    # order survives.
     return SkewElement(
-        tuple((i + k, sigma.poly(f, k)) for i, f in a.parts), _sorted=True
+        tuple((SkewMonomial(sigma.mono(m, k), i + k), c) for (m, i), c in a.terms),
+        a.ordering,
+        _sorted=True,
     )

@@ -272,20 +272,20 @@ class _BaseAlgebra:
             c = c / self.field.of(den)
         return self.wrap_coeff(c)
 
+    def one(self):
+        return self.wrap_coeff(self.field.one)
+
+    def mul(self, a, b):
+        return a * b
+
 
 class _PolyAlgebra(_BaseAlgebra):
     def __init__(self, field, names, ordering: MonomialOrdering):
         super().__init__(field, names)
         self.ordering = ordering
 
-    def one(self):
-        return Polynomial.constant(self.field.one, self.ordering)
-
     def wrap_coeff(self, c):
         return Polynomial.constant(c, self.ordering)
-
-    def mul(self, a, b):
-        return a * b
 
     def symbol(self, text, pos, parser: _Parser):
         letter = self.letter(text, pos)
@@ -303,9 +303,6 @@ class _SkewAlgebra(_BaseAlgebra):
         self.inner = _PolyAlgebra(field, names, ordering)
         self.sigma = sigma
 
-    def one(self):
-        return SkewElement.of_poly(self.inner.one())
-
     def wrap_coeff(self, c):
         return SkewElement.of_poly(self.inner.wrap_coeff(c))
 
@@ -319,14 +316,8 @@ class _SkewAlgebra(_BaseAlgebra):
 
 
 class _FreeAlgebra(_BaseAlgebra):
-    def one(self):
-        return FreePolynomial((((), self.field.one),), _sorted=True)
-
     def wrap_coeff(self, c):
         return FreePolynomial((((), c),))
-
-    def mul(self, a, b):
-        return a * b
 
     def symbol(self, text, pos, parser: _Parser):
         letter = self.letter(text, pos)

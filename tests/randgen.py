@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from skewgb.letterplace import FreePolynomial
 from skewgb.poly import LEX, Polynomial, mono_from_pairs, var_code
-from skewgb.skew import SkewElement
+from skewgb.skew import SkewElement, SkewMonomial, SkewOrdering
 
 
 def random_mono(rng: random.Random, letters=3, max_place=3, max_deg=3,
@@ -79,6 +79,19 @@ def random_weighted_poly(rng, letters=3, max_weight=3, max_deg=3, terms=3,
         f = Polynomial(tt, ordering)
         if f:
             return f
+
+
+def skew_of_parts(parts, ordering=LEX):
+    """The element of S with the given (s-degree, polynomial) components.
+
+    ``parts`` is a dict or a list of pairs; components of one s-degree are
+    summed and zero components dropped.  ``ordering`` is the base ordering.
+    """
+    items = parts.items() if isinstance(parts, dict) else parts
+    return SkewElement(
+        [(SkewMonomial(m, i), c) for i, f in items for m, c in f.terms],
+        SkewOrdering(ordering),
+    )
 
 
 def random_skew_homogeneous(rng, letters=3, max_place=3, max_deg=3, terms=3,

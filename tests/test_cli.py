@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,10 +33,14 @@ TRACE_HEAD = [
 
 
 def run_cli(*args):
+    # The child imports skewgb from this checkout, as the test process does.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "skewgb.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -156,6 +161,97 @@ def test_skew_mode_run(tmp_path):
         "(x(5) - x(4)*x(0))*s^6",
         "(x(6)*x(1) - x(1)*x(0))*s^6",
     ]
+
+
+# Problem text and full ``--stats --trace --certify`` output for one problem
+# per skew-ring route: left mode over mixed s-layers, two-sided skew mode,
+# and the free algebra computed inside S.
+PINNED = {
+    "left": (
+        """\
+mode: left
+degree_bound: 3
+letters: x
+
+x(0)*s + x(1)
+x(1)*s^2
+""",
+        """\
+# (g2, s^1.g1)@2 -> g3
+# (g3, s^0.g1)@1 -> g4
+# (g3, s^1.g4)@1 -> 0
+# (g1, s^1.g4)@1 skip:chain
+# (g2, s^1.g3)@2 -> 0
+# (g2, s^2.g4)@2 skip:chain
+x(2)*x(1)
+x(0)*s + x(1)
+x(2)*s
+# pairs=6 product=0 chain=2 zero=2 added=2
+# certified: all in-window critical pairs reduce to zero
+""",
+    ),
+    "skew": (
+        """\
+mode: skew
+degree_bound: 4
+letters: x
+
+(x(2)*x(0) - x(1))*s^2
+""",
+        """\
+# (g1, sigma^1.g1)@3 -> 0
+# (g1, sigma^2.g1)@4 -> g2
+# (g2, sigma^2.g1)@4 -> 0
+# (g1, sigma^0.g2)@4 skip:chain
+# (g2, sigma^1.g1)@4 -> g3
+# (g3, sigma^1.g1)@4 -> 0
+# (g1, sigma^0.g3)@4 -> 0
+# (g2, sigma^0.g3)@4 skip:chain
+# (g3, sigma^2.g1)@4 skip:chain
+(x(2)*x(0) - x(1))*s^2
+(x(3)^2*x(0) - x(3))*s^4
+(x(4)*x(1) - x(3)*x(0))*s^4
+# pairs=9 product=0 chain=3 zero=4 added=3
+# certified: all in-window critical pairs reduce to zero
+""",
+    ),
+    "free2": (
+        """\
+mode: free2
+degree_bound: 4
+letters: x,y
+
+x*y - y^2
+x^2
+""",
+        """\
+# (g2, sigma^1.g2)@3 -> 0
+# (g1, sigma^1.g1)@3 -> g3
+# (g2, sigma^2.g2)@4 skip:chain
+# (g1, sigma^2.g2)@4 -> 0
+# (g1, sigma^1.g3)@4 -> 0
+# (g2, sigma^2.g1)@4 -> 0
+# (g3, sigma^2.g1)@4 -> 0
+# (g1, sigma^2.g1)@4 skip:chain
+y^2 - x*y
+x^2
+y*x*y
+# pairs=8 product=0 chain=2 zero=5 added=3
+# certified: all in-window critical pairs reduce to zero
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_stats_trace_certify_output_is_pinned(tmp_path, name):
+    problem, output = PINNED[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(problem)
+    p = run_cli(path, "--stats", "--trace", "--certify")
+    assert p.returncode == 0
+    assert p.stderr == ""
+    assert p.stdout == output
 
 
 def test_left_mode_refuses_oracle(tmp_path):

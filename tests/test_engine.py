@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from randgen import skew_of_parts
 from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.engine import (
     EndomorphismRejected,
@@ -295,7 +296,7 @@ def test_skew_route_reaches_the_same_ideal():
 
 
 def test_skew_rejects_s_inhomogeneous():
-    bad = SkewElement({0: G1, 1: G1})
+    bad = skew_of_parts({0: G1, 1: G1})
     with pytest.raises(ValueError):
         skew_gbasis([bad], GBConfig(mode="skew", degree_bound=3))
 

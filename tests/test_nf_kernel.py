@@ -4,7 +4,10 @@ The reference takes the next term with a ``max()`` scan over the whole
 working set and tries every (entry, shift) pair, picking the smallest
 (key of the shifted leading monomial, entry index, shift).  That selection
 rule is what keeps bases, traces and pair counts byte-identical, so the
-kernel must reproduce both the remainder and every recorded step.
+kernel must reproduce both the remainder and every recorded step.  The
+same holds in the skew ring: two-sided normal forms of s-homogeneous
+elements (shifts capped by the level) and left normal forms of elements
+spread over several s-degrees (one shift per entry and term).
 """
 
 import random
@@ -12,6 +15,7 @@ import random
 from randgen import random_coeff, random_mono, random_poly
 from skewgb.endo import ShiftEndo
 from skewgb.engine import GBConfig, normal_form
+from skewgb.skew import SkewElement, shift_left
 from skewgb.poly import (
     DEGLEX,
     LEX,
@@ -26,9 +30,16 @@ from skewgb.textio import parse_poly
 SHIFT = ShiftEndo()
 
 
-def reference_nf(f, G, ordering):
+def sigma_shifts(i, m):
+    """Every shift of any entry that can divide m: up to one past its
+    weight (a constant entry divides at shift 0)."""
+    return range((top_place(m) if m else -1) + 2)
+
+
+def reference_nf(f, G, ordering, shifts=sigma_shifts):
     """Returns (remainder, record, number of terms that cancelled and later
-    entered the working set again)."""
+    entered the working set again).  ``shifts(i, m)`` are the shifts of
+    entry i tried on the monomial m."""
     key = ordering.key
     gens = {i: g.monic() for i, g in enumerate(G) if g}
     work = dict(f.terms)
@@ -37,11 +48,10 @@ def reference_nf(f, G, ordering):
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        wm = top_place(m) if m else -1
         hits = [
             (key(SHIFT.mono(g.lm(), u)), i, u)
             for i, g in gens.items()
-            for u in range(wm + 2)
+            for u in shifts(i, m)
             if mono_divides(SHIFT.mono(g.lm(), u), m)
         ]
         if not hits:
@@ -124,3 +134,190 @@ def test_cancelled_term_reenters():
     assert nf == want == parse_poly("x(0)")
     assert record == want_record
     assert [(u, i) for _, _, u, i in record] == [(0, 0), (0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# The skew ring: two-sided and left normal forms
+
+
+def layers(a):
+    """The terms of an element of S as {(s-degree, monomial): coefficient}."""
+    return {(i, m): c for i, f in a.parts for m, c in f.terms}
+
+
+def element(terms, ordering):
+    """The element of S with terms {(s-degree, monomial): coefficient}."""
+    by_sdeg = {}
+    for (i, m), c in terms.items():
+        by_sdeg.setdefault(i, []).append((m, c))
+    out = SkewElement.of_poly(Polynomial.zero(ordering))
+    for i, ts in by_sdeg.items():
+        out = out + SkewElement.of_poly(Polynomial(ts, ordering), i)
+    return out
+
+
+def sdeg_major(ordering):
+    """Sort key of (s-degree, monomial) pairs: s-degree first."""
+    return lambda t: (t[0], ordering.key(t[1]))
+
+
+def with_extras(rng, G, ordering, spread):
+    """G, sometimes with a constant times a power of s or a zero, and
+    sometimes with a copy of one element that keeps its leading term and
+    gets new lower terms, so that two entries tie on every image.  The new
+    terms lie on s-degrees up to the leading one when ``spread``, else on
+    the leading one."""
+    G = list(G)
+    roll = rng.random()
+    if roll < 0.1:
+        G.append(SkewElement.of_poly(
+            Polynomial.constant(random_coeff(rng), ordering), rng.randint(0, 3)))
+    elif roll < 0.2:
+        G.append(SkewElement.of_poly(Polynomial.zero(ordering)))
+    nonzero = [g for g in G if g]
+    if not nonzero or rng.random() < 0.4:
+        return G
+    g = rng.choice(nonzero)
+    (top,) = layers(g.lt())
+    skey = sdeg_major(ordering)
+    noise = element({
+        (i, m): random_coeff(rng)
+        for m in (random_mono(rng, letters=2, max_place=2, max_deg=2)
+                  for _ in range(3))
+        for i in (rng.randint(0, top[0]) if spread else top[0],)
+        if skey((i, m)) < skey(top)
+    }, ordering)
+    G.insert(rng.randrange(len(G) + 1), g.lt() + noise)
+    return G
+
+
+def random_skew_case(rng, ordering):
+    """s-homogeneous generators (with extras) and an s-homogeneous target at
+    a level from 0 to 3, built from two-sided multiples q s^u g s^v of them
+    (u + v = level - sdeg g) plus noise."""
+    G = with_extras(rng, [
+        SkewElement.of_poly(
+            random_poly(rng, letters=2, max_place=2, max_deg=2, terms=3,
+                        ordering=ordering),
+            rng.randint(0, 2),
+        )
+        for _ in range(rng.randint(1, 3))
+    ], ordering, spread=False)
+    level = rng.randint(0, 3)
+    f = random_poly(rng, letters=2, max_place=3, max_deg=3, terms=3,
+                    ordering=ordering)
+    for _ in range(rng.randint(1, 4)):
+        g = rng.choice(G)
+        if not g or g.sdeg() > level:
+            continue
+        q = random_mono(rng, letters=2, max_place=2, max_deg=2)
+        u = rng.randint(0, level - g.sdeg())
+        f = f + SHIFT.poly(g.parts[0][1], u).mul_mono(q).scale(
+            random_coeff(rng))
+    return SkewElement.of_poly(f, level), G
+
+
+def test_two_sided_kernel_matches_brute_force_reference():
+    rng = random.Random(20241)
+    steps = reduced_above = 0
+    for n in range(300):
+        ordering = (LEX, DEGLEX)[n % 2]
+        f, G = random_skew_case(rng, ordering)
+        if not f:
+            continue
+        level = f.sdeg()
+        polys = [g.parts[0][1] if g else Polynomial.zero(ordering) for g in G]
+        sdegs = [g.sdeg() if g else 0 for g in G]
+        cfg = GBConfig(mode="skew", degree_bound=4, ordering=ordering)
+        record = []
+        nf = normal_form(f, G, cfg, record=record)
+        want, want_record, _ = reference_nf(
+            f.parts[0][1], polys, ordering,
+            shifts=lambda i, m: range(level - sdegs[i] + 1),
+        )
+        assert nf == SkewElement.of_poly(want, level)
+        assert record == want_record
+        steps += len(record)
+        reduced_above += any(u for _, _, u, _ in record)
+    assert steps > 500 and reduced_above > 0
+
+
+def reference_left_nf(f, G, ordering):
+    """Left normal form by brute force: the largest term (s-degree first)
+    is reduced by s^u g with u its s-degree minus that of lm g, taking the
+    smallest (key of the shifted lm, index).  Returns (remainder, steps)."""
+    skey = sdeg_major(ordering)
+    gens = []
+    for i, g in enumerate(G):
+        if g:
+            terms = layers(g.monic())
+            gens.append((i, max(terms, key=skey), terms))
+    work = layers(f)
+    out, steps = {}, 0
+    while work:
+        e, m = max(work, key=skey)
+        c = work.pop((e, m))
+        hits = [
+            (ordering.key(SHIFT.mono(lm, e - le)), i, e - le, lm, terms)
+            for i, (le, lm), terms in gens
+            if e >= le and mono_divides(SHIFT.mono(lm, e - le), m)
+        ]
+        if not hits:
+            out[(e, m)] = c
+            continue
+        _, _, u, lm, terms = min(hits, key=lambda h: h[:2])
+        q = mono_div(m, SHIFT.mono(lm, u))
+        steps += 1
+        for (ee, mm), cc in terms.items():
+            if mm == lm and ee == e - u:
+                continue
+            t = (ee + u, mono_mul(q, SHIFT.mono(mm, u)))
+            s = work.get(t, 0) - c * cc
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+    return element(out, ordering), steps
+
+
+def random_left_element(rng, ordering):
+    out = SkewElement.of_poly(Polynomial.zero(ordering))
+    for _ in range(rng.randint(1, 2)):
+        out = out + SkewElement.of_poly(
+            random_poly(rng, letters=2, max_place=2, max_deg=2, terms=2,
+                        ordering=ordering),
+            rng.randint(0, 2),
+        )
+    return out
+
+
+def random_left_case(rng, ordering):
+    """Generators spread over one or two s-degrees (with extras) and a
+    target over s-degrees 0 to 3, built from left multiples q s^u g of them
+    plus noise."""
+    G = with_extras(rng, [random_left_element(rng, ordering)
+                          for _ in range(rng.randint(1, 3))],
+                    ordering, spread=True)
+    f = random_left_element(rng, ordering)
+    for _ in range(rng.randint(1, 4)):
+        g = rng.choice(G)
+        if not g or g.sdeg() > 3:
+            continue
+        q = random_mono(rng, letters=2, max_place=2, max_deg=2)
+        u = rng.randint(0, 3 - g.sdeg())
+        f = f + shift_left(u, g, SHIFT).mul_mono(q).scale(random_coeff(rng))
+    return f, G
+
+
+def test_left_kernel_matches_brute_force_reference():
+    rng = random.Random(20242)
+    steps = inhomogeneous = 0
+    for n in range(300):
+        ordering = (LEX, DEGLEX)[n % 2]
+        f, G = random_left_case(rng, ordering)
+        cfg = GBConfig(mode="left", degree_bound=4, ordering=ordering)
+        want, k = reference_left_nf(f, G, ordering)
+        assert normal_form(f, G, cfg) == want
+        steps += k
+        inhomogeneous += not f.is_s_homogeneous()
+    assert steps > 500 and inhomogeneous > 50

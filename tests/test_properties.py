@@ -9,6 +9,7 @@ criterion 8 bounds the summed run time of the six suites.
 import random
 import time
 
+from randgen import skew_of_parts
 from skewgb.endo import ShiftEndo
 from skewgb.engine import spoly, spoly_poly
 from skewgb.field import QQ
@@ -63,7 +64,7 @@ def rand_skew(rng, ordering):
         f = rand_poly(rng, ordering)
         if not f.is_zero():
             parts[rng.randint(0, 2)] = f
-    return SkewElement(parts)
+    return skew_of_parts(parts, ordering)
 
 
 def ordering_axioms_bulk():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from randgen import skew_of_parts
 from skewgb.field import GF, QQ
 from skewgb.poly import DEGLEX, LEX, MONO_ONE, Polynomial, mono
-from skewgb.skew import SkewElement
 from skewgb.textio import (
     ParseError,
     format_free,
@@ -171,7 +171,7 @@ def test_round_trip_random_skew():
             f = Polynomial(terms, LEX)
             if f:
                 parts[i] = f
-        a = SkewElement(parts)
+        a = skew_of_parts(parts)
         assert parse_skew(format_skew(a, XY), names=XY) == a
 
 
