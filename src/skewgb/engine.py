@@ -37,8 +37,11 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd
 
 from .endo import MonomialEndomorphism, ShiftEndo
+from .field import common_denominator
 from .poly import (
     LETTER_BITS,
     MONO_ONE,
@@ -160,12 +163,10 @@ def spoly_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial in P: cancel the leading terms over lcm(lm f, lm g)."""
     if f.is_zero() or g.is_zero():
         raise ValueError("spoly of a zero polynomial")
-    af, mf = f.leading()
-    ag, mg = g.leading()
+    mf, mg = f.lm(), g.lm()
     l = mono_lcm(mf, mg)
-    one = af / af
-    left = f.mul_mono(mono_div(l, mf)).scale(one / af)
-    right = g.mul_mono(mono_div(l, mg)).scale(one / ag)
+    left = f.monic().mul_mono(mono_div(l, mf))
+    right = g.monic().mul_mono(mono_div(l, mg))
     return left - right
 
 
@@ -178,11 +179,9 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
         raise ValueError(
             f"leading s-degrees differ: {vf.sdeg} vs {vg.sdeg}"
         )
-    af, ag = f.lc(), g.lc()
     l = mono_lcm(vf.mono, vg.mono)
-    one = af / af
-    left = f.mul_mono(mono_div(l, vf.mono)).scale(one / af)
-    right = g.mul_mono(mono_div(l, vg.mono)).scale(one / ag)
+    left = f.monic().mul_mono(mono_div(l, vf.mono))
+    right = g.monic().mul_mono(mono_div(l, vg.mono))
     return left - right
 
 
@@ -192,16 +191,28 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
 
 class _Entry:
     """A monic basis element with cached shifted images; ``rest`` is its
-    leading monomial without the top variable."""
+    leading monomial without the top variable.
 
-    __slots__ = ("poly", "sdeg", "lm", "rest", "lmw", "index", "_shifted",
-                 "_shifted_lm")
+    ``den`` and ``nums`` are its tail coefficients over one denominator
+    (``field.common_denominator``): the element is lm + sum(nums[i] / den *
+    m_i) over its tail monomials m_i, so den * element has the positive
+    int leading coefficient den and the int tail coefficients nums, and it
+    is primitive because the element is monic.  Over Z/p, den is 1 and
+    nums are the tail coefficients.  A shift moves monomials only and keeps
+    their order, so these numbers serve every shifted image.
+    """
+
+    __slots__ = ("poly", "sdeg", "lm", "rest", "lmw", "index", "den", "nums",
+                 "_shifted", "_shifted_lm")
 
     def __init__(self, poly: Polynomial, sdeg: int, index: int):
         self.poly = poly
         self.sdeg = sdeg
         self.index = index
         self.lm = poly.lm()
+        self.den, self.nums = common_denominator(
+            [c for _, c in poly.terms[1:]]
+        )
         self.rest = self.lm[1:]
         self.lmw = top_place(self.lm) if self.lm else -1
         self._shifted = {0: poly}
@@ -240,8 +251,8 @@ def _split(g, cfg: GBConfig):
 def _make_finder(entries: list[_Entry], cfg: GBConfig):
     """Reducer search over the lazily shifted basis closure.
 
-    Returns find(m, level) -> (cofactor, reducer tail, shift, entry index)
-    or None, for the _nf_terms kernel.  Among all entries and shifts whose
+    Returns find(m, level) -> (cofactor, reducer tail, shift, entry) or
+    None, for the _nf_terms kernel.  Among all entries and shifts whose
     image divides m it picks the smallest (okey(shifted lm), entry index,
     shift).  Shifting strictly raises a monomial under lex and deglex, so
     the smallest dividing shift of an entry gives that entry's smallest
@@ -267,7 +278,7 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
             # and every shift fixes that; first such entry wins.
             for ent in entries:
                 if not ent.lm and (not level_capped or ent.sdeg <= level):
-                    return MONO_ONE, ent.poly.terms[1:], 0, ent.index
+                    return MONO_ONE, ent.poly.terms[1:], 0, ent
             return None
         md = dict(m)
         if is_shift:
@@ -318,7 +329,7 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
         if best is None:
             return None
         ent, u, img = best
-        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent.index
+        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent
 
     return find
 
@@ -328,10 +339,22 @@ def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
 
     Returns the irreducible terms in descending order.  ``find(term,
     level)`` gives None for an irreducible term, else (cofactor, tail,
-    shift, entry index), where the reducer's tail terms, times the cofactor
-    under ``mul``, are what the step subtracts.  When ``record`` is a list,
-    every reduction step appends (coeff, cofactor, shift, entry index),
-    reconstructing the subtracted combination exactly.
+    shift, entry), where the entry's tail terms (shifted), times the
+    cofactor under ``mul``, are what the step subtracts.  When ``record``
+    is a list, every reduction step appends (coeff, cofactor, shift, entry
+    index), reconstructing the subtracted combination exactly.
+
+    Rationals are reduced fraction-free.  The working coefficients are int
+    numerators over one running denominator M, so a term's value is c / M.
+    A step by an entry whose int-primitive form has leading coefficient a
+    (``_Entry.den``) and tail numerators b takes g = gcd(a, c), scales
+    every pending numerator and M by a // g, and subtracts (c // g) * b
+    from the tail terms, all in int arithmetic.  Whenever M grows, the
+    content shared by M, c and the pending numerators is divided out.  Each
+    result term and each ``record`` coefficient is the exact
+    ``Fraction(c, M)`` at the moment it leaves the working set, one
+    division per term.  Over Z/p, a and M are 1 and the same loop runs on
+    the field elements.
 
     Pending coefficients live in a term -> coefficient dict, and each term
     also sits in a heap under ``hkey`` (a descending key, computed once when
@@ -341,7 +364,9 @@ def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
     is skipped when popped (lazy deletion), and a term that enters again
     is pushed again.
     """
-    work = dict(terms)
+    M, nums = common_denominator([c for _, c in terms])
+    rational = bool(nums) and type(nums[0]) is int
+    work = dict(zip([t for t, _ in terms], nums))
     heap = [(hkey(t), t) for t in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -353,19 +378,34 @@ def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
             continue
         hit = find(t, level)
         if hit is None:
-            out.append((t, c))
+            out.append((t, Fraction(c, M) if rational else c))
             continue
-        q, tail, u, index = hit
+        q, tail, u, ent = hit
         if record is not None:
-            record.append((c, q, u, index))
-        for tt, cc in tail:
+            record.append((Fraction(c, M) if rational else c, q, u, ent.index))
+        a = ent.den
+        if a != 1:
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            if a != 1:
+                # Scale to M * a and divide out the content k of the scaled
+                # working set; gcd(a, c) = 1 makes k the gcd of c, M and the
+                # unscaled numerators.  Without k, M piles up powers of the
+                # same primes: on c41-d4 it reaches ~40 000 bits while the
+                # true denominators stay under ~1 800.
+                k = gcd(c, M, *work.values())
+                M = M // k * a
+                c //= k
+                work = {tt: cc // k * a for tt, cc in work.items()}
+        for (tt, _), b in zip(tail, ent.nums):
             t2 = mul(q, tt)
             prev = work.get(t2)
             if prev is None:
-                work[t2] = -c * cc
+                work[t2] = -c * b
                 push(heap, (hkey(t2), t2))
             else:
-                s = prev - c * cc
+                s = prev - c * b
                 if s:
                     work[t2] = s
                 else:
@@ -578,12 +618,20 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
 
 
 class _LeftEntry:
-    __slots__ = ("element", "lm", "index", "_shifted")
+    """A monic element of S for left reduction, with cached left s-power
+    multiples s**u * element; ``den`` and ``nums`` are its tail
+    coefficients over one denominator, as for ``_Entry``, and serve every
+    multiple, because ``shift_left`` keeps coefficients and term order."""
+
+    __slots__ = ("element", "lm", "index", "den", "nums", "_shifted")
 
     def __init__(self, element: SkewElement, index: int):
         self.element = element
         self.lm = element.lm()
         self.index = index
+        self.den, self.nums = common_denominator(
+            [c for _, c in element.terms[1:]]
+        )
         self._shifted = {0: element}
 
     def shifted(self, sigma, u: int) -> SkewElement:
@@ -597,7 +645,7 @@ class _LeftEntry:
 def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
     """Left reducer search: find(monomial of S, level) returns the s-power
     multiple of an entry whose lm divides the term, as (cofactor, tail,
-    shift, entry index) for the _nf_terms kernel, or None.  The entry with
+    shift, entry) for the _nf_terms kernel, or None.  The entry with
     the smallest (okey(shifted lm), index) wins."""
     sigma = cfg.sigma
     okey = cfg.ordering.key
@@ -618,7 +666,7 @@ def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
         if best is None:
             return None
         ent, u, img = best
-        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent.index
+        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent
 
     return find
 

@@ -1,16 +1,25 @@
 """Exact coefficient arithmetic: rationals and prime fields Z/p.
 
 Rational coefficients are plain ``fractions.Fraction`` values (always in
-lowest terms with a positive denominator); prime-field coefficients are
-``ModInt`` values normalized to the least nonnegative representative.
-No floating point is used anywhere.
+lowest terms with a positive denominator); a plain ``int`` coefficient
+counts as the rational it equals.  Prime-field coefficients are ``ModInt``
+values normalized to the least nonnegative representative.  No floating
+point is used anywhere: ``inverse`` gives 1 / c in the field of c.
+
+Rationals need not stay ``Fraction`` values while they are worked on.
+``common_denominator`` writes a list of them as int numerators over one
+positive denominator, which lets the normal-form kernel run on plain ints
+and divide only once per result term; it hands Z/p elements back as they
+are, over denominator 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-__all__ = ["ModInt", "Rationals", "PrimeField", "QQ", "GF", "is_prime"]
+__all__ = ["ModInt", "Rationals", "PrimeField", "QQ", "GF", "is_prime",
+           "inverse", "common_denominator"]
 
 # Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -118,6 +127,27 @@ class ModInt:
 
     def __str__(self):
         return str(self.value)
+
+
+def inverse(c):
+    """1 / c for a nonzero coefficient c: a ``ModInt`` in Z/p, else an
+    exact ``Fraction`` (also when c is an int)."""
+    if isinstance(c, ModInt):
+        return c.inverse()
+    return Fraction(1, c)
+
+
+def common_denominator(coeffs: list) -> tuple[int, list]:
+    """The coefficients as (M, numerators), each equal to numerator / M.
+
+    For rationals M is their least common denominator and the numerators
+    are ints; elements of Z/p need no denominator and come back unchanged
+    over M = 1.
+    """
+    if coeffs and isinstance(coeffs[0], ModInt):
+        return 1, coeffs
+    M = lcm(*(c.denominator for c in coeffs))
+    return M, [c.numerator * (M // c.denominator) for c in coeffs]
 
 
 class Rationals:

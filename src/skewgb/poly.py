@@ -23,6 +23,8 @@ from itertools import chain
 from operator import neg
 from typing import Iterable
 
+from .field import inverse
+
 __all__ = [
     "LETTER_BITS",
     "PLACE_STEP",
@@ -364,13 +366,15 @@ class Terms:
         )
 
     def monic(self) -> "Terms":
+        """Scale by the exact inverse of the leading coefficient
+        (``field.inverse``): int coefficients count as rationals, so the
+        result never holds a float."""
         if not self.terms:
             return self
         lc = self.terms[0][1]
-        one = lc / lc
-        if lc == one:
+        if lc == 1:
             return self
-        return self.scale(one / lc)
+        return self.scale(inverse(lc))
 
     def monomials(self) -> list:
         return [m for m, _ in self.terms]

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from skewgb.engine import (
     spoly_poly,
 )
 from skewgb.field import QQ
-from skewgb.poly import DEGLEX, LEX, Polynomial, mono, mono_lcm
+from skewgb.poly import DEGLEX, LEX, MONO_ONE, Polynomial, mono, mono_lcm
 from skewgb.skew import SkewElement, skew_mul
 from skewgb.textio import parse_poly, parse_skew
 
@@ -49,6 +50,15 @@ def test_spoly_poly_cancels_leading_terms():
     # lcm leading monomials cancel: the result is below the lcm.
     l = mono_lcm(f.lm(), g.lm())
     assert s.ordering.key(s.lm()) < s.ordering.key(l)
+    # Both sides go through monic, so int coefficients stay exact, and so
+    # does the S-polynomial in S.
+    x1, x0 = mono((0, 1, 1)), mono((0, 0, 1))
+    f = Polynomial([(x1, 2), (x0, 3)], LEX)
+    g = Polynomial([(x1, 4), (MONO_ONE, 1)], LEX)
+    for s in (spoly_poly(f, g),
+              spoly(SkewElement.of_poly(f, 1), SkewElement.of_poly(g, 1))):
+        assert [c for _, c in s.terms] == [Fraction(3, 2), Fraction(-1, 4)]
+        assert all(type(c) is Fraction for _, c in s.terms)
 
 
 def test_spoly_of_shifted_pair():
@@ -173,7 +183,7 @@ def test_normal_form_record_reconstructs():
         acc = acc + SHIFT.poly(G[idx].monic(), u).mul_mono(q).scale(c)
     assert acc == f
     # The remainder has no term divisible by any shifted leading monomial.
-    from skewgb.poly import mono_divides, top_place
+    from skewgb.poly import mono_divides
 
     for m in nf.monomials():
         for g in G:

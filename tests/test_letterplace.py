@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from skewgb.endo import ShiftEndo
-from skewgb.engine import GBConfig, certify
+from skewgb.engine import GBConfig
 from skewgb.field import QQ
 from skewgb.letterplace import (
     FreePolynomial,
@@ -27,8 +27,8 @@ from skewgb.letterplace import (
     word_of_mono,
     xi,
 )
-from skewgb.poly import LEX, Polynomial, mono
-from skewgb.skew import SkewElement, SkewMonomial, skew_mul
+from skewgb.poly import mono
+from skewgb.skew import SkewMonomial, skew_mul
 from skewgb.textio import parse_free, parse_poly, parse_skew
 
 SHIFT = ShiftEndo()

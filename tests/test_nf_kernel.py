@@ -8,13 +8,21 @@ kernel must reproduce both the remainder and every recorded step.  The
 same holds in the skew ring: two-sided normal forms of s-homogeneous
 elements (shifts capped by the level) and left normal forms of elements
 spread over several s-degrees (one shift per entry and term).
+
+The kernel reduces rationals fraction-free, over one running denominator,
+and Z/p elements as they are; the reference works on the coefficients
+directly.  So the sigma and left differentials also run with large,
+distinct denominators and over Z/p, and the sigma one checks that the
+record rebuilds f - nf.
 """
 
 import random
+from fractions import Fraction
 
 from randgen import random_coeff, random_mono, random_poly
 from skewgb.endo import ShiftEndo
 from skewgb.engine import GBConfig, normal_form
+from skewgb.field import GF, ModInt
 from skewgb.skew import SkewElement, shift_left
 from skewgb.poly import (
     DEGLEX,
@@ -74,50 +82,110 @@ def reference_nf(f, G, ordering, shifts=sigma_shifts):
     return Polynomial(out, ordering, _sorted=True), record, reentered
 
 
-def random_case(rng, ordering):
+def small_ints(rng, c):
+    return c
+
+
+def large_denominators(rng, c):
+    """c times a random fraction with numerator and denominator below
+    10**12, so denominators are large and nearly always distinct."""
+    return c * Fraction(rng.randrange(1, 10**12), rng.randrange(1, 10**12))
+
+
+def mod_7(rng, c):
+    """c in Z/7, where the kernel's products wrap and cancel often."""
+    return GF(7).of(int(c))
+
+
+def lifted(f, rng, lift):
+    """f with each coefficient c replaced by lift(rng, c); terms that
+    become zero (a sum of like terms, mod 7) drop out."""
+    return type(f)([(m, lift(rng, c)) for m, c in f.terms], f.ordering)
+
+
+def random_case(rng, ordering, lift=small_ints):
     """Generators (sometimes a constant or a zero among them) and a target
     built from shifted multiples of them plus noise, so that reductions
-    overlap and cancel."""
+    overlap and cancel.  ``lift(rng, c)`` maps each drawn coefficient into
+    the coefficient domain of the case."""
     G = [
-        random_poly(rng, letters=2, max_place=2, max_deg=2, terms=3,
-                    ordering=ordering)
+        lifted(random_poly(rng, letters=2, max_place=2, max_deg=2, terms=3,
+                           ordering=ordering), rng, lift)
         for _ in range(rng.randint(1, 3))
     ]
     roll = rng.random()
     if roll < 0.1:
         G.insert(rng.randrange(len(G) + 1),
-                 Polynomial.constant(random_coeff(rng), ordering))
+                 Polynomial.constant(lift(rng, random_coeff(rng)), ordering))
     elif roll < 0.2:
         G.insert(rng.randrange(len(G) + 1), Polynomial.zero(ordering))
-    f = random_poly(rng, letters=2, max_place=3, max_deg=3, terms=3,
-                    ordering=ordering)
+    f = lifted(random_poly(rng, letters=2, max_place=3, max_deg=3, terms=3,
+                           ordering=ordering), rng, lift)
     for _ in range(rng.randint(1, 4)):
         g = rng.choice(G)
         if not g:
             continue
         q = random_mono(rng, letters=2, max_place=2, max_deg=2)
         f = f + SHIFT.poly(g, rng.randint(0, 2)).mul_mono(q).scale(
-            random_coeff(rng)
+            lift(rng, random_coeff(rng))
         )
     return f, G
 
 
-def test_kernel_matches_brute_force_reference():
-    rng = random.Random(20240)
+def rebuilt(record, G, ordering):
+    """The combination sum(c * q * sigma**u(monic G[i])) that ``record``
+    says the reduction subtracted."""
+    acc = Polynomial.zero(ordering)
+    for c, q, u, i in record:
+        acc = acc + SHIFT.poly(G[i].monic(), u).mul_mono(q).scale(c)
+    return acc
+
+
+def check_sigma_kernel(seed, lift, coeff_type):
+    """300 seeded sigma-mode normal forms against the reference: remainder,
+    record, the record's rebuild of f - nf, and the coefficient type.
+    Returns (steps, cancelled terms that entered again, cases with a
+    constant generator, the coefficients of all records)."""
+    rng = random.Random(seed)
     steps = reentered = constants = 0
+    recorded = []
     for n in range(300):
         ordering = (LEX, DEGLEX)[n % 2]
-        f, G = random_case(rng, ordering)
+        f, G = random_case(rng, ordering, lift)
         cfg = GBConfig(mode="sigma", degree_bound=4, ordering=ordering)
         record = []
         nf = normal_form(f, G, cfg, record=record)
         want, want_record, again = reference_nf(f, G, ordering)
         assert nf == want
         assert record == want_record
+        assert nf + rebuilt(record, G, ordering) == f
+        assert all(type(c) is coeff_type for _, c in nf.terms)
+        assert all(type(c) is coeff_type for c, _, _, _ in record)
         steps += len(record)
         reentered += again
         constants += any(g and not g.lm() for g in G)
+        recorded.extend(c for c, _, _, _ in record)
+    return steps, reentered, constants, recorded
+
+
+def test_kernel_matches_brute_force_reference():
+    steps, reentered, constants, _ = check_sigma_kernel(
+        20240, small_ints, Fraction)
     # The suite must exercise what the selection rule is about.
+    assert steps > 1000 and reentered > 0 and constants > 0
+
+
+def test_kernel_matches_reference_with_large_denominators():
+    steps, reentered, constants, recorded = check_sigma_kernel(
+        20243, large_denominators, Fraction)
+    assert steps > 1000 and reentered > 0 and constants > 0
+    # Denominators far past one machine word, nearly all of them distinct.
+    dens = {c.denominator for c in recorded}
+    assert max(dens).bit_length() > 300 and len(dens) > 1000
+
+
+def test_kernel_matches_reference_over_prime_field():
+    steps, reentered, constants, _ = check_sigma_kernel(20244, mod_7, ModInt)
     assert steps > 1000 and reentered > 0 and constants > 0
 
 
@@ -309,15 +377,30 @@ def random_left_case(rng, ordering):
     return f, G
 
 
-def test_left_kernel_matches_brute_force_reference():
-    rng = random.Random(20242)
+def check_left_kernel(seed, lift):
+    """300 seeded left normal forms against the reference, with every
+    coefficient of the case passed through lift(rng, c) afterwards.
+    Returns (steps, inhomogeneous targets)."""
+    rng = random.Random(seed)
     steps = inhomogeneous = 0
     for n in range(300):
         ordering = (LEX, DEGLEX)[n % 2]
         f, G = random_left_case(rng, ordering)
+        f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
         cfg = GBConfig(mode="left", degree_bound=4, ordering=ordering)
         want, k = reference_left_nf(f, G, ordering)
         assert normal_form(f, G, cfg) == want
         steps += k
         inhomogeneous += not f.is_s_homogeneous()
+    return steps, inhomogeneous
+
+
+def test_left_kernel_matches_brute_force_reference():
+    steps, inhomogeneous = check_left_kernel(20242, small_ints)
     assert steps > 500 and inhomogeneous > 50
+
+
+def test_left_kernel_with_large_denominators_and_over_prime_field():
+    for seed, lift in ((20245, large_denominators), (20246, mod_7)):
+        steps, inhomogeneous = check_left_kernel(seed, lift)
+        assert steps > 500 and inhomogeneous > 50

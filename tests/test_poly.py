@@ -257,6 +257,11 @@ def test_polynomial_monic():
     g = Polynomial([(x1, F.of(3)), (MONO_ONE, F.of(1))], LEX)
     assert g.monic().lc() == F.one
     assert g.monic() == Polynomial([(x1, F.of(1)), (MONO_ONE, F.of(2))], LEX)
+    # int coefficients are exact rationals: monic gives Fractions, no floats
+    x0 = mono((0, 0, 1))
+    h = Polynomial([(x1, 2), (x0, 3)], LEX).monic()
+    assert h.terms == ((x1, 1), (x0, Fraction(3, 2)))
+    assert all(type(c) is Fraction for _, c in h.terms)
 
 
 def test_polynomial_degree_weight():
