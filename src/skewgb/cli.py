@@ -15,13 +15,15 @@ one generator per line.  ``#`` starts a comment.  Recognized header keys:
 
 Exit codes: 0 success, 1 usage or parse error, 2 mathematical refusal
 (for example an endomorphism the engine cannot certify), 3 certification
-or oracle failure.
+or oracle failure.  A unit ideal exits 0 with the basis ``1`` and one
+``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 from . import engine, letterplace, textio
@@ -128,8 +130,8 @@ def parse_problem(text: str) -> ProblemFile:
             raise UsageError(f"unknown header key {key!r}")
 
     mode = header.get("mode")
-    if mode not in ("free", "free2", "sigma", "skew", "left"):
-        raise UsageError(f"mode must be one of free/free2/sigma/skew/left, "
+    if mode not in engine.MODES:
+        raise UsageError(f"mode must be one of {'/'.join(engine.MODES)}, "
                          f"got {mode!r}")
     if "degree_bound" not in header:
         raise UsageError("degree_bound is required")
@@ -209,25 +211,20 @@ def _parse_generators(pf: ProblemFile, cfg: engine.GBConfig):
 
 def _run_problem(pf: ProblemFile, cfg: engine.GBConfig, gens):
     """Returns (formatted basis lines, stats, trace, artifacts for checks)."""
-    names = pf.names
-    if pf.mode == "sigma":
-        res = engine.sigma_gbasis(gens, cfg)
-        lines = [textio.format_poly(f, names) for f in res.basis]
-        return lines, res.stats, res.trace, res.basis
-    if pf.mode == "skew":
-        res = engine.skew_gbasis(gens, cfg)
-        lines = [textio.format_skew(a, names) for a in res.basis]
-        return lines, res.stats, res.trace, res.basis
-    if pf.mode == "left":
-        res = engine.left_gbasis(gens, cfg)
-        lines = [textio.format_skew(a, names) for a in res.basis]
-        return lines, res.stats, res.trace, res.basis
-    if pf.mode == "free":
-        basis, stats, trace = letterplace._free_run(gens, cfg)
+    if pf.mode in ("free", "free2"):
+        run = letterplace._free_run if pf.mode == "free" else letterplace._free2_run
+        basis, stats, trace = run(gens, cfg)
+        fmt = textio.format_free
     else:
-        basis, stats, trace = letterplace._free2_run(gens, cfg)
-    lines = [textio.format_free(f, names) for f in basis]
-    return lines, stats, trace, basis
+        if pf.mode == "sigma":
+            solve, fmt = engine.sigma_gbasis, textio.format_poly
+        elif pf.mode == "skew":
+            solve, fmt = engine.skew_gbasis, textio.format_skew
+        else:
+            solve, fmt = engine.left_gbasis, textio.format_skew
+        res = solve(gens, cfg)
+        basis, stats, trace = res.basis, res.stats, res.trace
+    return [fmt(f, pf.names) for f in basis], stats, trace, basis
 
 
 def _certify(pf: ProblemFile, cfg: engine.GBConfig, basis):
@@ -289,14 +286,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # The engine's warnings (a unit ideal) are reported as one plain line,
+    # not through the warnings module, whose text names the source file.
     try:
-        lines, stats, trace, basis = _run_problem(pf, cfg, gens)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            lines, stats, trace, basis = _run_problem(pf, cfg, gens)
     except engine.EndomorphismRejected as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
 
     if trace:
         for line in trace:

@@ -46,7 +46,13 @@ class MonomialEndomorphism:
         raise NotImplementedError
 
     def poly(self, f: Polynomial, k: int = 1) -> Polynomial:
-        raise NotImplementedError
+        # sigma is strictly monotone for lex and deglex, so the stored term
+        # order survives.
+        if k == 0:
+            return f
+        return Polynomial(
+            tuple((self.mono(m, k), c) for m, c in f.terms), f.ordering, _sorted=True
+        )
 
 
 class ShiftEndo(MonomialEndomorphism):
@@ -64,18 +70,6 @@ class ShiftEndo(MonomialEndomorphism):
             return m
         step = k << LETTER_BITS
         return tuple((c + step, e) for c, e in m)
-
-    def poly(self, f: Polynomial, k: int = 1) -> Polynomial:
-        # Shifting is strictly monotone for lex and deglex, so the stored
-        # term order survives untouched.
-        if k == 0:
-            return f
-        step = k << LETTER_BITS
-        return Polynomial(
-            tuple((tuple((c + step, e) for c, e in m), coef) for m, coef in f.terms),
-            f.ordering,
-            _sorted=True,
-        )
 
     def __eq__(self, other):
         return isinstance(other, ShiftEndo)
@@ -106,14 +100,6 @@ class PowerEndo(MonomialEndomorphism):
         if k == 0 or not m:
             return m
         return mono_pow(m, self.e**k)
-
-    def poly(self, f: Polynomial, k: int = 1) -> Polynomial:
-        if k == 0:
-            return f
-        ek = self.e**k
-        return Polynomial(
-            tuple((mono_pow(m, ek), c) for m, c in f.terms), f.ordering, _sorted=True
-        )
 
     def __eq__(self, other):
         return isinstance(other, PowerEndo) and other.e == self.e

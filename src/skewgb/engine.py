@@ -1,12 +1,13 @@
 """Truncated Buchberger machinery for skew polynomial rings.
 
-Four computations share one pair-completion core:
+Three computations run on two completion loops, and an oracle checks them:
 
-* ``skew_gbasis``  — two-sided bases of s-homogeneous ideals of S, truncated
-  by s-degree;
-* ``left_gbasis``  — left-module bases in S, no homogeneity assumption;
 * ``sigma_gbasis`` — Gröbner bases of difference ideals of P closed under the
   shift, truncated by weight;
+* ``skew_gbasis``  — two-sided bases of s-homogeneous ideals of S, truncated
+  by s-degree; these two share the loop ``_complete``;
+* ``left_gbasis``  — left-module bases in S, no homogeneity assumption, in a
+  loop of its own;
 * ``oracle_gbasis_truncated`` — a deliberately naive commutative (module)
   Buchberger run on the fully expanded, finite window of shifted generators.
   It shares only the arithmetic layer with the main algorithms and exists to
@@ -21,8 +22,10 @@ Truncation is mandatory; the undecorated enumerations do not terminate.
 The weight window of sigma mode and the s-degree window of skew mode are one
 rule (the letterplace correspondence maps weight onto s-degree), so a single
 enumerator, ``_window_pairs``, feeds both the completion and ``certify``;
-left mode has its own, ``_left_pairs``.  Each mode has one reducer search,
-which normal forms, interreduction and the completion all go through.
+left mode has its own, ``_left_pairs``.  Each mode family has one reducer
+search, which normal forms, interreduction and the completion all go
+through.  Both families keep their basis in ``_Entry`` records, which cache
+the sigma-images of leading monomials both reductions act through.
 
 Criteria: the product criterion is applied only in ideal modes (difference
 ideals and the letterplace image of free ideals) where coprime leading
@@ -44,11 +47,11 @@ from .endo import MonomialEndomorphism, ShiftEndo
 from .field import common_denominator
 from .poly import (
     LETTER_BITS,
+    LETTER_MASK,
     MONO_ONE,
     Monomial,
     MonomialOrdering,
     LEX,
-    PLACE_STEP,
     Polynomial,
     mono_coprime,
     mono_div,
@@ -78,7 +81,7 @@ __all__ = [
     "lm_window_match",
 ]
 
-MODES = ("sigma", "skew", "left", "free", "free2")
+MODES = ("free", "free2", "sigma", "skew", "left")
 
 
 class EndomorphismRejected(ValueError):
@@ -159,15 +162,18 @@ class GBResult:
 # S-polynomials
 
 
+def _cancel_leading(f, g, mf: Monomial, mg: Monomial):
+    """Lift monic f and g to lcm(mf, mg), where mf and mg are the
+    P-monomials of their leading terms, and subtract."""
+    l = mono_lcm(mf, mg)
+    return f.monic().mul_mono(mono_div(l, mf)) - g.monic().mul_mono(mono_div(l, mg))
+
+
 def spoly_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial in P: cancel the leading terms over lcm(lm f, lm g)."""
     if f.is_zero() or g.is_zero():
         raise ValueError("spoly of a zero polynomial")
-    mf, mg = f.lm(), g.lm()
-    l = mono_lcm(mf, mg)
-    left = f.monic().mul_mono(mono_div(l, mf))
-    right = g.monic().mul_mono(mono_div(l, mg))
-    return left - right
+    return _cancel_leading(f, g, f.lm(), g.lm())
 
 
 def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
@@ -179,10 +185,7 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
         raise ValueError(
             f"leading s-degrees differ: {vf.sdeg} vs {vg.sdeg}"
         )
-    l = mono_lcm(vf.mono, vg.mono)
-    left = f.monic().mul_mono(mono_div(l, vf.mono))
-    right = g.monic().mul_mono(mono_div(l, vg.mono))
-    return left - right
+    return _cancel_leading(f, g, vf.mono, vg.mono)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +193,9 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
 
 
 class _Entry:
-    """A monic basis element with cached shifted images; ``rest`` is its
-    leading monomial without the top variable.
+    """A monic basis element with cached shifted images; ``lm`` is the
+    P-monomial of its leading term, ``sdeg`` that term's s-degree and
+    ``rest`` the leading monomial without the top variable.
 
     ``den`` and ``nums`` are its tail coefficients over one denominator
     (``field.common_denominator``): the element is lm + sum(nums[i] / den *
@@ -209,7 +213,8 @@ class _Entry:
         self.poly = poly
         self.sdeg = sdeg
         self.index = index
-        self.lm = poly.lm()
+        lm = poly.lm()
+        self.lm = lm.mono if isinstance(lm, SkewMonomial) else lm
         self.den, self.nums = common_denominator(
             [c for _, c in poly.terms[1:]]
         )
@@ -270,7 +275,6 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
     okey = cfg.ordering.key
     level_capped = cfg.mode == "skew"
     is_shift = isinstance(sigma, ShiftEndo)
-    letter_mask = PLACE_STEP - 1
 
     def find(m: Monomial, level: int):
         if not m:
@@ -284,7 +288,7 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
         if is_shift:
             by_letter: dict[int, list] = {}
             for c, e in reversed(m):
-                by_letter.setdefault(c & letter_mask, []).append((c, e))
+                by_letter.setdefault(c & LETTER_MASK, []).append((c, e))
         best_sel = None
         best = None
         for ent in entries:
@@ -297,7 +301,7 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
                 if ent.lm:
                     u = None
                     c0, e0 = ent.lm[0]
-                    for c, e in by_letter.get(c0 & letter_mask, ()):
+                    for c, e in by_letter.get(c0 & LETTER_MASK, ()):
                         step = c - c0
                         if step < 0 or e < e0:
                             continue
@@ -447,11 +451,12 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
                     yield a, b, sh, stratum, l
 
 
-def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
+def _complete(seeds, cfg: GBConfig, pair_filter=None):
     """Run pair completion on monic (polynomial, s-degree) seeds.
 
     ``pair_filter(lcm, level)`` may veto structurally irrelevant pairs (the
-    letterplace membership filters).  Returns (entries, stats, trace).
+    letterplace membership filters).  Returns (entries, stats, trace);
+    the trace is a list of lines when ``cfg.trace`` is set, else None.
     """
     skew_mode = cfg.mode == "skew"
     sigma = cfg.sigma
@@ -463,13 +468,14 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
 
     entries: list[_Entry] = []
     stats = PairStats()
-    trace = collect_trace
+    trace = [] if cfg.trace else None
     heap: list = []
     seq = 0
     find = _make_finder(entries, cfg)
 
-    def describe(a, b, sh, stratum):
-        return f"(g{a + 1}, sigma^{sh}.g{b + 1})@{stratum}"
+    def note(a, b, sh, stratum, outcome):
+        if trace is not None:
+            trace.append(f"(g{a + 1}, sigma^{sh}.g{b + 1})@{stratum} {outcome}")
 
     def push_pairs(t: int):
         nonlocal seq
@@ -519,32 +525,27 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None, collect_trace=None):
         ea, eb = entries[a], entries[b]
         if product_on and mono_coprime(ea.lm, eb.shifted_lm(sigma, sh)):
             stats.product_skipped += 1
-            if trace is not None:
-                trace.append(f"{describe(a, b, sh, stratum)} skip:product")
+            note(a, b, sh, stratum, "skip:product")
             continue
         if chain_on and chain_kills(a, b, sh, l, stratum):
             stats.chain_skipped += 1
-            if trace is not None:
-                trace.append(f"{describe(a, b, sh, stratum)} skip:chain")
+            note(a, b, sh, stratum, "skip:chain")
             continue
         s = spoly_poly(ea.poly, eb.shifted(sigma, sh))
         level = stratum if skew_mode else 0
         nf = _nf_terms(s.terms, level, find, hkey)
         if not nf:
             stats.reduced_to_zero += 1
-            if trace is not None:
-                trace.append(f"{describe(a, b, sh, stratum)} -> 0")
+            note(a, b, sh, stratum, "-> 0")
             continue
         h = Polynomial(nf, ordering, _sorted=True).monic()
         if not skew_mode and h.lm() == MONO_ONE:
+            note(a, b, sh, stratum, "-> 1")
             warnings.warn("basis contains a constant: unit ideal")
             one = Polynomial.constant(h.lc(), ordering)
             return [_Entry(one, 0, 0)], stats, trace
         ent = add_element(h, level)
-        if trace is not None:
-            trace.append(
-                f"{describe(a, b, sh, stratum)} -> g{ent.index + 1}"
-            )
+        note(a, b, sh, stratum, f"-> g{ent.index + 1}")
 
     return entries, stats, trace
 
@@ -557,7 +558,7 @@ def _prepare_seeds(polys_with_sdeg, cfg: GBConfig):
         if poly.is_zero():
             continue
         p = poly.monic()
-        if cfg.mode != "skew" and p.lm() == MONO_ONE:
+        if cfg.mode == "sigma" and p.lm() == MONO_ONE:
             warnings.warn("constant generator: unit ideal")
             return None, p
         key = (p, sdeg)
@@ -582,8 +583,7 @@ def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     seeds, unit = _prepare_seeds(((h, 0) for h in H), cfg)
     if seeds is None:
         return GBResult([unit], cfg.mode, cfg.degree_bound, PairStats(), None)
-    trace = [] if cfg.trace else None
-    entries, stats, trace = _complete(seeds, cfg, pair_filter, trace)
+    entries, stats, trace = _complete(seeds, cfg, pair_filter)
     basis = [e.poly for e in entries]
     if cfg.interreduce:
         basis = interreduce(basis, cfg)
@@ -605,8 +605,7 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
         sdeg, poly = h.parts[0]
         pairs.append((poly, sdeg))
     seeds, _ = _prepare_seeds(pairs, cfg)
-    trace = [] if cfg.trace else None
-    entries, stats, trace = _complete(seeds, cfg, pair_filter, trace)
+    entries, stats, trace = _complete(seeds, cfg, pair_filter)
     basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
     if cfg.interreduce:
         basis = interreduce(basis, cfg)
@@ -617,27 +616,22 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
 # Left module mode
 
 
-class _LeftEntry:
-    """A monic element of S for left reduction, with cached left s-power
-    multiples s**u * element; ``den`` and ``nums`` are its tail
-    coefficients over one denominator, as for ``_Entry``, and serve every
-    multiple, because ``shift_left`` keeps coefficients and term order."""
+class _LeftEntry(_Entry):
+    """A monic element of S for left reduction; its shifted images are the
+    left s-power multiples s**u * element.  ``shift_left`` keeps
+    coefficients and term order, so ``den`` and ``nums`` serve every
+    multiple, and the leading monomial of s**u * element is the sigma**u
+    image of ``lm`` at s-degree ``sdeg + u``."""
 
-    __slots__ = ("element", "lm", "index", "den", "nums", "_shifted")
+    __slots__ = ()
 
     def __init__(self, element: SkewElement, index: int):
-        self.element = element
-        self.lm = element.lm()
-        self.index = index
-        self.den, self.nums = common_denominator(
-            [c for _, c in element.terms[1:]]
-        )
-        self._shifted = {0: element}
+        super().__init__(element, element.sdeg(), index)
 
-    def shifted(self, sigma, u: int) -> SkewElement:
+    def shifted(self, sigma: MonomialEndomorphism, u: int) -> SkewElement:
         g = self._shifted.get(u)
         if g is None:
-            g = shift_left(u, self.element, sigma)
+            g = shift_left(u, self.poly, sigma)
             self._shifted[u] = g
         return g
 
@@ -655,10 +649,10 @@ def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
         best_sel = None
         best = None
         for ent in entries:
-            u = e - ent.lm.sdeg
+            u = e - ent.sdeg
             if u < 0:
                 continue
-            img = sigma.mono(ent.lm.mono, u)
+            img = ent.shifted_lm(sigma, u)
             if mono_divides(img, m):
                 sel = (okey(img), ent.index)
                 if best_sel is None or sel < best_sel:
@@ -690,12 +684,12 @@ def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
     """
     sigma = cfg.sigma
     for j in range(t):
-        da, db = entries[t].lm.sdeg, entries[j].lm.sdeg
+        da, db = entries[t].sdeg, entries[j].sdeg
         a, b, sh = (t, j, da - db) if da >= db else (j, t, db - da)
         e = max(da, db)
         if e <= cfg.degree_bound:
-            blm = sigma.mono(entries[b].lm.mono, sh)
-            yield a, b, sh, e, mono_lcm(entries[a].lm.mono, blm)
+            blm = entries[b].shifted_lm(sigma, sh)
+            yield a, b, sh, e, mono_lcm(entries[a].lm, blm)
 
 
 def left_gbasis(H, cfg: GBConfig) -> GBResult:
@@ -712,6 +706,10 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
     heap: list = []
     seq = 0
 
+    def note(a, b, sh, e, outcome):
+        if trace is not None:
+            trace.append(f"(g{a + 1}, s^{sh}.g{b + 1})@{e} {outcome}")
+
     def push_pairs(t: int):
         nonlocal seq
         for a, b, sh, e, l in _left_pairs(entries, t, cfg):
@@ -722,28 +720,22 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
     def chain_kills(a, b, sh, l, e) -> bool:
         ea, eb = entries[a], entries[b]
         lkey = okey(l)
-        blm = sigma.mono(eb.lm.mono, sh)
+        blm = eb.shifted_lm(sigma, sh)
         for ent in entries:
-            u = e - ent.lm.sdeg
+            u = e - ent.sdeg
             if u < 0:
                 continue
-            img = sigma.mono(ent.lm.mono, u)
+            img = ent.shifted_lm(sigma, u)
             if not mono_divides(img, l):
                 continue
-            if okey(mono_lcm(ea.lm.mono, img)) < lkey and okey(
+            if okey(mono_lcm(ea.lm, img)) < lkey and okey(
                 mono_lcm(img, blm)
             ) < lkey:
                 return True
         return False
 
-    seen = set()
-    for h in H:
-        if h.is_zero():
-            continue
-        g = h.monic()
-        if g in seen:
-            continue
-        seen.add(g)
+    seeds, _ = _prepare_seeds(((h, 0) for h in H), cfg)
+    for g, _ in seeds:
         entries.append(_LeftEntry(g, len(entries)))
         push_pairs(len(entries) - 1)
 
@@ -751,26 +743,21 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
         e, lkey, _, a, b, sh, l = heapq.heappop(heap)
         if cfg.chain_criterion and chain_kills(a, b, sh, l, e):
             stats.chain_skipped += 1
-            if trace is not None:
-                trace.append(f"(g{a + 1}, s^{sh}.g{b + 1})@{e} skip:chain")
+            note(a, b, sh, e, "skip:chain")
             continue
         ea, eb = entries[a], entries[b]
-        s = spoly(ea.element, eb.shifted(sigma, sh))
+        s = spoly(ea.poly, eb.shifted(sigma, sh))
         nf = _nf_left(s, find) if s else s
         if nf.is_zero():
             stats.reduced_to_zero += 1
-            if trace is not None:
-                trace.append(f"(g{a + 1}, s^{sh}.g{b + 1})@{e} -> 0")
+            note(a, b, sh, e, "-> 0")
             continue
         entries.append(_LeftEntry(nf.monic(), len(entries)))
         stats.added += 1
-        if trace is not None:
-            trace.append(
-                f"(g{a + 1}, s^{sh}.g{b + 1})@{e} -> g{len(entries)}"
-            )
+        note(a, b, sh, e, f"-> g{len(entries)}")
         push_pairs(len(entries) - 1)
 
-    basis = [ent.element for ent in entries]
+    basis = [ent.poly for ent in entries]
     if cfg.interreduce:
         basis = interreduce(basis, cfg)
     return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
@@ -778,6 +765,16 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
 
 # ---------------------------------------------------------------------------
 # Normal form, interreduction, membership
+
+
+def _reducers(G, cfg: GBConfig):
+    """Entries for the nonzero elements of G, indexed by their position in
+    G, and the reducer search of the mode family over them."""
+    if cfg.mode == "left":
+        entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(G) if g]
+        return entries, _left_finder(entries, cfg)
+    entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
+    return entries, _make_finder(entries, cfg)
 
 
 def normal_form(f, G, cfg: GBConfig, record=None):
@@ -788,11 +785,9 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     closure carries the matching s-power decorations.
     """
     cfg.check_sigma()
+    _, find = _reducers(G, cfg)
     if cfg.mode == "left":
-        entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(G) if g]
-        return _nf_left(f, _left_finder(entries, cfg))
-    entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
-    find = _make_finder(entries, cfg)
+        return _nf_left(f, find)
     hkey = cfg.ordering.heap_key
     if cfg.mode == "sigma":
         nf = _nf_terms(f.terms, 0, find, hkey, record=record)
@@ -827,8 +822,8 @@ def interreduce(basis, cfg: GBConfig):
                 kept.append(_LeftEntry(g, len(kept)))
         out = []
         for ent in kept:
-            lt = ent.element.lt()
-            out.append(lt + _nf_left(ent.element - lt, find))
+            lt = ent.poly.lt()
+            out.append(lt + _nf_left(ent.poly - lt, find))
         return out
 
     items = sorted(
@@ -886,21 +881,16 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     cfg.check_sigma()
     sigma = cfg.sigma
     failures: list[str] = []
-
+    entries, find = _reducers(basis, cfg)
     if cfg.mode == "left":
-        entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(basis) if g]
-        find = _left_finder(entries, cfg)
         for t in range(len(entries)):
             for a, b, sh, _, _ in _left_pairs(entries, t, cfg):
-                s = spoly(entries[a].element, entries[b].shifted(sigma, sh))
+                s = spoly(entries[a].poly, entries[b].shifted(sigma, sh))
                 if s and _nf_left(s, find):
                     failures.append(f"pair (g{a + 1}, s^{sh}.g{b + 1}) "
                                     f"does not reduce to zero")
         return not failures, failures
 
-    nonzero = [g for g in basis if g]
-    entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(nonzero)]
-    find = _make_finder(entries, cfg)
     hkey = cfg.ordering.heap_key
     for t in range(len(entries)):
         pairs = _window_pairs(entries, t, cfg, pair_filter)

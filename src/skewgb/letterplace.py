@@ -26,6 +26,7 @@ from dataclasses import replace
 from . import engine
 from .poly import (
     LETTER_BITS,
+    LETTER_MASK,
     Monomial,
     MonomialOrdering,
     LEX,
@@ -58,9 +59,6 @@ __all__ = [
 ]
 
 Word = tuple
-
-_LETTER_MASK = (1 << LETTER_BITS) - 1
-
 
 def word_key(w: Word):
     """Sort key realizing the induced word ordering."""
@@ -102,15 +100,9 @@ class FreePolynomial(Terms):
         return all(len(w) == d for w, _ in self.terms)
 
     def __mul__(self, other: "FreePolynomial") -> "FreePolynomial":
-        acc: dict[Word, object] = {}
-        for u, c in self.terms:
-            for v, d in other.terms:
-                w = u + v
-                if w in acc:
-                    acc[w] = acc[w] + c * d
-                else:
-                    acc[w] = c * d
-        return type(self)(acc.items())
+        return type(self)(
+            (u + v, c * d) for u, c in self.terms for v, d in other.terms
+        )
 
     def letters(self) -> set:
         return {x for w, _ in self.terms for x in w}
@@ -161,7 +153,7 @@ def word_of_mono(m: Monomial) -> Word | None:
     for c, e in m:
         if e != 1 or (c >> LETTER_BITS) != expect:
             return None
-        letters[expect - 1] = c & _LETTER_MASK
+        letters[expect - 1] = c & LETTER_MASK
         expect -= 1
     return tuple(letters)
 

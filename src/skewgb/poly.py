@@ -28,6 +28,7 @@ from .field import inverse
 __all__ = [
     "LETTER_BITS",
     "PLACE_STEP",
+    "LETTER_MASK",
     "Monomial",
     "MONO_ONE",
     "var_code",
@@ -52,6 +53,7 @@ __all__ = [
 
 LETTER_BITS = 20
 PLACE_STEP = 1 << LETTER_BITS
+LETTER_MASK = PLACE_STEP - 1  # code & LETTER_MASK is the letter
 
 # A monomial is a tuple of (code, exponent) pairs, codes strictly descending,
 # exponents positive.  The empty tuple is the monomial 1.
@@ -275,7 +277,9 @@ class Terms:
     (monomial orderings), the elements of S (s-degree-major orderings) and
     the free algebra (the word ordering).  All operands of a binary
     operation must share the same ordering, and results are built through
-    ``type(self)``.  Products are the subclasses' business.
+    ``type(self)``.  The constructor is the one place that merges like
+    terms, drops zeros and sorts: sums and the subclasses' products hand it
+    their raw (monomial, coefficient) pairs.
     """
 
     __slots__ = ("terms", "ordering")
@@ -332,22 +336,7 @@ class Terms:
 
     def __add__(self, other: "Terms") -> "Terms":
         self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            if m in acc:
-                s = acc[m] + c
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-            else:
-                acc[m] = c
-        key = self.ordering.key
-        return type(self)(
-            sorted(acc.items(), key=lambda t: key(t[0]), reverse=True),
-            self.ordering,
-            _sorted=True,
-        )
+        return type(self)(self.terms + other.terms, self.ordering)
 
     def __sub__(self, other: "Terms") -> "Terms":
         return self + (-other)
@@ -417,15 +406,10 @@ class Polynomial(Terms):
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        acc: dict[Monomial, object] = {}
-        for m, c in self.terms:
-            for n, d in other.terms:
-                mn = mono_mul(m, n)
-                if mn in acc:
-                    acc[mn] = acc[mn] + c * d
-                else:
-                    acc[mn] = c * d
-        return type(self)(acc.items(), self.ordering)
+        return type(self)(
+            ((mono_mul(m, n), c * d) for m, c in self.terms for n, d in other.terms),
+            self.ordering,
+        )
 
     def degree(self) -> int:
         """Maximal total degree of a monomial (-1 for the zero polynomial)."""

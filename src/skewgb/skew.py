@@ -128,15 +128,14 @@ class SkewElement(Terms):
 def skew_mul(a: SkewElement, b: SkewElement, sigma: MonomialEndomorphism) -> SkewElement:
     """Product in S: (m s**i)(n s**j) = m sigma**i(n) s**(i + j)."""
     a._check(b)
-    acc: dict[SkewMonomial, object] = {}
-    for (m, i), c in a.terms:
-        for (n, j), d in b.terms:
-            v = SkewMonomial(mono_mul(m, sigma.mono(n, i)), i + j)
-            if v in acc:
-                acc[v] = acc[v] + c * d
-            else:
-                acc[v] = c * d
-    return SkewElement(acc.items(), a.ordering)
+    return SkewElement(
+        (
+            (SkewMonomial(mono_mul(m, sigma.mono(n, i)), i + j), c * d)
+            for (m, i), c in a.terms
+            for (n, j), d in b.terms
+        ),
+        a.ordering,
+    )
 
 
 def shift_left(k: int, a: SkewElement, sigma: MonomialEndomorphism) -> SkewElement:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .endo import MonomialEndomorphism, ShiftEndo
 from .field import QQ
 from .letterplace import FreePolynomial
-from .poly import LETTER_BITS, LEX, MonomialOrdering, Polynomial, mono
+from .poly import LETTER_BITS, LETTER_MASK, LEX, MonomialOrdering, Polynomial, mono
 from .skew import SkewElement, skew_mul
 
 __all__ = [
@@ -56,10 +56,9 @@ def _is_negative(c) -> bool:
 def _format_mono(m, names) -> str:
     if not m:
         return "1"
-    mask = (1 << LETTER_BITS) - 1
     parts = []
     for code, e in m:
-        t = f"{_name(code & mask, names)}({code >> LETTER_BITS})"
+        t = f"{_name(code & LETTER_MASK, names)}({code >> LETTER_BITS})"
         if e != 1:
             t += f"^{e}"
         parts.append(t)

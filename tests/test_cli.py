@@ -254,6 +254,21 @@ def test_stats_trace_certify_output_is_pinned(tmp_path, name):
     assert p.stdout == output
 
 
+def test_unit_ideal_output_is_pinned(tmp_path):
+    # The S-polynomial of the two generators is the constant 1: its trace
+    # line names the pair, and the warning is one line free of source paths.
+    path = tmp_path / "unit.txt"
+    path.write_text("mode: sigma\ndegree_bound: 3\n\nx(0) - 1\nx(0) - 2\n")
+    p = run_cli(path, "--trace", "--stats")
+    assert p.returncode == 0
+    assert p.stdout == (
+        "# (g1, sigma^0.g2)@0 -> 1\n"
+        "1\n"
+        "# pairs=13 product=0 chain=0 zero=0 added=2\n"
+    )
+    assert p.stderr == "warning: basis contains a constant: unit ideal\n"
+
+
 def test_left_mode_refuses_oracle(tmp_path):
     path = tmp_path / "left.txt"
     path.write_text("mode: left\ndegree_bound: 4\nletters: x\n\nx(1)*s - x(0)\n")
@@ -278,7 +293,8 @@ def test_refusal_exit_code(tmp_path):
 
 def test_usage_errors(tmp_path):
     cases = [
-        ("degree_bound: 4\n\nx(0)\n", "mode must be one of"),
+        ("degree_bound: 4\n\nx(0)\n",
+         "mode must be one of free/free2/sigma/skew/left, got None"),
         ("mode: sigma\n\nx(0)\n", "degree_bound is required"),
         ("mode: sigma\ndegree_bound: 0\n\nx(0)\n", "must be >= 1"),
         ("mode: sigma\nmode: skew\ndegree_bound: 4\n\nx(0)\n", "duplicate key"),

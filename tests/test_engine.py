@@ -257,6 +257,12 @@ def test_certify_accepts_and_rejects():
     assert not ok
     assert failures
     assert all("does not reduce to zero" in f for f in failures)
+    # Left mode: spoly(g2, g1) = -x(0)^2 lies in s-degree 0, where no
+    # leading monomial of the basis sits, so it is its own normal form.
+    left = [parse_skew("x(1)*s + x(0)"), parse_skew("x(0)*x(1)*s")]
+    ok, failures = certify(left, GBConfig(mode="left", degree_bound=3))
+    assert not ok
+    assert failures == ["pair (g2, s^0.g1) does not reduce to zero"]
 
 
 def test_sigma_oracle_matches_on_weight_graded_input():
