@@ -248,7 +248,7 @@ def _split(g, cfg: GBConfig):
     if cfg.mode != "skew":
         return g.monic(), 0
     if not g.is_s_homogeneous():
-        raise ValueError("two-sided reducers must be s-homogeneous")
+        raise ValueError("two-sided mode needs s-homogeneous generators")
     sdeg, poly = g.parts[0]
     return poly.monic(), sdeg
 
@@ -451,6 +451,25 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
                     yield a, b, sh, stratum, l
 
 
+def _chain_kills(entries: list[_Entry], a: int, b: int, sh: int,
+                 l: Monomial, cfg: GBConfig, shifts) -> bool:
+    """Chain criterion (Gebauer–Möller) of both loops for the pair (a, b,
+    sh) with lcm l: the image under sigma**u of some entry's lm, for u in
+    ``shifts(entry)``, divides l, and its lcms with both sides lie below l."""
+    okey = cfg.ordering.key
+    sigma = cfg.sigma
+    alm = entries[a].lm
+    blm = entries[b].shifted_lm(sigma, sh)
+    lkey = okey(l)
+    for ent in entries:
+        for u in shifts(ent):
+            img = ent.shifted_lm(sigma, u)
+            if (mono_divides(img, l) and okey(mono_lcm(alm, img)) < lkey
+                    and okey(mono_lcm(img, blm)) < lkey):
+                return True
+    return False
+
+
 def _complete(seeds, cfg: GBConfig, pair_filter=None):
     """Run pair completion on monic (polynomial, s-degree) seeds.
 
@@ -486,30 +505,6 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
             heapq.heappush(heap, (stratum, okey(l), seq, a, b, sh, l))
             seq += 1
 
-    def chain_kills(a, b, sh, l, level) -> bool:
-        ea, eb = entries[a], entries[b]
-        lkey = okey(l)
-        wl = l[0][0] >> LETTER_BITS if l else -1
-        blm = eb.shifted_lm(sigma, sh)
-        for ent in entries:
-            if skew_mode:
-                ucap = level - ent.sdeg
-            else:
-                ucap = wl - ent.lmw
-            if ucap < 0:
-                continue
-            for u in range(ucap + 1):
-                img = ent.shifted_lm(sigma, u)
-                if not mono_divides(img, l):
-                    continue
-                k1 = okey(mono_lcm(ea.lm, img))
-                if not k1 < lkey:
-                    continue
-                k2 = okey(mono_lcm(img, blm))
-                if k2 < lkey:
-                    return True
-        return False
-
     def add_element(poly: Polynomial, sdeg: int):
         ent = _Entry(poly, sdeg, len(entries))
         entries.append(ent)
@@ -527,7 +522,13 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
             stats.product_skipped += 1
             note(a, b, sh, stratum, "skip:product")
             continue
-        if chain_on and chain_kills(a, b, sh, l, stratum):
+        # No entry image may sit above the stratum: the s-degree of the
+        # pair in skew mode, the weight of its lcm in sigma mode.
+        if chain_on and _chain_kills(
+            entries, a, b, sh, l, cfg,
+            lambda ent: range(stratum - (ent.sdeg if skew_mode else ent.lmw)
+                              + 1),
+        ):
             stats.chain_skipped += 1
             note(a, b, sh, stratum, "skip:chain")
             continue
@@ -596,15 +597,7 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     if cfg.mode != "skew":
         raise ValueError("config mode must be 'skew'")
     cfg.check_sigma()
-    pairs = []
-    for h in H:
-        if h.is_zero():
-            continue
-        if not h.is_s_homogeneous():
-            raise ValueError("two-sided mode needs s-homogeneous generators")
-        sdeg, poly = h.parts[0]
-        pairs.append((poly, sdeg))
-    seeds, _ = _prepare_seeds(pairs, cfg)
+    seeds, _ = _prepare_seeds((_split(h, cfg) for h in H if h), cfg)
     entries, stats, trace = _complete(seeds, cfg, pair_filter)
     basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
     if cfg.interreduce:
@@ -717,31 +710,23 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
             heapq.heappush(heap, (e, okey(l), seq, a, b, sh, l))
             seq += 1
 
-    def chain_kills(a, b, sh, l, e) -> bool:
-        ea, eb = entries[a], entries[b]
-        lkey = okey(l)
-        blm = eb.shifted_lm(sigma, sh)
-        for ent in entries:
-            u = e - ent.sdeg
-            if u < 0:
-                continue
-            img = ent.shifted_lm(sigma, u)
-            if not mono_divides(img, l):
-                continue
-            if okey(mono_lcm(ea.lm, img)) < lkey and okey(
-                mono_lcm(img, blm)
-            ) < lkey:
-                return True
-        return False
+    def add_element(g: SkewElement):
+        ent = _LeftEntry(g, len(entries))
+        entries.append(ent)
+        stats.added += 1
+        push_pairs(ent.index)
+        return ent
 
     seeds, _ = _prepare_seeds(((h, 0) for h in H), cfg)
     for g, _ in seeds:
-        entries.append(_LeftEntry(g, len(entries)))
-        push_pairs(len(entries) - 1)
+        add_element(g)
 
     while heap:
         e, lkey, _, a, b, sh, l = heapq.heappop(heap)
-        if cfg.chain_criterion and chain_kills(a, b, sh, l, e):
+        if cfg.chain_criterion and _chain_kills(
+            entries, a, b, sh, l, cfg,
+            lambda ent: (e - ent.sdeg,) if ent.sdeg <= e else (),
+        ):
             stats.chain_skipped += 1
             note(a, b, sh, e, "skip:chain")
             continue
@@ -752,10 +737,8 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
             stats.reduced_to_zero += 1
             note(a, b, sh, e, "-> 0")
             continue
-        entries.append(_LeftEntry(nf.monic(), len(entries)))
-        stats.added += 1
-        note(a, b, sh, e, f"-> g{len(entries)}")
-        push_pairs(len(entries) - 1)
+        ent = add_element(nf.monic())
+        note(a, b, sh, e, f"-> g{ent.index + 1}")
 
     basis = [ent.poly for ent in entries]
     if cfg.interreduce:
@@ -996,12 +979,13 @@ def expand_window_sigma(H, cfg: GBConfig):
 
 
 def expand_window_skew(H, cfg: GBConfig):
-    """All s**i . h . s**j images of H with total s-degree within d."""
+    """All s**i . h . s**j images of the s-homogeneous H with total
+    s-degree within d."""
     out = []
     for h in H:
         if h.is_zero():
             continue
-        sdeg, poly = h.parts[0]
+        poly, sdeg = _split(h, cfg)
         for i in range(cfg.degree_bound - sdeg + 1):
             img = cfg.sigma.poly(poly, i)
             for lvl in range(sdeg + i, cfg.degree_bound + 1):
@@ -1009,20 +993,21 @@ def expand_window_skew(H, cfg: GBConfig):
     return out
 
 
+def _window_images(H, cfg: GBConfig) -> list[SkewElement]:
+    """The in-window images of H in S (on level 0 in sigma mode): the
+    oracle's generators, and the main basis's side of the comparison."""
+    if cfg.mode == "sigma":
+        return [SkewElement.of_poly(p) for p in expand_window_sigma(H, cfg)]
+    if cfg.mode == "skew":
+        return expand_window_skew(H, cfg)
+    raise ValueError("the oracle window supports sigma and skew modes")
+
+
 def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
     """Independent cross-check: expand the shifted generators inside the
     window and run a bare commutative (module) Buchberger over them."""
     cfg.check_sigma()
-    if cfg.mode == "sigma":
-        expanded = [SkewElement.of_poly(p) for p in expand_window_sigma(H, cfg)]
-    elif cfg.mode == "skew":
-        for h in H:
-            if h and not h.is_s_homogeneous():
-                raise ValueError("two-sided mode needs s-homogeneous generators")
-        expanded = expand_window_skew(H, cfg)
-    else:
-        raise ValueError("oracle supports sigma and skew modes")
-    G = _oracle_buchberger(expanded, degree_cap)  # nonzero and monic
+    G = _oracle_buchberger(_window_images(H, cfg), degree_cap)  # monic
     if cfg.mode == "sigma":
         G = [g.parts[0][1] for g in G]
     return GBResult(G, cfg.mode, cfg.degree_bound, PairStats(), None)
@@ -1031,58 +1016,23 @@ def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
 def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
     """Window-restricted equality of leading-monomial ideals.
 
-    The main basis is expanded through its shift decorations inside the
-    window; the oracle basis is already a module basis over the window ring.
-    The two generate the same truncated lm-ideal iff each side's generators
-    are divisible by the other's.
+    The main basis is expanded into the same window images the oracle
+    starts from; the oracle basis is already a module basis over the window
+    ring.  The two generate the same truncated lm-ideal iff each side's
+    generators are divisible by the other's.
     """
-    d = cfg.degree_bound
-    sigma = cfg.sigma
+    A = {g.lm() for g in _window_images(main.basis, cfg)}
     if cfg.mode == "sigma":
-        A = set()
-        for g in main.basis:
-            if g.is_zero():
-                continue
-            lm = g.lm()
-            if not lm:
-                A.add((0, MONO_ONE))
-                continue
-            w = top_place(lm)
-            for i in range(d - w + 1):
-                A.add((0, sigma.mono(lm, i)))
-        B = {
-            (0, b.lm())
-            for b in oracle.basis
-            if b and (not b.lm() or top_place(b.lm()) <= d)
-        }
-        return _mutually_divisible_leveled(A, B)
-    if cfg.mode == "skew":
-        A = set()
-        for g in main.basis:
-            if g.is_zero():
-                continue
-            v = g.lm()
-            for i in range(d - v.sdeg + 1):
-                img = sigma.mono(v.mono, i)
-                for lvl in range(v.sdeg + i, d + 1):
-                    A.add((lvl, img))
-        B = set()
-        for b in oracle.basis:
-            if b.is_zero():
-                continue
-            v = b.lm()
-            B.add((v.sdeg, v.mono))
-        return _mutually_divisible_leveled(A, B)
-    raise ValueError("lm window comparison supports sigma and skew modes")
+        B = {SkewMonomial(b.lm(), 0) for b in oracle.basis if b}
+    else:
+        B = {b.lm() for b in oracle.basis if b}
+    return _mutually_divisible_leveled(A, B)
 
 
 def _mutually_divisible_leveled(A: set, B: set) -> bool:
-    """Each (level, monomial) of A is divided by one of B on its level, and
+    """Each monomial of S in A is divided by one of B on its level, and
     the other way round; sigma-mode monomials all sit on level 0."""
-    for la, a in A:
-        if not any(lb == la and mono_divides(b, a) for lb, b in B):
-            return False
-    for lb, b in B:
-        if not any(la == lb and mono_divides(a, b) for la, a in A):
-            return False
-    return True
+    def covered(X, Y):
+        return all(any(x.sdeg == y.sdeg and mono_divides(x.mono, y.mono)
+                       for x in X) for y in Y)
+    return covered(B, A) and covered(A, B)

@@ -221,8 +221,9 @@ def in_R(a: SkewElement) -> bool:
 
 
 def _validate_input(H):
+    """The nonzero generators, homogeneous of degree >= 1; the completion
+    normalizes and deduplicates their images, which keep lc and lm."""
     gens = []
-    seen = set()
     for h in H:
         if h.is_zero():
             continue
@@ -233,10 +234,7 @@ def _validate_input(H):
             )
         if h.degree() < 1:
             raise ValueError("constant generator: the ideal is the whole algebra")
-        h = h.monic()
-        if h not in seen:
-            seen.add(h)
-            gens.append(h)
+        gens.append(h)
     return gens
 
 

@@ -186,7 +186,7 @@ x(1)*s^2
 x(2)*x(1)
 x(0)*s + x(1)
 x(2)*s
-# pairs=6 product=0 chain=2 zero=2 added=2
+# pairs=6 product=0 chain=2 zero=2 added=4
 # certified: all in-window critical pairs reduce to zero
 """,
     ),

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,17 @@ def test_skew_route_reaches_the_same_ideal():
     # The two-sided expansion semantics is exactly the oracle's.
     orc = oracle_gbasis_truncated([h], cfg)
     assert lm_window_match(res, orc, cfg)
+    # The comparison rejects too: at d = 4, dropping any one of the three
+    # basis elements, or adding x(0)*s^3, changes the lm-ideal.
+    cfg4 = GBConfig(mode="skew", degree_bound=4)
+    res4 = skew_gbasis([h], cfg4)
+    orc4 = oracle_gbasis_truncated([h], cfg4)
+    basis = res4.basis
+    assert len(basis) == 3 and lm_window_match(res4, orc4, cfg4)
+    wrong = [basis[:i] + basis[i + 1:] for i in range(3)]
+    wrong.append(basis + [parse_skew("x(0)*s^3")])
+    for b in wrong:
+        assert not lm_window_match(replace(res4, basis=b), orc4, cfg4)
     # Stripping the s-decorations and interreducing recovers the sigma basis.
     from skewgb.letterplace import pi
 

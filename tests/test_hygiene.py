@@ -1,6 +1,7 @@
 """Hygiene of the test files and the package: no module imports a name it
-never uses, so a dropped check or a deleted duplicate cannot hide behind a
-leftover import."""
+never uses, and no private helper of the package outlives its last reader,
+so a dropped check or a deleted duplicate cannot hide behind a leftover
+import or definition."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,70 @@ def test_no_package_module_imports_unused_names():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found, f"unused imports: {found}"
+
+
+def private_definitions(source: str) -> dict:
+    """Private (single leading underscore) names the module binds at top
+    level by ``def``, ``class`` or assignment, with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found.setdefault(name, node.lineno)
+    return found
+
+
+def names_read(source: str) -> set:
+    """Every name the module reads, as a plain name or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def dead_helpers(sources: dict) -> list[str]:
+    """Private module-level names of the given modules (file name ->
+    source) that no module reads."""
+    read = set().union(*(names_read(src) for src in sources.values()))
+    return [f"{name}: {name_} (line {line})"
+            for name, src in sorted(sources.items())
+            for name_, line in sorted(private_definitions(src).items())
+            if name_ not in read]
+
+
+def package_sources() -> dict:
+    return {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+
+
+def test_dead_helpers_helper():
+    src = ("_a = 1\n_b: int = 2\n__all__ = []\n"
+           "def _f():\n    return _a\nclass _C:\n    pass\n"
+           "def g(x):\n    return x._C\n")
+    assert dead_helpers({"m.py": src}) == ["m.py: _b (line 2)",
+                                           "m.py: _f (line 4)"]
+    # A definition that only assigns to the name does not read it.
+    assert dead_helpers({"m.py": "_x = 1\ndef f():\n    _x = 2\n"}) == \
+        ["m.py: _x (line 1)"]
+
+
+def test_no_package_module_defines_an_unread_private_name():
+    sources = package_sources()
+    assert len(sources) > 5
+    assert not (dead := dead_helpers(sources)), f"dead helpers: {dead}"
+    # A helper left behind by a deletion is caught.
+    sources["engine.py"] += "\n\ndef _stale_helper():\n    return 1\n"
+    assert [d.split(" (")[0] for d in dead_helpers(sources)] == \
+        ["engine.py: _stale_helper"]
