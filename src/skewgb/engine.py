@@ -32,7 +32,9 @@ ideals and the letterplace image of free ideals) where coprime leading
 monomials really do force a trivial syzygy; it is unsound for modules and
 stays off in skew modes.  The chain criterion is applied everywhere, but
 only when both sub-pairs have strictly smaller lcm, which keeps it sound
-without treated-pair bookkeeping.
+without treated-pair bookkeeping.  ``_complete`` takes pairs stratum by
+stratum and, within a stratum, lcm degree first: the ordering alone blows
+up under lex.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .poly import (
     LEX,
     Polynomial,
     mono_coprime,
+    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -502,7 +505,9 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
             entries, t, cfg, pair_filter
         ):
             stats.considered += 1
-            heapq.heappush(heap, (stratum, okey(l), seq, a, b, sh, l))
+            heapq.heappush(
+                heap, (stratum, mono_degree(l), okey(l), seq, a, b, sh, l)
+            )
             seq += 1
 
     def add_element(poly: Polynomial, sdeg: int):
@@ -516,7 +521,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
         add_element(poly, sdeg)
 
     while heap:
-        stratum, lkey, _, a, b, sh, l = heapq.heappop(heap)
+        stratum, _, _, _, a, b, sh, l = heapq.heappop(heap)
         ea, eb = entries[a], entries[b]
         if product_on and mono_coprime(ea.lm, eb.shifted_lm(sigma, sh)):
             stats.product_skipped += 1

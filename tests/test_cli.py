@@ -24,11 +24,11 @@ TRACE_HEAD = [
     "# (g1, sigma^1.g1)@3 skip:product",
     "# (g1, sigma^2.g1)@4 -> g2",
     "# (g2, sigma^2.g1)@4 -> 0",
-    "# (g1, sigma^0.g2)@4 skip:product",
     "# (g2, sigma^1.g1)@4 -> g3",
     "# (g3, sigma^1.g1)@3 -> 0",
     "# (g1, sigma^0.g3)@3 -> 0",
-    "# (g2, sigma^0.g3)@4 skip:product",
+    "# (g2, sigma^1.g3)@4 -> g4",
+    "# (g1, sigma^0.g2)@4 skip:product",
 ]
 
 
@@ -202,10 +202,10 @@ letters: x
 # (g1, sigma^1.g1)@3 -> 0
 # (g1, sigma^2.g1)@4 -> g2
 # (g2, sigma^2.g1)@4 -> 0
-# (g1, sigma^0.g2)@4 skip:chain
 # (g2, sigma^1.g1)@4 -> g3
 # (g3, sigma^1.g1)@4 -> 0
 # (g1, sigma^0.g3)@4 -> 0
+# (g1, sigma^0.g2)@4 skip:chain
 # (g2, sigma^0.g3)@4 skip:chain
 # (g3, sigma^2.g1)@4 skip:chain
 (x(2)*x(0) - x(1))*s^2
@@ -267,6 +267,28 @@ def test_unit_ideal_output_is_pinned(tmp_path):
         "# pairs=13 product=0 chain=0 zero=0 added=2\n"
     )
     assert p.stderr == "warning: basis contains a constant: unit ideal\n"
+
+
+def test_lex_skew_quadrics_take_pairs_degree_first(tmp_path):
+    # Two lex quadrics in the skew ring (bench/README.md, Known gaps).  Taken
+    # by the ordering alone within a stratum, the pairs numbered 73 899 and
+    # the loop added 357 elements on its way to this 31-element basis.
+    path = tmp_path / "quadrics.txt"
+    path.write_text(
+        "mode: skew\ndegree_bound: 3\nordering: lex\nletters: x,y\n\n"
+        "(2*y(1)*x(1) + 4*y(0)*y(0))*s^2\n"
+        "-5*y(1)*y(0) + 3*x(0)*x(0)\n"
+    )
+    p = run_cli(path, "--stats", "--certify", "--oracle")
+    assert p.returncode == 0
+    assert p.stderr == ""
+    lines = p.stdout.splitlines()
+    assert len(lines) == 31 + 3
+    assert lines[31:] == [
+        "# pairs=899 product=0 chain=640 zero=230 added=31",
+        "# certified: all in-window critical pairs reduce to zero",
+        "oracle lm-ideals match",
+    ]
 
 
 def test_left_mode_refuses_oracle(tmp_path):
