@@ -11,7 +11,8 @@ Three computations run on two completion loops, and an oracle checks them:
 * ``oracle_gbasis_truncated`` — a deliberately naive commutative (module)
   Buchberger run on the fully expanded, finite window of shifted generators.
   It shares only the arithmetic layer with the main algorithms and exists to
-  cross-check their leading-monomial ideals inside the window.
+  cross-check their leading-monomial ideals inside the window;
+  ``lm_window_match`` expands the main basis into the same window images.
 
 Critical pairs carry a shift decoration: the pair (a, b, k) stands for
 spoly(a, sigma**k . b) with the appropriate s-power bookkeeping in skew
@@ -30,11 +31,11 @@ the sigma-images of leading monomials both reductions act through.
 Criteria: the product criterion is applied only in ideal modes (difference
 ideals and the letterplace image of free ideals) where coprime leading
 monomials really do force a trivial syzygy; it is unsound for modules and
-stays off in skew modes.  The chain criterion is applied everywhere, but
-only when both sub-pairs have strictly smaller lcm, which keeps it sound
-without treated-pair bookkeeping.  ``_complete`` takes pairs stratum by
-stratum and, within a stratum, lcm degree first: the ordering alone blows
-up under lex.
+stays off in skew modes.  The chain criterion, one ``_chain_kills`` for
+both loops, is applied everywhere, but only when both sub-pairs have
+strictly smaller lcm, which keeps it sound without treated-pair
+bookkeeping.  ``_complete`` takes pairs stratum by stratum and, within a
+stratum, lcm degree first: the ordering alone blows up under lex.
 """
 
 from __future__ import annotations
@@ -454,8 +455,7 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
                     yield a, b, sh, stratum, l
 
 
-def _chain_kills(entries: list[_Entry], a: int, b: int, sh: int,
-                 l: Monomial, cfg: GBConfig, shifts) -> bool:
+def _chain_kills(entries, a, b, sh, l, cfg: GBConfig, shifts) -> bool:
     """Chain criterion (Gebauer–Möller) of both loops for the pair (a, b,
     sh) with lcm l: the image under sigma**u of some entry's lm, for u in
     ``shifts(entry)``, divides l, and its lcms with both sides lie below l."""
@@ -527,8 +527,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
             stats.product_skipped += 1
             note(a, b, sh, stratum, "skip:product")
             continue
-        # No entry image may sit above the stratum: the s-degree of the
-        # pair in skew mode, the weight of its lcm in sigma mode.
+        # No image may sit above the stratum (s-degree, or weight of l).
         if chain_on and _chain_kills(
             entries, a, b, sh, l, cfg,
             lambda ent: range(stratum - (ent.sdeg if skew_mode else ent.lmw)
@@ -974,11 +973,8 @@ def expand_window_sigma(H, cfg: GBConfig):
     for h in H:
         if h.is_zero():
             continue
-        w = h.weight()
-        if w is None:  # constant: shift-invariant
-            out.append(h)
-            continue
-        for i in range(cfg.degree_bound - w + 1):
+        w = h.weight()  # None for a constant, which every shift fixes
+        for i in range(1 if w is None else cfg.degree_bound - w + 1):
             out.append(cfg.sigma.poly(h, i))
     return out
 

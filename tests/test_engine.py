@@ -293,6 +293,17 @@ def test_sigma_oracle_gap_without_weight_grading():
     assert certify(res.basis, cfg)[0]
 
 
+def test_sigma_oracle_compares_in_window_images_only():
+    # Under deglex the lm x(0)^2 of x(0)^2 + x(1) has weight 0 while the
+    # element has weight 1, so its shift by d leaves the weight-d window.
+    # Neither side of the comparison holds that image, and they agree.
+    g = parse_poly("x(0)^2 + x(1)", ordering=DEGLEX)
+    for d in (2, 3):
+        cfg = GBConfig(mode="sigma", degree_bound=d, ordering=DEGLEX)
+        res = sigma_gbasis([g], cfg)
+        assert lm_window_match(res, oracle_gbasis_truncated([g], cfg), cfg)
+
+
 def test_skew_route_reaches_the_same_ideal():
     h = parse_skew("(x(2)*x(0) - x(1))*s^2")
     cfg = GBConfig(mode="skew", degree_bound=6)
