@@ -968,14 +968,15 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
 
 
 def expand_window_sigma(H, cfg: GBConfig):
-    """All shift images of H whose polynomial weight stays within d."""
+    """All shift images of H whose polynomial weight stays within d, as
+    elements of S on level 0."""
     out = []
     for h in H:
         if h.is_zero():
             continue
         w = h.weight()  # None for a constant, which every shift fixes
         for i in range(1 if w is None else cfg.degree_bound - w + 1):
-            out.append(cfg.sigma.poly(h, i))
+            out.append(SkewElement.of_poly(cfg.sigma.poly(h, i)))
     return out
 
 
@@ -998,7 +999,7 @@ def _window_images(H, cfg: GBConfig) -> list[SkewElement]:
     """The in-window images of H in S (on level 0 in sigma mode): the
     oracle's generators, and the main basis's side of the comparison."""
     if cfg.mode == "sigma":
-        return [SkewElement.of_poly(p) for p in expand_window_sigma(H, cfg)]
+        return expand_window_sigma(H, cfg)
     if cfg.mode == "skew":
         return expand_window_skew(H, cfg)
     raise ValueError("the oracle window supports sigma and skew modes")
@@ -1033,7 +1034,7 @@ def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
 def _mutually_divisible_leveled(A: set, B: set) -> bool:
     """Each monomial of S in A is divided by one of B on its level, and
     the other way round; sigma-mode monomials all sit on level 0."""
-    def covered(X, Y):
-        return all(any(x.sdeg == y.sdeg and mono_divides(x.mono, y.mono)
-                       for x in X) for y in Y)
-    return covered(B, A) and covered(A, B)
+    return all(
+        any(x.sdeg == y.sdeg and mono_divides(x.mono, y.mono) for x in X)
+        for X, Y in ((B, A), (A, B)) for y in Y
+    )
