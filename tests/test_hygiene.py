@@ -94,14 +94,10 @@ def dead_helpers(sources: dict) -> list[str]:
     """Private module-level names of the given modules (file name ->
     source) that no module reads."""
     read = set().union(*(names_read(src) for src in sources.values()))
-    return [f"{name}: {name_} (line {line})"
-            for name, src in sorted(sources.items())
-            for name_, line in sorted(private_definitions(src).items())
-            if name_ not in read]
-
-
-def package_sources() -> dict:
-    return {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    return [f"{fname}: {name} (line {line})"
+            for fname, src in sorted(sources.items())
+            for name, line in sorted(private_definitions(src).items())
+            if name not in read]
 
 
 def test_dead_helpers_helper():
@@ -116,7 +112,8 @@ def test_dead_helpers_helper():
 
 
 def test_no_package_module_defines_an_unread_private_name():
-    sources = package_sources()
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
     assert len(sources) > 5
     assert not (dead := dead_helpers(sources)), f"dead helpers: {dead}"
     # A helper left behind by a deletion is caught.
