@@ -12,7 +12,7 @@ Three computations run on two completion loops, and an oracle checks them:
   Buchberger run on the fully expanded, finite window of shifted generators.
   It shares only the arithmetic layer with the main algorithms and exists to
   cross-check their leading-monomial ideals inside the window;
-  ``lm_window_match`` expands the main basis into the same window images.
+  ``lm_window_match`` maps the main basis's lms through the same rule.
 
 Critical pairs carry a shift decoration: the pair (a, b, k) stands for
 spoly(a, sigma**k . b) with the appropriate s-power bookkeeping in skew
@@ -252,7 +252,7 @@ def _split(g, cfg: GBConfig):
     if cfg.mode != "skew":
         return g.monic(), 0
     if not g.is_s_homogeneous():
-        raise ValueError("two-sided mode needs s-homogeneous generators")
+        raise ValueError("two-sided mode needs s-homogeneous elements")
     sdeg, poly = g.parts[0]
     return poly.monic(), sdeg
 
@@ -601,6 +601,8 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     if cfg.mode != "skew":
         raise ValueError("config mode must be 'skew'")
     cfg.check_sigma()
+    if not all(h.is_s_homogeneous() for h in H if h):
+        raise ValueError("two-sided mode needs s-homogeneous generators")
     seeds, _ = _prepare_seeds((_split(h, cfg) for h in H if h), cfg)
     entries, stats, trace = _complete(seeds, cfg, pair_filter)
     basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
@@ -967,49 +969,46 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     return G
 
 
+def _window_slots(w, cfg: GBConfig):
+    """The window rule: each shift i, with the levels of S its sigma**i
+    image sits on, for what has weight (sigma mode) or s-degree (skew mode)
+    w.  A constant (w None) has its one image."""
+    d = cfg.degree_bound
+    if cfg.mode == "sigma":
+        return [(i, (0,)) for i in range(1 if w is None else d - w + 1)]
+    if cfg.mode == "skew":
+        return [(i, range(w + i, d + 1)) for i in range(d - w + 1)]
+    raise ValueError("lm window comparison supports sigma and skew modes")
+
+
 def expand_window_sigma(H, cfg: GBConfig):
     """All shift images of H whose polynomial weight stays within d, as
     elements of S on level 0."""
-    out = []
-    for h in H:
-        if h.is_zero():
-            continue
-        w = h.weight()  # None for a constant, which every shift fixes
-        for i in range(1 if w is None else cfg.degree_bound - w + 1):
-            out.append(SkewElement.of_poly(cfg.sigma.poly(h, i)))
-    return out
+    return [
+        SkewElement.of_poly(cfg.sigma.poly(h, i))
+        for h in H if h for i, _ in _window_slots(h.weight(), cfg)
+    ]
 
 
 def expand_window_skew(H, cfg: GBConfig):
     """All s**i . h . s**j images of the s-homogeneous H with total
     s-degree within d."""
     out = []
-    for h in H:
-        if h.is_zero():
-            continue
-        poly, sdeg = _split(h, cfg)
-        for i in range(cfg.degree_bound - sdeg + 1):
+    for poly, sdeg in (_split(h, cfg) for h in H if h):
+        for i, levels in _window_slots(sdeg, cfg):
             img = cfg.sigma.poly(poly, i)
-            for lvl in range(sdeg + i, cfg.degree_bound + 1):
-                out.append(SkewElement.of_poly(img, lvl))
+            out.extend(SkewElement.of_poly(img, lvl) for lvl in levels)
     return out
-
-
-def _window_images(H, cfg: GBConfig) -> list[SkewElement]:
-    """The in-window images of H in S (on level 0 in sigma mode): the
-    oracle's generators, and the main basis's side of the comparison."""
-    if cfg.mode == "sigma":
-        return expand_window_sigma(H, cfg)
-    if cfg.mode == "skew":
-        return expand_window_skew(H, cfg)
-    raise ValueError("the oracle window supports sigma and skew modes")
 
 
 def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
     """Independent cross-check: expand the shifted generators inside the
     window and run a bare commutative (module) Buchberger over them."""
     cfg.check_sigma()
-    G = _oracle_buchberger(_window_images(H, cfg), degree_cap)  # monic
+    if cfg.mode not in ("sigma", "skew"):
+        raise ValueError("oracle supports sigma and skew modes")
+    expand = expand_window_sigma if cfg.mode == "sigma" else expand_window_skew
+    G = _oracle_buchberger(expand(H, cfg), degree_cap)  # nonzero and monic
     if cfg.mode == "sigma":
         G = [g.parts[0][1] for g in G]
     return GBResult(G, cfg.mode, cfg.degree_bound, PairStats(), None)
@@ -1018,17 +1017,21 @@ def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
 def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
     """Window-restricted equality of leading-monomial ideals.
 
-    The main basis is expanded into the same window images the oracle
-    starts from; the oracle basis is already a module basis over the window
-    ring.  The two generate the same truncated lm-ideal iff each side's
-    generators are divisible by the other's.
+    Each lm of the main basis is mapped through the window rule that expands
+    the oracle's generators, from its s-degree or, in sigma mode, its top
+    place.  The two sides generate the same truncated lm-ideal iff each
+    side's generators are divisible by the other's.
     """
-    A = {g.lm() for g in _window_images(main.basis, cfg)}
-    if cfg.mode == "sigma":
-        B = {SkewMonomial(b.lm(), 0) for b in oracle.basis if b}
-    else:
-        B = {b.lm() for b in oracle.basis if b}
-    return _mutually_divisible_leveled(A, B)
+    def lm(g):
+        return SkewMonomial(g.lm(), 0) if cfg.mode == "sigma" else g.lm()
+
+    A = set()
+    for v in (lm(g) for g in main.basis if g):
+        w = top_place(v.mono) if cfg.mode == "sigma" else v.sdeg
+        for i, levels in _window_slots(w, cfg):
+            m = cfg.sigma.mono(v.mono, i)
+            A.update(SkewMonomial(m, lvl) for lvl in levels)
+    return _mutually_divisible_leveled(A, {lm(b) for b in oracle.basis if b})
 
 
 def _mutually_divisible_leveled(A: set, B: set) -> bool:

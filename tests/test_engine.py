@@ -293,15 +293,26 @@ def test_sigma_oracle_gap_without_weight_grading():
     assert certify(res.basis, cfg)[0]
 
 
-def test_sigma_oracle_compares_in_window_images_only():
-    # Under deglex the lm x(0)^2 of x(0)^2 + x(1) has weight 0 while the
-    # element has weight 1, so its shift by d leaves the weight-d window.
-    # Neither side of the comparison holds that image, and they agree.
+def test_sigma_oracle_maps_basis_lms_from_their_top_place():
+    # Under deglex an element's lm can sit inside the weight window while
+    # the element does not: x(0)^2 + x(3) at d = 2.  The comparison maps the
+    # lm itself through the window, so such an element is never dropped.
+    cfg = GBConfig(mode="sigma", degree_bound=2, ordering=DEGLEX)
+    g = parse_poly("x(1) - x(0)", ordering=DEGLEX)
+    res = sigma_gbasis([g], cfg)
+    orc = oracle_gbasis_truncated([g], cfg)
+    assert lm_window_match(res, orc, cfg)
+    spurious = parse_poly("x(0)^2 + x(3)", ordering=DEGLEX)
+    assert not lm_window_match(replace(res, basis=res.basis + [spurious]),
+                               orc, cfg)
+    # The same rule counts x(2)^2, the lm of sigma^2 of x(0)^2 + x(1), on
+    # the main side only, so that problem reads "differ" at d = 2 and 3.
     g = parse_poly("x(0)^2 + x(1)", ordering=DEGLEX)
     for d in (2, 3):
         cfg = GBConfig(mode="sigma", degree_bound=d, ordering=DEGLEX)
         res = sigma_gbasis([g], cfg)
-        assert lm_window_match(res, oracle_gbasis_truncated([g], cfg), cfg)
+        assert not lm_window_match(res, oracle_gbasis_truncated([g], cfg),
+                                   cfg)
 
 
 def test_skew_route_reaches_the_same_ideal():
