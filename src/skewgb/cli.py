@@ -236,8 +236,6 @@ def _certify(pf: ProblemFile, cfg: engine.GBConfig, basis):
 def _oracle_check(pf: ProblemFile, cfg: engine.GBConfig, gens, basis) -> bool:
     if pf.mode in ("free", "free2"):
         return letterplace.free_oracle_match(basis, gens, cfg)
-    if pf.mode == "left":
-        raise UsageError("--oracle is not available in left mode")
     oracle = engine.oracle_gbasis_truncated(gens, cfg)
     main = engine.GBResult(
         basis, cfg.mode, cfg.degree_bound, engine.PairStats(), None
@@ -274,13 +272,15 @@ def main(argv=None) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     try:
         pf = parse_problem(text)
         cfg = _config(pf, args.trace)
+        if args.oracle and pf.mode == "left":
+            raise UsageError("--oracle is not available in left mode")
         gens = _parse_generators(pf, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -320,12 +320,7 @@ def main(argv=None) -> int:
             print("# certification failed")
             status = 3
     if args.oracle:
-        try:
-            match = _oracle_check(pf, cfg, gens, basis)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if match:
+        if _oracle_check(pf, cfg, gens, basis):
             print("oracle lm-ideals match")
         else:
             print("oracle lm-ideals differ")

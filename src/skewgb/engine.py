@@ -23,10 +23,11 @@ Truncation is mandatory; the undecorated enumerations do not terminate.
 The weight window of sigma mode and the s-degree window of skew mode are one
 rule (the letterplace correspondence maps weight onto s-degree), so a single
 enumerator, ``_window_pairs``, feeds both the completion and ``certify``;
-left mode has its own, ``_left_pairs``.  Each mode family has one reducer
-search, which normal forms, interreduction and the completion all go
-through.  Both families keep their basis in ``_Entry`` records, which cache
-the sigma-images of leading monomials both reductions act through.
+left mode has its own, ``_left_pairs``.  Every mode reduces through one
+front end, ``_search``, which pairs the reducer search of the mode family
+(closure sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
+``_nf_terms``.  Both families keep their basis in ``_Entry`` records, which
+cache the images of leading monomials the searches act through.
 
 Criteria: the product criterion is applied only in ideal modes (difference
 ideals and the letterplace image of free ideals) where coprime leading
@@ -281,13 +282,6 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
     is_shift = isinstance(sigma, ShiftEndo)
 
     def find(m: Monomial, level: int):
-        if not m:
-            # A constant is divisible only by a constant leading monomial,
-            # and every shift fixes that; first such entry wins.
-            for ent in entries:
-                if not ent.lm and (not level_capped or ent.sdeg <= level):
-                    return MONO_ONE, ent.poly.terms[1:], 0, ent
-            return None
         md = dict(m)
         if is_shift:
             by_letter: dict[int, list] = {}
@@ -484,7 +478,6 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     sigma = cfg.sigma
     ordering = cfg.ordering
     okey = ordering.key
-    hkey = ordering.heap_key
     product_on = cfg.product_enabled()
     chain_on = cfg.chain_criterion
 
@@ -493,7 +486,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     trace = [] if cfg.trace else None
     heap: list = []
     seq = 0
-    find = _make_finder(entries, cfg)
+    _, reduce = _search(entries, cfg)
 
     def note(a, b, sh, stratum, outcome):
         if trace is not None:
@@ -538,7 +531,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
             continue
         s = spoly_poly(ea.poly, eb.shifted(sigma, sh))
         level = stratum if skew_mode else 0
-        nf = _nf_terms(s.terms, level, find, hkey)
+        nf = reduce(s.terms, level)
         if not nf:
             stats.reduced_to_zero += 1
             note(a, b, sh, stratum, "-> 0")
@@ -574,6 +567,14 @@ def _prepare_seeds(polys_with_sdeg, cfg: GBConfig):
     return seeds, None
 
 
+def _result(basis, cfg: GBConfig, stats: PairStats, trace) -> GBResult:
+    """The solvers' result: the completed basis, interreduced unless the
+    config says otherwise."""
+    if cfg.interreduce:
+        basis = interreduce(basis, cfg)
+    return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
+
+
 def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     """d-truncated Gröbner basis of the difference ideal generated by H.
 
@@ -589,10 +590,7 @@ def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     if seeds is None:
         return GBResult([unit], cfg.mode, cfg.degree_bound, PairStats(), None)
     entries, stats, trace = _complete(seeds, cfg, pair_filter)
-    basis = [e.poly for e in entries]
-    if cfg.interreduce:
-        basis = interreduce(basis, cfg)
-    return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
+    return _result([e.poly for e in entries], cfg, stats, trace)
 
 
 def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
@@ -606,9 +604,7 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     seeds, _ = _prepare_seeds((_split(h, cfg) for h in H if h), cfg)
     entries, stats, trace = _complete(seeds, cfg, pair_filter)
     basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
-    if cfg.interreduce:
-        basis = interreduce(basis, cfg)
-    return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
+    return _result(basis, cfg, stats, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +619,6 @@ class _LeftEntry(_Entry):
     image of ``lm`` at s-degree ``sdeg + u``."""
 
     __slots__ = ()
-
-    def __init__(self, element: SkewElement, index: int):
-        super().__init__(element, element.sdeg(), index)
 
     def shifted(self, sigma: MonomialEndomorphism, u: int) -> SkewElement:
         g = self._shifted.get(u)
@@ -664,15 +657,6 @@ def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
     return find
 
 
-def _nf_left(element: SkewElement, find):
-    """Full left-module normal form against a ``_left_finder`` search,
-    taking the terms of S s-degree first and by the base ordering on ties."""
-    ordering = element.ordering
-    nf = _nf_terms(element.terms, None, find, ordering.heap_key,
-                   lambda q, t: SkewMonomial(mono_mul(q, t[0]), t[1]))
-    return SkewElement(nf, ordering, _sorted=True)
-
-
 def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
     """The in-window left critical pairs of entry t against entries 0..t-1.
 
@@ -699,7 +683,7 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
     okey = cfg.ordering.key
     sigma = cfg.sigma
     entries: list[_LeftEntry] = []
-    find = _left_finder(entries, cfg)
+    _, reduce = _search(entries, cfg)
     stats = PairStats()
     trace = [] if cfg.trace else None
     heap: list = []
@@ -717,7 +701,7 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
             seq += 1
 
     def add_element(g: SkewElement):
-        ent = _LeftEntry(g, len(entries))
+        ent = _LeftEntry(g, g.sdeg(), len(entries))
         entries.append(ent)
         stats.added += 1
         push_pairs(ent.index)
@@ -738,32 +722,51 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
             continue
         ea, eb = entries[a], entries[b]
         s = spoly(ea.poly, eb.shifted(sigma, sh))
-        nf = _nf_left(s, find) if s else s
-        if nf.is_zero():
+        nf = reduce(s.terms, e)
+        if not nf:
             stats.reduced_to_zero += 1
             note(a, b, sh, e, "-> 0")
             continue
-        ent = add_element(nf.monic())
+        ent = add_element(SkewElement(nf, s.ordering, _sorted=True).monic())
         note(a, b, sh, e, f"-> g{ent.index + 1}")
 
-    basis = [ent.poly for ent in entries]
-    if cfg.interreduce:
-        basis = interreduce(basis, cfg)
-    return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
+    return _result([ent.poly for ent in entries], cfg, stats, trace)
 
 
 # ---------------------------------------------------------------------------
 # Normal form, interreduction, membership
 
 
-def _reducers(G, cfg: GBConfig):
+def _entries(G, cfg: GBConfig):
     """Entries for the nonzero elements of G, indexed by their position in
-    G, and the reducer search of the mode family over them."""
+    G: elements of S in left mode, (polynomial, s-degree) splits in
+    sigma/skew mode."""
     if cfg.mode == "left":
-        entries = [_LeftEntry(g.monic(), i) for i, g in enumerate(G) if g]
-        return entries, _left_finder(entries, cfg)
-    entries = [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
-    return entries, _make_finder(entries, cfg)
+        return [_LeftEntry(g.monic(), g.sdeg(), i) for i, g in enumerate(G) if g]
+    return [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
+
+
+def _search(entries, cfg: GBConfig):
+    """The reducer search of the mode family over ``entries``, and the
+    reduction through it; both see entries appended later.
+
+    Returns (find, reduce).  ``reduce(terms, level, record=None)`` gives
+    the ``_nf_terms`` normal form of (term, coefficient) pairs against the
+    family's closure: terms of P at one level in sigma/skew mode, terms of
+    S in left mode, whose search reads the level off each term.
+    """
+    if cfg.mode == "left":
+        find = _left_finder(entries, cfg)
+        hkey = SkewOrdering(cfg.ordering).heap_key
+        mul = lambda q, t: SkewMonomial(mono_mul(q, t[0]), t[1])
+    else:
+        find = _make_finder(entries, cfg)
+        hkey, mul = cfg.ordering.heap_key, mono_mul
+
+    def reduce(terms, level, record=None):
+        return _nf_terms(terms, level, find, hkey, mul, record)
+
+    return find, reduce
 
 
 def normal_form(f, G, cfg: GBConfig, record=None):
@@ -771,22 +774,20 @@ def normal_form(f, G, cfg: GBConfig, record=None):
 
     In sigma mode f and G are polynomials of P and the closure is all
     sigma-power images; in skew/left modes they are skew elements and the
-    closure carries the matching s-power decorations.
+    closure carries the matching s-power decorations.  When ``record`` is a
+    list, it receives the division steps (see ``_nf_terms``) in every mode.
     """
     cfg.check_sigma()
-    _, find = _reducers(G, cfg)
-    if cfg.mode == "left":
-        return _nf_left(f, find)
-    hkey = cfg.ordering.heap_key
+    _, reduce = _search(_entries(G, cfg), cfg)
+    if cfg.mode == "skew":
+        # two-sided: reduce each s-homogeneous layer at its own level
+        nf = [(SkewMonomial(m, level), c) for level, poly in f.parts
+              for m, c in reduce(poly.terms, level, record)]
+    else:
+        nf = reduce(f.terms, 0, record)
     if cfg.mode == "sigma":
-        nf = _nf_terms(f.terms, 0, find, hkey, record=record)
         return Polynomial(nf, cfg.ordering, _sorted=True)
-    # two-sided: reduce each s-homogeneous layer at its own level
-    terms = []
-    for level, poly in f.parts:
-        nf = _nf_terms(poly.terms, level, find, hkey, record=record)
-        terms.extend((SkewMonomial(m, level), c) for m, c in nf)
-    return SkewElement(terms, SkewOrdering(cfg.ordering), _sorted=True)
+    return SkewElement(nf, SkewOrdering(cfg.ordering), _sorted=True)
 
 
 def interreduce(basis, cfg: GBConfig):
@@ -798,41 +799,18 @@ def interreduce(basis, cfg: GBConfig):
     """
     cfg.check_sigma()
     okey = cfg.ordering.key
-
-    if cfg.mode == "left":
-        items = sorted(
-            (g.monic() for g in basis if g),
-            key=lambda g: (g.lm().sdeg, okey(g.lm().mono)),
-        )
-        kept: list = []
-        find = _left_finder(kept, cfg)
-        for g in items:
-            if find(g.lm(), None) is None:
-                kept.append(_LeftEntry(g, len(kept)))
-        out = []
-        for ent in kept:
-            lt = ent.poly.lt()
-            out.append(lt + _nf_left(ent.poly - lt, find))
-        return out
-
-    items = sorted(
-        (_split(g, cfg) for g in basis if g),
-        key=lambda t: (t[1], okey(t[0].lm())),
-    )
-    kept = []
-    find = _make_finder(kept, cfg)
-    for poly, sdeg in items:
-        if find(poly.lm(), sdeg) is None:
-            kept.append(_Entry(poly, sdeg, len(kept)))
-    hkey = cfg.ordering.heap_key
+    kept: list = []
+    find, reduce = _search(kept, cfg)
+    for ent in sorted(_entries(basis, cfg), key=lambda e: (e.sdeg, okey(e.lm))):
+        if find(ent.poly.lm(), ent.sdeg) is None:
+            ent.index = len(kept)
+            kept.append(ent)
     out = []
     for ent in kept:
-        tail = _nf_terms(ent.poly.terms[1:], ent.sdeg, find, hkey)
-        poly = Polynomial(ent.poly.terms[:1] + tuple(tail), cfg.ordering,
-                          _sorted=True)
-        if cfg.mode == "skew":
-            poly = SkewElement.of_poly(poly, ent.sdeg)
-        out.append(poly)
+        g = ent.poly
+        tail = reduce(g.terms[1:], ent.sdeg)
+        g = type(g)(g.terms[:1] + tuple(tail), g.ordering, _sorted=True)
+        out.append(SkewElement.of_poly(g, ent.sdeg) if cfg.mode == "skew" else g)
     return out
 
 
@@ -870,26 +848,19 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     cfg.check_sigma()
     sigma = cfg.sigma
     failures: list[str] = []
-    entries, find = _reducers(basis, cfg)
-    if cfg.mode == "left":
-        for t in range(len(entries)):
-            for a, b, sh, _, _ in _left_pairs(entries, t, cfg):
-                s = spoly(entries[a].poly, entries[b].shifted(sigma, sh))
-                if s and _nf_left(s, find):
-                    failures.append(f"pair (g{a + 1}, s^{sh}.g{b + 1}) "
-                                    f"does not reduce to zero")
-        return not failures, failures
-
-    hkey = cfg.ordering.heap_key
+    entries = _entries(basis, cfg)
+    _, reduce = _search(entries, cfg)
+    if cfg.mode in ("sigma", "skew"):
+        pairs = lambda t: _window_pairs(entries, t, cfg, pair_filter)
+        sp, shift = spoly_poly, "sigma"
+    else:
+        pairs, sp, shift = (lambda t: _left_pairs(entries, t, cfg)), spoly, "s"
     for t in range(len(entries)):
-        pairs = _window_pairs(entries, t, cfg, pair_filter)
-        for a, b, sh, stratum, _ in pairs:
-            s = spoly_poly(entries[a].poly, entries[b].shifted(sigma, sh))
-            if _nf_terms(s.terms, stratum, find, hkey):
-                failures.append(
-                    f"pair (g{a + 1}, sigma^{sh}.g{b + 1}) does not "
-                    f"reduce to zero"
-                )
+        for a, b, sh, level, _ in pairs(t):
+            s = sp(entries[a].poly, entries[b].shifted(sigma, sh))
+            if reduce(s.terms, level):
+                failures.append(f"pair (g{a + 1}, {shift}^{sh}.g{b + 1}) "
+                                f"does not reduce to zero")
     return not failures, failures
 
 

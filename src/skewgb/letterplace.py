@@ -204,16 +204,12 @@ def xi(f: Polynomial) -> SkewElement:
 
 def in_V(f: Polynomial) -> bool:
     """True iff every monomial has multidegree 1^d for its degree d."""
-    return all(word_of_mono(m) is not None for m, _ in f.terms)
+    return all(_v_filter(m, 0) for m, _ in f.terms)
 
 
 def in_R(a: SkewElement) -> bool:
     """True iff every s-degree-i component is multi-homogeneous of type 1^i."""
-    for (m, i), _ in a.terms:
-        w = word_of_mono(m)
-        if w is None or len(w) != i:
-            return False
-    return True
+    return all(_r_filter(m, i) for (m, i), _ in a.terms)
 
 
 # ---------------------------------------------------------------------------

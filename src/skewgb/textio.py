@@ -152,9 +152,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j
@@ -194,7 +194,11 @@ class _Parser:
         return tok
 
     def parse(self):
-        v = self.expr()
+        try:
+            v = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deep",
+                             self.toks[self.pos][2]) from None
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -241,7 +245,10 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.take()
                 den = self.take("num")
-                return self.alg.const(num, int(den[1]))
+                try:
+                    return self.alg.const(num, int(den[1]))
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator", den[2]) from None
             return self.alg.const(num)
         if tok[0] == "name":
             self.take()

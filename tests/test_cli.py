@@ -299,6 +299,7 @@ def test_left_mode_refuses_oracle(tmp_path):
     assert ok.stdout == "x(1)*s - x(0)\n"
     p = run_cli(path, "--oracle")
     assert p.returncode == 1
+    assert p.stdout == ""
     assert "not available in left mode" in p.stderr
 
 
@@ -330,10 +331,18 @@ def test_usage_errors(tmp_path):
          "unknown criteria"),
         ("mode: sigma\ndegree_bound: 4\ntrace: maybe\n\nx(0)\n",
          "must be true or false"),
+        # Each of these crashed with a traceback once.
+        ("mode: sigma\ndegree_bound: 4\n\n3/0*x(0)\n", "bad generator"),
+        ("mode: sigma\ndegree_bound: 4\nfield: 7\n\n1/7*x(0)\n",
+         "bad generator"),
+        ("mode: sigma\ndegree_bound: 4\n\nx(0)^\u00b2\n", "bad generator"),
+        ("mode: sigma\ndegree_bound: 4\n\nx(\u00b2)\n", "bad generator"),
+        ("mode: sigma\ndegree_bound: 4\n\n" + "(" * 300 + "x(0)" + ")" * 300
+         + "\n", "bad generator"),
     ]
     for i, (text, fragment) in enumerate(cases):
         path = tmp_path / f"bad{i}.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         p = run_cli(path)
         assert p.returncode == 1, text
         assert fragment in p.stderr, text
@@ -343,6 +352,15 @@ def test_missing_file():
     p = run_cli("/no/such/file.txt")
     assert p.returncode == 1
     assert "error:" in p.stderr
+
+
+def test_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"mode: sigma\ndegree_bound: 4\n\nx(0) # \xe9\n")
+    p = run_cli(path)
+    assert p.returncode == 1
+    assert p.stderr.startswith("error:")
+    assert "Traceback" not in p.stderr
 
 
 def test_criteria_toggle_preserves_basis(tmp_path):

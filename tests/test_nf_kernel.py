@@ -12,8 +12,8 @@ spread over several s-degrees (one shift per entry and term).
 The kernel reduces rationals fraction-free, over one running denominator,
 and Z/p elements as they are; the reference works on the coefficients
 directly.  So the sigma and left differentials also run with large,
-distinct denominators and over Z/p, and the sigma one checks that the
-record rebuilds f - nf.
+distinct denominators and over Z/p, and both check that the record
+rebuilds f - nf.
 """
 
 import random
@@ -377,10 +377,20 @@ def random_left_case(rng, ordering):
     return f, G
 
 
+def rebuilt_left(record, G, ordering):
+    """The combination sum(c * q * s**u * monic G[i]) that ``record`` says
+    a left reduction subtracted."""
+    acc = SkewElement.zero(ordering)
+    for c, q, u, i in record:
+        acc = acc + shift_left(u, G[i].monic(), SHIFT).mul_mono(q).scale(c)
+    return acc
+
+
 def check_left_kernel(seed, lift):
     """300 seeded left normal forms against the reference, with every
-    coefficient of the case passed through lift(rng, c) afterwards.
-    Returns (steps, inhomogeneous targets)."""
+    coefficient of the case passed through lift(rng, c) afterwards: the
+    remainder, the number of recorded steps and the record's rebuild of
+    f - nf.  Returns (steps, inhomogeneous targets)."""
     rng = random.Random(seed)
     steps = inhomogeneous = 0
     for n in range(300):
@@ -389,7 +399,11 @@ def check_left_kernel(seed, lift):
         f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
         cfg = GBConfig(mode="left", degree_bound=4, ordering=ordering)
         want, k = reference_left_nf(f, G, ordering)
-        assert normal_form(f, G, cfg) == want
+        record = []
+        nf = normal_form(f, G, cfg, record=record)
+        assert nf == want
+        assert len(record) == k
+        assert nf + rebuilt_left(record, G, ordering) == f
         steps += k
         inhomogeneous += not f.is_s_homogeneous()
     return steps, inhomogeneous
