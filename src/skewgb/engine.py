@@ -26,8 +26,9 @@ enumerator, ``_window_pairs``, feeds both the completion and ``certify``;
 left mode has its own, ``_left_pairs``.  Every mode reduces through one
 front end, ``_search``, which pairs the reducer search of the mode family
 (closure sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
-``_nf_terms``.  Both families keep their basis in ``_Entry`` records, which
-cache the images of leading monomials the searches act through.
+``_nf_terms`` and answers each (monomial, level) query once per basis
+state.  Both families keep their basis in ``_Entry`` records, which cache
+the images of leading monomials the searches act through.
 
 Criteria: the product criterion is applied only in ideal modes (difference
 ideals and the letterplace image of free ideals) where coprime leading
@@ -261,13 +262,13 @@ def _split(g, cfg: GBConfig):
 def _make_finder(entries: list[_Entry], cfg: GBConfig):
     """Reducer search over the lazily shifted basis closure.
 
-    Returns find(m, level) -> (cofactor, reducer tail, shift, entry) or
-    None, for the _nf_terms kernel.  Among all entries and shifts whose
-    image divides m it picks the smallest (okey(shifted lm), entry index,
-    shift).  Shifting strictly raises a monomial under lex and deglex, so
-    the smallest dividing shift of an entry gives that entry's smallest
-    image, and the search may stop at it.  In skew mode the shift may not
-    push the reducer past the working s-degree.
+    Returns search(m, level) -> (entry, shift, shifted lm) or None, for
+    ``_search``.  Among all entries and shifts whose image divides m it
+    picks the smallest (okey(shifted lm), entry index, shift).  Shifting
+    strictly raises a monomial under lex and deglex, so the smallest
+    dividing shift of an entry gives that entry's smallest image, and the
+    search may stop at it.  In skew mode the shift may not push the
+    reducer past the working s-degree.
 
     For the place shift only the shifts u that carry the top variable of an
     entry's lm onto a variable of m with the same letter can divide, so each
@@ -281,7 +282,7 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
     level_capped = cfg.mode == "skew"
     is_shift = isinstance(sigma, ShiftEndo)
 
-    def find(m: Monomial, level: int):
+    def search(m: Monomial, level: int):
         md = dict(m)
         if is_shift:
             by_letter: dict[int, list] = {}
@@ -328,23 +329,21 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
                     if best_sel is None or sel < best_sel:
                         best_sel, best = sel, (ent, u, img)
                     break
-        if best is None:
-            return None
-        ent, u, img = best
-        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent
+        return best
 
-    return find
+    return search
 
 
-def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
+def _nf_terms(terms, level, find, hkey, record=None):
     """Full normal form of (term, coefficient) pairs against a finder.
 
     Returns the irreducible terms in descending order.  ``find(term,
-    level)`` gives None for an irreducible term, else (cofactor, tail,
-    shift, entry), where the entry's tail terms (shifted), times the
-    cofactor under ``mul``, are what the step subtracts.  When ``record``
-    is a list, every reduction step appends (coeff, cofactor, shift, entry
-    index), reconstructing the subtracted combination exactly.
+    level)`` gives None for an irreducible term, else (cofactor, products,
+    shift, entry): ``products`` are the entry's shifted tail monomials times
+    the cofactor, paired in order with the tail numerators ``ent.nums``.
+    When ``record`` is a list, every reduction step appends (coeff,
+    cofactor, shift, entry index), reconstructing the subtracted
+    combination exactly.
 
     Rationals are reduced fraction-free.  The working coefficients are int
     numerators over one running denominator M, so a term's value is c / M.
@@ -382,7 +381,7 @@ def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
         if hit is None:
             out.append((t, Fraction(c, M) if rational else c))
             continue
-        q, tail, u, ent = hit
+        q, products, u, ent = hit
         if record is not None:
             record.append((Fraction(c, M) if rational else c, q, u, ent.index))
         a = ent.den
@@ -400,8 +399,7 @@ def _nf_terms(terms, level, find, hkey, mul=mono_mul, record=None):
                 M = M // k * a
                 c //= k
                 work = {tt: cc // k * a for tt, cc in work.items()}
-        for (tt, _), b in zip(tail, ent.nums):
-            t2 = mul(q, tt)
+        for t2, b in zip(products, ent.nums):
             prev = work.get(t2)
             if prev is None:
                 work[t2] = -c * b
@@ -629,14 +627,14 @@ class _LeftEntry(_Entry):
 
 
 def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
-    """Left reducer search: find(monomial of S, level) returns the s-power
-    multiple of an entry whose lm divides the term, as (cofactor, tail,
-    shift, entry) for the _nf_terms kernel, or None.  The entry with
-    the smallest (okey(shifted lm), index) wins."""
+    """Left reducer search: search(monomial of S, level) returns the s-power
+    multiple of an entry whose lm divides the term, as (entry, shift,
+    shifted lm) for ``_search``, or None.  The entry with the smallest
+    (okey(shifted lm), index) wins."""
     sigma = cfg.sigma
     okey = cfg.ordering.key
 
-    def find(t, level):
+    def search(t, level):
         m, e = t
         best_sel = None
         best = None
@@ -649,12 +647,9 @@ def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
                 sel = (okey(img), ent.index)
                 if best_sel is None or sel < best_sel:
                     best_sel, best = sel, (ent, u, img)
-        if best is None:
-            return None
-        ent, u, img = best
-        return mono_div(m, img), ent.shifted(sigma, u).terms[1:], u, ent
+        return best
 
-    return find
+    return search
 
 
 def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
@@ -750,21 +745,45 @@ def _search(entries, cfg: GBConfig):
     """The reducer search of the mode family over ``entries``, and the
     reduction through it; both see entries appended later.
 
-    Returns (find, reduce).  ``reduce(terms, level, record=None)`` gives
-    the ``_nf_terms`` normal form of (term, coefficient) pairs against the
-    family's closure: terms of P at one level in sigma/skew mode, terms of
-    S in left mode, whose search reads the level off each term.
+    Returns (find, reduce).  ``find(m, level)`` gives the ``_nf_terms``
+    hit, (cofactor, products, shift, entry), or None.  The search is a pure
+    function of (m, level) and the entries, which only grow by append, so
+    a memo keyed by (m, level) keeps each answer with its products and is
+    cleared whenever the number of entries has changed since it was
+    filled.  ``reduce(terms, level, record=None)`` gives the ``_nf_terms``
+    normal form of (term, coefficient) pairs against the family's closure:
+    terms of P at one level in sigma/skew mode, terms of S in left mode,
+    whose search reads the level off each term.
     """
-    if cfg.mode == "left":
-        find = _left_finder(entries, cfg)
+    left = cfg.mode == "left"
+    if left:
+        search = _left_finder(entries, cfg)
         hkey = SkewOrdering(cfg.ordering).heap_key
         mul = lambda q, t: SkewMonomial(mono_mul(q, t[0]), t[1])
     else:
-        find = _make_finder(entries, cfg)
+        search = _make_finder(entries, cfg)
         hkey, mul = cfg.ordering.heap_key, mono_mul
+    memo = {}
+    filled = 0
+
+    def find(m, level):
+        nonlocal filled
+        if len(entries) != filled:
+            memo.clear()
+            filled = len(entries)
+        hit = memo.get((m, level), memo)  # the memo marks a new query
+        if hit is memo:
+            hit = search(m, level)
+            if hit is not None:
+                ent, u, img = hit
+                q = mono_div(m.mono if left else m, img)
+                tail = ent.shifted(cfg.sigma, u).terms[1:]
+                hit = q, tuple([mul(q, t) for t, _ in tail]), u, ent
+            memo[m, level] = hit
+        return hit
 
     def reduce(terms, level, record=None):
-        return _nf_terms(terms, level, find, hkey, mul, record)
+        return _nf_terms(terms, level, find, hkey, record)
 
     return find, reduce
 

@@ -227,15 +227,16 @@ class _Parser:
 
     def factor(self):
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.take("num")
-            e = int(tok[1])
-            acc = self.alg.one()
-            for _ in range(e):
+        if self.peek()[0] != "^":
+            return base
+        self.take()
+        # Square and multiply from the top bit; powers of base commute.
+        acc = self.alg.one()
+        for bit in bin(int(self.take("num")[1]))[2:]:
+            acc = self.alg.mul(acc, acc)
+            if bit == "1":
                 acc = self.alg.mul(acc, base)
-            return acc
-        return base
+        return acc
 
     def atom(self):
         tok = self.peek()

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from randgen import random_coeff, random_mono, random_poly
 from skewgb.endo import ShiftEndo
-from skewgb.engine import GBConfig, normal_form
+from skewgb.engine import GBConfig, _Entry, _LeftEntry, _search, normal_form
 from skewgb.field import GF, ModInt
-from skewgb.skew import SkewElement, shift_left
+from skewgb.skew import SkewElement, SkewMonomial, shift_left
 from skewgb.poly import (
     DEGLEX,
     LEX,
@@ -418,3 +418,39 @@ def test_left_kernel_with_large_denominators_and_over_prime_field():
     for seed, lift in ((20245, large_denominators), (20246, mod_7)):
         steps, inhomogeneous = check_left_kernel(seed, lift)
         assert steps > 500 and inhomogeneous > 50
+
+
+# ---------------------------------------------------------------------------
+# The reducer memo of the reduction front end
+
+
+def memo_cases(mode, entry, term):
+    """The two ways a stale memo could answer wrongly, in one mode: a miss
+    that an appended entry turns into a hit, and a hit that an appended
+    entry with a smaller image supersedes.  ``entry(text, index)`` builds
+    the mode's basis entry and ``term(m)`` its term for the monomial m of P
+    at s-degree 0."""
+    def lm(text):
+        return parse_poly(text).lm()
+
+    entries = []
+    find, _ = _search(entries, GBConfig(mode=mode, degree_bound=3))
+    query = term(lm("x(2)*x(0)"))
+    assert find(query, 0) is None
+    entries.append(entry("x(2) - x(1)", 0))
+    assert find(query, 0) == (
+        lm("x(0)"), (term(lm("x(1)*x(0)")),), 0, entries[0])
+    # x(0) < x(2) under lex, so the new entry reduces the query from now on.
+    entries.append(entry("x(0) + 1", 1))
+    assert find(query, 0) == (lm("x(2)"), (term(lm("x(2)")),), 0, entries[1])
+
+
+def test_memo_sees_appended_entries_in_sigma_mode():
+    memo_cases("sigma", lambda text, i: _Entry(parse_poly(text), 0, i),
+               lambda m: m)
+
+
+def test_memo_sees_appended_entries_in_left_mode():
+    memo_cases("left", lambda text, i: _LeftEntry(
+        SkewElement.of_poly(parse_poly(text)), 0, i),
+        lambda m: SkewMonomial(m, 0))

@@ -1,11 +1,13 @@
 """Tests for parsing and printing polynomials, skew elements, free terms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from randgen import skew_of_parts
+from skewgb import textio
 from skewgb.field import GF, QQ
 from skewgb.poly import DEGLEX, LEX, MONO_ONE, Polynomial, mono
 from skewgb.textio import (
@@ -91,6 +93,30 @@ def test_parse_free():
     assert dict(f.terms)[(0, 1, 0)] == 1
     with pytest.raises(ParseError):
         parse_free("x(1)")
+
+
+def test_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = textio._BaseAlgebra.mul
+    monkeypatch.setattr(textio._BaseAlgebra, "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    e = 200000
+    f = parse_poly(f"2^{e}")
+    assert f == Polynomial.constant(QQ.of(2**e), LEX)
+    assert len(calls) <= 2 * math.ceil(math.log2(e)) + 2
+
+
+def test_power_equals_repeated_product():
+    # Square and multiply regroups the product; in the skew and free
+    # algebras the factors do not commute, but powers of one element do.
+    assert parse_poly("(x(0) + 2*x(1))^5") == parse_poly(
+        "*".join(["(x(0) + 2*x(1))"] * 5))
+    names = ("x1", "x2")
+    assert parse_free("(x1*x2 - x2)^3", names=names) == parse_free(
+        "(x1*x2 - x2)*(x1*x2 - x2)*(x1*x2 - x2)", names=names)
+    assert parse_skew("(x(1)*s + x(0))^3") == parse_skew(
+        "(x(1)*s + x(0))*(x(1)*s + x(0))*(x(1)*s + x(0))")
+    assert parse_poly("x(1)^0") == parse_poly("1")
 
 
 def test_format_poly_frozen():
