@@ -30,21 +30,22 @@ front end, ``_search``, which pairs the reducer search of the mode family
 state.  Both families keep their basis in ``_Entry`` records, which cache
 the images of leading monomials the searches act through.
 
-Criteria: the product criterion is applied only in ideal modes (difference
-ideals and the letterplace image of free ideals) where coprime leading
-monomials really do force a trivial syzygy; it is unsound for modules and
-stays off in skew modes.  The chain criterion, one ``_chain_kills`` for
-both loops, is applied everywhere, but only when both sub-pairs have
-strictly smaller lcm, which keeps it sound without treated-pair
-bookkeeping.  ``_complete`` takes pairs stratum by stratum and, within a
-stratum, lcm degree first: the ordering alone blows up under lex.
+Criteria: one ``_criterion`` serves both loops and ``certify``.  The
+product criterion holds only in ideal modes (difference ideals and the
+letterplace image of free ideals), where coprime leading monomials force a
+trivial syzygy; it is unsound for modules and stays off in skew modes.
+The chain criterion is applied everywhere, but only when both sub-pairs
+have strictly smaller lcm, which keeps it sound without treated-pair
+bookkeeping or an order of treatment.  ``_complete`` takes pairs stratum
+by stratum and, within a stratum, lcm degree first: the ordering alone
+blows up under lex.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -447,22 +448,34 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
                     yield a, b, sh, stratum, l
 
 
-def _chain_kills(entries, a, b, sh, l, cfg: GBConfig, shifts) -> bool:
-    """Chain criterion (Gebauer–Möller) of both loops for the pair (a, b,
-    sh) with lcm l: the image under sigma**u of some entry's lm, for u in
-    ``shifts(entry)``, divides l, and its lcms with both sides lie below l."""
-    okey = cfg.ordering.key
+def _criterion(entries, a, b, sh, l, level, cfg: GBConfig):
+    """The criterion that settles the pair (a, b, sh) with lcm l at
+    ``level`` (its stratum, or its s-degree in left mode): "product",
+    "chain" or None, under the toggles of ``cfg``.  The chain criterion
+    (Gebauer–Möller) asks for an image of an entry's lm that divides l with
+    both its lcms below l; the images are sigma**u for u up to the level
+    less the entry's s-degree (weight in sigma mode), or in left mode the
+    one s-power multiple on that level."""
     sigma = cfg.sigma
     alm = entries[a].lm
     blm = entries[b].shifted_lm(sigma, sh)
+    if cfg.product_enabled() and mono_coprime(alm, blm):
+        return "product"
+    if not cfg.chain_criterion:
+        return None
+    okey = cfg.ordering.key
     lkey = okey(l)
+    left, by_sdeg = cfg.mode == "left", cfg.mode != "sigma"
     for ent in entries:
-        for u in shifts(ent):
+        top = level - (ent.sdeg if by_sdeg else ent.lmw)
+        if top < 0:
+            continue
+        for u in range(top if left else 0, top + 1):
             img = ent.shifted_lm(sigma, u)
             if (mono_divides(img, l) and okey(mono_lcm(alm, img)) < lkey
                     and okey(mono_lcm(img, blm)) < lkey):
-                return True
-    return False
+                return "chain"
+    return None
 
 
 def _complete(seeds, cfg: GBConfig, pair_filter=None):
@@ -476,8 +489,6 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     sigma = cfg.sigma
     ordering = cfg.ordering
     okey = ordering.key
-    product_on = cfg.product_enabled()
-    chain_on = cfg.chain_criterion
 
     entries: list[_Entry] = []
     stats = PairStats()
@@ -513,21 +524,15 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
 
     while heap:
         stratum, _, _, _, a, b, sh, l = heapq.heappop(heap)
-        ea, eb = entries[a], entries[b]
-        if product_on and mono_coprime(ea.lm, eb.shifted_lm(sigma, sh)):
-            stats.product_skipped += 1
-            note(a, b, sh, stratum, "skip:product")
+        crit = _criterion(entries, a, b, sh, l, stratum, cfg)
+        if crit:
+            if crit == "product":
+                stats.product_skipped += 1
+            else:
+                stats.chain_skipped += 1
+            note(a, b, sh, stratum, f"skip:{crit}")
             continue
-        # No image may sit above the stratum (s-degree, or weight of l).
-        if chain_on and _chain_kills(
-            entries, a, b, sh, l, cfg,
-            lambda ent: range(stratum - (ent.sdeg if skew_mode else ent.lmw)
-                              + 1),
-        ):
-            stats.chain_skipped += 1
-            note(a, b, sh, stratum, "skip:chain")
-            continue
-        s = spoly_poly(ea.poly, eb.shifted(sigma, sh))
+        s = spoly_poly(entries[a].poly, entries[b].shifted(sigma, sh))
         level = stratum if skew_mode else 0
         nf = reduce(s.terms, level)
         if not nf:
@@ -708,15 +713,12 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
 
     while heap:
         e, lkey, _, a, b, sh, l = heapq.heappop(heap)
-        if cfg.chain_criterion and _chain_kills(
-            entries, a, b, sh, l, cfg,
-            lambda ent: (e - ent.sdeg,) if ent.sdeg <= e else (),
-        ):
+        crit = _criterion(entries, a, b, sh, l, e, cfg)
+        if crit:  # the chain criterion: no product criterion in left mode
             stats.chain_skipped += 1
-            note(a, b, sh, e, "skip:chain")
+            note(a, b, sh, e, f"skip:{crit}")
             continue
-        ea, eb = entries[a], entries[b]
-        s = spoly(ea.poly, eb.shifted(sigma, sh))
+        s = spoly(entries[a].poly, entries[b].shifted(sigma, sh))
         nf = reduce(s.terms, e)
         if not nf:
             stats.reduced_to_zero += 1
@@ -859,11 +861,16 @@ def member(f, basis, cfg: GBConfig) -> bool:
 
 
 def certify(basis, cfg: GBConfig, pair_filter=None):
-    """Re-enumerate every in-window critical pair with no criteria and check
-    that each S-polynomial reduces to zero.  Returns (ok, failures).
+    """Check that every in-window critical pair reduces to zero, skipping
+    those that ``_criterion`` settles as the completion would.  Returns (ok,
+    failures).
 
     The pairs come from the completion's own enumerators, so the two see the
-    same window; failures are listed in enumeration order."""
+    same window.  The criteria are sound for a check as well: a chain's two
+    sub-pairs have strictly smaller lcms inside the window, so induction on
+    the lcm covers them whatever the order.  On a failure the check runs
+    again with both criteria off, which reduces every pair and lists the
+    failures in enumeration order; ``criteria: none`` asks for that run."""
     cfg.check_sigma()
     sigma = cfg.sigma
     failures: list[str] = []
@@ -875,9 +882,15 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     else:
         pairs, sp, shift = (lambda t: _left_pairs(entries, t, cfg)), spoly, "s"
     for t in range(len(entries)):
-        for a, b, sh, level, _ in pairs(t):
+        for a, b, sh, level, l in pairs(t):
+            if _criterion(entries, a, b, sh, l, level, cfg):
+                continue
             s = sp(entries[a].poly, entries[b].shifted(sigma, sh))
             if reduce(s.terms, level):
+                if cfg.product_enabled() or cfg.chain_criterion:
+                    return certify(basis, replace(
+                        cfg, product_criterion=False, chain_criterion=False
+                    ), pair_filter)
                 failures.append(f"pair (g{a + 1}, {shift}^{sh}.g{b + 1}) "
                                 f"does not reduce to zero")
     return not failures, failures

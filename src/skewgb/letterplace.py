@@ -287,8 +287,8 @@ def free_gbasis2(H, cfg: engine.GBConfig) -> list:
 
 
 def certify_free(G, cfg: engine.GBConfig):
-    """Exhaustive in-window pair check of a free basis through its embedding:
-    in S with the R filter in free2 mode, in P with the V filter otherwise."""
+    """``engine.certify`` of a free basis through its embedding: in S with
+    the R filter in free2 mode, in P with the V filter otherwise."""
     embed, _, ecfg, pair_filter = _embedding(cfg)
     basis = [embed(g, cfg.ordering) for g in G]
     return engine.certify(basis, ecfg, pair_filter=pair_filter)
