@@ -28,7 +28,8 @@ front end, ``_search``, which pairs the reducer search of the mode family
 (closure sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
 ``_nf_terms`` and answers each (monomial, level) query once per basis
 state.  Both families keep their basis in ``_Entry`` records, which cache
-the images of leading monomials the searches act through.
+the images of leading monomials the searches act through.  The completion
+``_complete`` keeps its entries tail-reduced.
 
 Criteria: one ``_criterion`` serves both loops and ``certify``.  The
 product criterion holds only in ideal modes (difference ideals and the
@@ -210,7 +211,9 @@ class _Entry:
     int leading coefficient den and the int tail coefficients nums, and it
     is primitive because the element is monic.  Over Z/p, den is 1 and
     nums are the tail coefficients.  A shift moves monomials only and keeps
-    their order, so these numbers serve every shifted image.
+    their order, so these numbers serve every shifted image.  ``take_tail``
+    changes ``poly``, ``den``, ``nums`` and the shifted images; ``lm``,
+    ``sdeg``, ``rest``, ``lmw``, ``index`` and the shifted lms never change.
     """
 
     __slots__ = ("poly", "sdeg", "lm", "rest", "lmw", "index", "den", "nums",
@@ -229,6 +232,13 @@ class _Entry:
         self.lmw = top_place(self.lm) if self.lm else -1
         self._shifted = {0: poly}
         self._shifted_lm = {0: self.lm}
+
+    def take_tail(self, tail):
+        """Replace the tail by the descending (monomial, coeff) ``tail``."""
+        p = self.poly
+        p = self.poly = type(p)(p.terms[:1] + tuple(tail), p.ordering, _sorted=True)
+        self.den, self.nums = common_denominator([c for _, c in tail])
+        self._shifted = {0: p}
 
     def shifted(self, sigma: MonomialEndomorphism, u: int) -> Polynomial:
         p = self._shifted.get(u)
@@ -517,10 +527,18 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
         entries.append(ent)
         stats.added += 1
         push_pairs(ent.index)
+        # Reduce again each older tail that an image of the new lm divides.
+        hits = _make_finder([ent], cfg)
+        for old in entries[:-1]:
+            level = old.sdeg if skew_mode else 0
+            tail = old.poly.terms[1:]
+            if any(hits(m, level) for m, _ in tail):
+                old.take_tail(reduce(tail, level))
         return ent
 
-    for poly, sdeg in seeds:
-        add_element(poly, sdeg)
+    for poly, sdeg in seeds:  # unlike a normal form, a seed's tail may reduce
+        ent = add_element(poly, sdeg)
+        ent.take_tail(reduce(poly.terms[1:], sdeg if skew_mode else 0))
 
     while heap:
         stratum, _, _, _, a, b, sh, l = heapq.heappop(heap)
@@ -676,7 +694,8 @@ def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
 
 
 def left_gbasis(H, cfg: GBConfig) -> GBResult:
-    """d-truncated left Gröbner basis; no homogeneity assumption."""
+    """d-truncated left Gröbner basis; no homogeneity assumption.  Unlike
+    ``_complete`` it keeps no tail reduced until it folds into it."""
     if cfg.mode != "left":
         raise ValueError("config mode must be 'left'")
     cfg.check_sigma()
@@ -749,13 +768,14 @@ def _search(entries, cfg: GBConfig):
 
     Returns (find, reduce).  ``find(m, level)`` gives the ``_nf_terms``
     hit, (cofactor, products, shift, entry), or None.  The search is a pure
-    function of (m, level) and the entries, which only grow by append, so
-    a memo keyed by (m, level) keeps each answer with its products and is
-    cleared whenever the number of entries has changed since it was
-    filled.  ``reduce(terms, level, record=None)`` gives the ``_nf_terms``
-    normal form of (term, coefficient) pairs against the family's closure:
-    terms of P at one level in sigma/skew mode, terms of S in left mode,
-    whose search reads the level off each term.
+    function of (m, level) and the entries' lms, which only grow by append,
+    so a memo keyed by (m, level) keeps each answer with its products and is
+    cleared whenever the number of entries has changed since it was filled;
+    a hit is also cleared when its entry takes a new tail (``take_tail``),
+    and rebuilt from that tail.  ``reduce(terms, level, record=None)``
+    gives the ``_nf_terms`` normal form of (term, coefficient) pairs against
+    the family's closure: terms of P at one level in sigma/skew mode, terms
+    of S in left mode, whose search reads the level off each term.
     """
     left = cfg.mode == "left"
     if left:
@@ -773,15 +793,19 @@ def _search(entries, cfg: GBConfig):
         if len(entries) != filled:
             memo.clear()
             filled = len(entries)
-        hit = memo.get((m, level), memo)  # the memo marks a new query
+        hit, nums = memo.get((m, level), (memo, None))  # memo: a new query
         if hit is memo:
             hit = search(m, level)
             if hit is not None:
                 ent, u, img = hit
-                q = mono_div(m.mono if left else m, img)
-                tail = ent.shifted(cfg.sigma, u).terms[1:]
-                hit = q, tuple([mul(q, t) for t, _ in tail]), u, ent
-            memo[m, level] = hit
+                hit = mono_div(m.mono if left else m, img), None, u, ent
+        elif hit is None or hit[3].nums is nums:
+            return hit
+        if hit is not None:  # new, or stale: its entry took a new tail since
+            q, _, u, ent = hit
+            tail = ent.shifted(cfg.sigma, u).terms[1:]
+            hit, nums = (q, tuple([mul(q, t) for t, _ in tail]), u, ent), ent.nums
+        memo[m, level] = hit, nums
         return hit
 
     def reduce(terms, level, record=None):
@@ -816,7 +840,8 @@ def interreduce(basis, cfg: GBConfig):
 
     Elements are taken smallest first, and one is kept when the reducer
     search over those kept so far finds no divisor of its leading monomial;
-    the same search then reduces every tail.
+    the same search then reduces every tail.  On ``_complete``'s output,
+    already tail-reduced, it only drops lm-redundant elements and sorts.
     """
     cfg.check_sigma()
     okey = cfg.ordering.key

@@ -4,10 +4,17 @@ import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from randgen import skew_of_parts
+from randgen import (
+    random_free_homogeneous,
+    random_skew_homogeneous,
+    random_weighted_poly,
+    skew_of_parts,
+)
+from skewgb import cli, engine, letterplace
 from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.engine import (
     EndomorphismRejected,
@@ -240,6 +247,86 @@ def test_interreduce_is_idempotent_and_monic():
     assert red == FIVE
     assert interreduce(red, cfg) == red
     assert all(g.lc() == QQ.one for g in red)
+
+
+def completed_entries(monkeypatch, solve, gens, cfg):
+    """The entries of the one ``_complete`` run inside solve(gens, cfg),
+    with the config that run saw (the embedded one in the free modes)."""
+    runs = []
+    complete = engine._complete
+
+    def spy(seeds, ecfg, pair_filter=None):
+        out = complete(seeds, ecfg, pair_filter)
+        runs.append((out[0], ecfg))
+        return out
+
+    monkeypatch.setattr(engine, "_complete", spy)
+    solve(gens, cfg)
+    monkeypatch.undo()
+    (run,) = runs
+    return run
+
+
+def unreduced_tail_terms(entries, cfg):
+    """(tail terms that the one-entry search of some entry finds, tail
+    terms checked); each entry's tail is searched at its own level."""
+    finders = [engine._make_finder([other], cfg) for other in entries]
+    found = checked = 0
+    for ent in entries:
+        level = ent.sdeg if cfg.mode == "skew" else 0
+        for m, _ in ent.poly.terms[1:]:
+            found += any(hits(m, level) for hits in finders)
+            checked += 1
+    return found, checked
+
+
+def random_problem(rng, mode):
+    """Generators and config in the shapes of acceptance criterion 4."""
+    n = rng.randint(1, 3)
+    ordering = rng.choice((LEX, DEGLEX))
+    fixed = rng.randint(1, 2) if ordering is LEX else None
+    letters = rng.randint(1, 3)
+    if mode == "sigma":
+        gens = [random_weighted_poly(rng, letters, max_weight=3, max_deg=2,
+                                     terms=3, ordering=ordering,
+                                     fixed_degree=fixed) for _ in range(n)]
+        return gens, GBConfig(mode, rng.randint(3, 5), ordering)
+    if mode == "skew":
+        gens = [random_skew_homogeneous(rng, letters, max_place=2, max_deg=2,
+                                        terms=3, max_sdeg=2, ordering=ordering,
+                                        fixed_degree=fixed) for _ in range(n)]
+        return gens, GBConfig(mode, rng.randint(3, 4), ordering)
+    gens = [random_free_homogeneous(rng, max(letters, 2), max_deg=3, terms=4)
+            for _ in range(n)]
+    return gens, GBConfig(mode, rng.randint(3, 4), ordering)
+
+
+SOLVERS = {"sigma": sigma_gbasis, "skew": skew_gbasis,
+           "free": letterplace.free_gbasis, "free2": letterplace.free_gbasis2}
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVERS))
+def test_completion_keeps_every_tail_reduced(monkeypatch, mode):
+    rng = random.Random(31337)
+    checked = 0
+    for _ in range(40):
+        gens, cfg = random_problem(rng, mode)
+        entries, ecfg = completed_entries(monkeypatch, SOLVERS[mode], gens,
+                                          cfg)
+        found, n = unreduced_tail_terms(entries, ecfg)
+        assert found == 0, (gens, cfg)
+        checked += n
+    assert checked >= 50
+
+
+def test_completion_keeps_c41w_tails_reduced(monkeypatch):
+    text = (Path(__file__).resolve().parent.parent / "corpus" / "c41w-d6.txt")
+    pf = cli.parse_problem(text.read_text())
+    cfg = cli._config(pf, False)
+    entries, ecfg = completed_entries(monkeypatch, letterplace.free_gbasis,
+                                      cli._parse_generators(pf, cfg), cfg)
+    found, checked = unreduced_tail_terms(entries, ecfg)
+    assert found == 0 and checked >= 100
 
 
 def test_interreduce_constant_dominates_in_sigma_mode():

@@ -454,3 +454,34 @@ def test_memo_sees_appended_entries_in_left_mode():
     memo_cases("left", lambda text, i: _LeftEntry(
         SkewElement.of_poly(parse_poly(text)), 0, i),
         lambda m: SkewMonomial(m, 0))
+
+
+def test_memo_follows_a_changed_tail():
+    # The completion gives an entry a new tail while the search's memo still
+    # holds products of the old one.  A reduction after the change must
+    # pair the new tail's monomials with the new numerators.
+    rng = random.Random(20247)
+    stale = 0
+    for n in range(300):
+        ordering = (LEX, DEGLEX)[n % 2]
+        f, G = random_case(rng, ordering, large_denominators)
+        cfg = GBConfig(mode="sigma", degree_bound=4, ordering=ordering)
+        entries = [_Entry(g.monic(), 0, i) for i, g in enumerate(G) if g]
+        _, reduce = _search(entries, cfg)
+        first = []
+        reduce(f.terms, 0, first)
+        ent = rng.choice(entries)
+        key = ordering.key
+        noise = lifted(random_poly(rng, letters=2, max_place=2, max_deg=2,
+                                   terms=4, ordering=ordering),
+                       rng, large_denominators)
+        ent.take_tail([(m, c) for m, c in noise.terms if key(m) < key(ent.lm)])
+        G = list(G)
+        G[ent.index] = ent.poly
+        record = []
+        nf = Polynomial(reduce(f.terms, 0, record), ordering, _sorted=True)
+        want, want_record, _ = reference_nf(f, G, ordering)
+        assert nf == want
+        assert record == want_record
+        stale += any(i == ent.index for _, _, _, i in first)
+    assert stale > 100
