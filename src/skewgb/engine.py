@@ -225,16 +225,14 @@ class _Entry:
         self.index = index
         lm = poly.lm()
         self.lm = lm.mono if isinstance(lm, SkewMonomial) else lm
-        self.den, self.nums = common_denominator(
-            [c for _, c in poly.terms[1:]]
-        )
         self.rest = self.lm[1:]
         self.lmw = top_place(self.lm) if self.lm else -1
-        self._shifted = {0: poly}
         self._shifted_lm = {0: self.lm}
+        self.take_tail(poly.terms[1:])
 
     def take_tail(self, tail):
-        """Replace the tail by the descending (monomial, coeff) ``tail``."""
+        """Make the descending (monomial, coeff) ``tail`` the tail: the one
+        place that sets ``poly``, ``den``, ``nums`` and the shifted images."""
         p = self.poly
         p = self.poly = type(p)(p.terms[:1] + tuple(tail), p.ordering, _sorted=True)
         self.den, self.nums = common_denominator([c for _, c in tail])

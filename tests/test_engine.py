@@ -320,8 +320,8 @@ def test_completion_keeps_every_tail_reduced(monkeypatch, mode):
 
 
 def test_completion_keeps_c41w_tails_reduced(monkeypatch):
-    text = (Path(__file__).resolve().parent.parent / "corpus" / "c41w-d6.txt")
-    pf = cli.parse_problem(text.read_text())
+    path = Path(__file__).resolve().parent.parent / "corpus" / "c41w-d6.txt"
+    pf = cli.parse_problem(path.read_text())
     cfg = cli._config(pf, False)
     entries, ecfg = completed_entries(monkeypatch, letterplace.free_gbasis,
                                       cli._parse_generators(pf, cfg), cfg)
