@@ -1,13 +1,12 @@
 """Truncated Buchberger machinery for skew polynomial rings.
 
-Three computations run on two completion loops, and an oracle checks them:
+Three computations run on one completion loop and an oracle checks them:
 
 * ``sigma_gbasis`` — Gröbner bases of difference ideals of P closed under the
   shift, truncated by weight;
 * ``skew_gbasis``  — two-sided bases of s-homogeneous ideals of S, truncated
-  by s-degree; these two share the loop ``_complete``;
-* ``left_gbasis``  — left-module bases in S, no homogeneity assumption, in a
-  loop of its own;
+  by s-degree;
+* ``left_gbasis``  — left-module bases in S, no homogeneity assumption;
 * ``oracle_gbasis_truncated`` — a deliberately naive commutative (module)
   Buchberger run on the fully expanded, finite window of shifted generators.
   It shares only the arithmetic layer with the main algorithms and exists to
@@ -23,15 +22,17 @@ Truncation is mandatory; the undecorated enumerations do not terminate.
 The weight window of sigma mode and the s-degree window of skew mode are one
 rule (the letterplace correspondence maps weight onto s-degree), so a single
 enumerator, ``_window_pairs``, feeds both the completion and ``certify``;
-left mode has its own, ``_left_pairs``.  Every mode reduces through one
-front end, ``_search``, which pairs the reducer search of the mode family
-(closure sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
+left mode has its own, ``_left_pairs``.  ``_family`` makes the choice
+between left mode and the two-sided modes once, for the completion, the
+reduction and ``certify``.  Every mode reduces through one front end,
+``_search``, which pairs the reducer search of the mode family (closure
+sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
 ``_nf_terms`` and answers each (monomial, level) query once per basis
 state.  Both families keep their basis in ``_Entry`` records, which cache
 the images of leading monomials the searches act through.  The completion
 ``_complete`` keeps its entries tail-reduced.
 
-Criteria: one ``_criterion`` serves both loops and ``certify``.  The
+Criteria: one ``_criterion`` serves the completion and ``certify``.  The
 product criterion holds only in ideal modes (difference ideals and the
 letterplace image of free ideals), where coprime leading monomials force a
 trivial syzygy; it is unsound for modules and stays off in skew modes.
@@ -49,6 +50,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .endo import MonomialEndomorphism, ShiftEndo
 from .field import common_denominator
@@ -254,12 +256,15 @@ class _Entry:
 
 
 def _split(g, cfg: GBConfig):
-    """A nonzero sigma/skew basis element as (monic polynomial, s-degree).
+    """A nonzero basis element as (monic element, s-degree): an element of
+    S in left mode, a polynomial of P in sigma/skew mode.
 
     Two-sided reduction works one s-degree at a time, so in skew mode an
     element spread over several s-degrees is refused rather than cut down
     to its leading component.
     """
+    if cfg.mode == "left":
+        return g.monic(), g.sdeg()
     if cfg.mode != "skew":
         return g.monic(), 0
     if not g.is_s_homogeneous():
@@ -423,7 +428,24 @@ def _nf_terms(terms, level, find, hkey, record=None):
 
 
 # ---------------------------------------------------------------------------
-# The completion core (sigma and two-sided skew modes)
+# The completion core (all modes)
+
+
+class _Family(NamedTuple):
+    """The parts that differ between left mode and sigma/skew mode."""
+
+    entry: type  # _LeftEntry or _Entry
+    pairs: object  # _left_pairs or _window_pairs
+    finder: object  # _left_finder or _make_finder
+    spoly: object  # spoly or spoly_poly
+    shift: str  # the shift's name in trace lines and certify failures
+
+
+def _family(cfg: GBConfig) -> _Family:
+    """The parts of the mode family of ``cfg``, read at call time."""
+    if cfg.mode == "left":
+        return _Family(_LeftEntry, _left_pairs, _left_finder, spoly, "s")
+    return _Family(_Entry, _window_pairs, _make_finder, spoly_poly, "sigma")
 
 
 def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
@@ -487,56 +509,49 @@ def _criterion(entries, a, b, sh, l, level, cfg: GBConfig):
 
 
 def _complete(seeds, cfg: GBConfig, pair_filter=None):
-    """Run pair completion on monic (polynomial, s-degree) seeds.
+    """Run pair completion in any mode on monic (element, s-degree) seeds,
+    through the parts of the mode family (``_family``).
 
-    ``pair_filter(lcm, level)`` may veto structurally irrelevant pairs (the
-    letterplace membership filters).  Returns (entries, stats, trace);
-    the trace is a list of lines when ``cfg.trace`` is set, else None.
+    A pair reduces at its stratum in skew and left mode, at 0 in sigma mode
+    (where every s-degree is 0).  ``pair_filter(lcm, level)`` may veto
+    structurally irrelevant pairs (the letterplace membership filters).
+    Returns (entries, stats, trace); the trace is a list of lines when
+    ``cfg.trace`` is set, else None.
     """
-    skew_mode = cfg.mode == "skew"
-    sigma = cfg.sigma
-    ordering = cfg.ordering
-    okey = ordering.key
+    Entry, pairs, finder, sp, shift = _family(cfg)
+    left, by_sdeg = cfg.mode == "left", cfg.mode != "sigma"
+    okey = cfg.ordering.key
 
     entries: list[_Entry] = []
     stats = PairStats()
     trace = [] if cfg.trace else None
     heap: list = []
-    seq = 0
     _, reduce = _search(entries, cfg)
 
     def note(a, b, sh, stratum, outcome):
         if trace is not None:
-            trace.append(f"(g{a + 1}, sigma^{sh}.g{b + 1})@{stratum} {outcome}")
+            trace.append(f"(g{a + 1}, {shift}^{sh}.g{b + 1})@{stratum} {outcome}")
 
-    def push_pairs(t: int):
-        nonlocal seq
-        for a, b, sh, stratum, l in _window_pairs(
-            entries, t, cfg, pair_filter
-        ):
-            stats.considered += 1
-            heapq.heappush(
-                heap, (stratum, mono_degree(l), okey(l), seq, a, b, sh, l)
-            )
-            seq += 1
-
-    def add_element(poly: Polynomial, sdeg: int):
-        ent = _Entry(poly, sdeg, len(entries))
+    def add_element(poly, sdeg: int):
+        ent = Entry(poly, sdeg, len(entries))
         entries.append(ent)
         stats.added += 1
-        push_pairs(ent.index)
+        for a, b, sh, stratum, l in pairs(entries, ent.index, cfg, pair_filter):
+            # The running count breaks ties in the order of enumeration.
+            heapq.heappush(heap, (stratum, mono_degree(l), okey(l),
+                                  stats.considered, a, b, sh, l))
+            stats.considered += 1
         # Reduce again each older tail that an image of the new lm divides.
-        hits = _make_finder([ent], cfg)
+        hits = finder([ent], cfg)
         for old in entries[:-1]:
-            level = old.sdeg if skew_mode else 0
             tail = old.poly.terms[1:]
-            if any(hits(m, level) for m, _ in tail):
-                old.take_tail(reduce(tail, level))
+            if any(hits(m, old.sdeg) for m, _ in tail):
+                old.take_tail(reduce(tail, old.sdeg))
         return ent
 
     for poly, sdeg in seeds:  # unlike a normal form, a seed's tail may reduce
         ent = add_element(poly, sdeg)
-        ent.take_tail(reduce(poly.terms[1:], sdeg if skew_mode else 0))
+        ent.take_tail(reduce(poly.terms[1:], sdeg))
 
     while heap:
         stratum, _, _, _, a, b, sh, l = heapq.heappop(heap)
@@ -548,20 +563,21 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
                 stats.chain_skipped += 1
             note(a, b, sh, stratum, f"skip:{crit}")
             continue
-        s = spoly_poly(entries[a].poly, entries[b].shifted(sigma, sh))
-        level = stratum if skew_mode else 0
+        s = sp(entries[a].poly, entries[b].shifted(cfg.sigma, sh))
+        level = stratum if by_sdeg else 0
         nf = reduce(s.terms, level)
         if not nf:
             stats.reduced_to_zero += 1
             note(a, b, sh, stratum, "-> 0")
             continue
-        h = Polynomial(nf, ordering, _sorted=True).monic()
-        if not skew_mode and h.lm() == MONO_ONE:
+        h = type(s)(nf, s.ordering, _sorted=True).monic()
+        if cfg.mode == "sigma" and h.lm() == MONO_ONE:
             note(a, b, sh, stratum, "-> 1")
             warnings.warn("basis contains a constant: unit ideal")
-            one = Polynomial.constant(h.lc(), ordering)
+            one = Polynomial.constant(h.lc(), cfg.ordering)
             return [_Entry(one, 0, 0)], stats, trace
-        ent = add_element(h, level)
+        # a left element may lead below the pair's s-degree
+        ent = add_element(h, h.sdeg() if left else level)
         note(a, b, sh, stratum, f"-> g{ent.index + 1}")
 
     return entries, stats, trace
@@ -673,13 +689,14 @@ def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
     return search
 
 
-def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
+def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig, pair_filter):
     """The in-window left critical pairs of entry t against entries 0..t-1.
 
     Yields (a, b, shift, s-degree, lcm) for spoly(a, s**shift . b): the
     entry of larger leading s-degree comes first and the other is lifted to
     meet it; on equal s-degree (shift 0) entry t comes first.  Pairs above
-    s-degree d are dropped.
+    s-degree d are dropped, as are those that ``pair_filter(lcm, s-degree)``
+    vetoes, when given.
     """
     sigma = cfg.sigma
     for j in range(t):
@@ -687,64 +704,19 @@ def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig):
         a, b, sh = (t, j, da - db) if da >= db else (j, t, db - da)
         e = max(da, db)
         if e <= cfg.degree_bound:
-            blm = entries[b].shifted_lm(sigma, sh)
-            yield a, b, sh, e, mono_lcm(entries[a].lm, blm)
+            l = mono_lcm(entries[a].lm, entries[b].shifted_lm(sigma, sh))
+            if pair_filter is None or pair_filter(l, e):
+                yield a, b, sh, e, l
 
 
 def left_gbasis(H, cfg: GBConfig) -> GBResult:
-    """d-truncated left Gröbner basis; no homogeneity assumption.  Unlike
-    ``_complete`` it keeps no tail reduced until it folds into it."""
+    """d-truncated left Gröbner basis; no homogeneity assumption."""
     if cfg.mode != "left":
         raise ValueError("config mode must be 'left'")
     cfg.check_sigma()
-    okey = cfg.ordering.key
-    sigma = cfg.sigma
-    entries: list[_LeftEntry] = []
-    _, reduce = _search(entries, cfg)
-    stats = PairStats()
-    trace = [] if cfg.trace else None
-    heap: list = []
-    seq = 0
-
-    def note(a, b, sh, e, outcome):
-        if trace is not None:
-            trace.append(f"(g{a + 1}, s^{sh}.g{b + 1})@{e} {outcome}")
-
-    def push_pairs(t: int):
-        nonlocal seq
-        for a, b, sh, e, l in _left_pairs(entries, t, cfg):
-            stats.considered += 1
-            heapq.heappush(heap, (e, okey(l), seq, a, b, sh, l))
-            seq += 1
-
-    def add_element(g: SkewElement):
-        ent = _LeftEntry(g, g.sdeg(), len(entries))
-        entries.append(ent)
-        stats.added += 1
-        push_pairs(ent.index)
-        return ent
-
-    seeds, _ = _prepare_seeds(((h, 0) for h in H), cfg)
-    for g, _ in seeds:
-        add_element(g)
-
-    while heap:
-        e, lkey, _, a, b, sh, l = heapq.heappop(heap)
-        crit = _criterion(entries, a, b, sh, l, e, cfg)
-        if crit:  # the chain criterion: no product criterion in left mode
-            stats.chain_skipped += 1
-            note(a, b, sh, e, f"skip:{crit}")
-            continue
-        s = spoly(entries[a].poly, entries[b].shifted(sigma, sh))
-        nf = reduce(s.terms, e)
-        if not nf:
-            stats.reduced_to_zero += 1
-            note(a, b, sh, e, "-> 0")
-            continue
-        ent = add_element(SkewElement(nf, s.ordering, _sorted=True).monic())
-        note(a, b, sh, e, f"-> g{ent.index + 1}")
-
-    return _result([ent.poly for ent in entries], cfg, stats, trace)
+    seeds, _ = _prepare_seeds((_split(h, cfg) for h in H if h), cfg)
+    entries, stats, trace = _complete(seeds, cfg)
+    return _result([e.poly for e in entries], cfg, stats, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +724,10 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
 
 
 def _entries(G, cfg: GBConfig):
-    """Entries for the nonzero elements of G, indexed by their position in
-    G: elements of S in left mode, (polynomial, s-degree) splits in
-    sigma/skew mode."""
-    if cfg.mode == "left":
-        return [_LeftEntry(g.monic(), g.sdeg(), i) for i, g in enumerate(G) if g]
-    return [_Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
+    """Entries for the nonzero elements of G (``_split``), indexed by their
+    position in G."""
+    Entry = _family(cfg).entry
+    return [Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
 
 
 def _search(entries, cfg: GBConfig):
@@ -776,12 +746,11 @@ def _search(entries, cfg: GBConfig):
     of S in left mode, whose search reads the level off each term.
     """
     left = cfg.mode == "left"
+    search = _family(cfg).finder(entries, cfg)
     if left:
-        search = _left_finder(entries, cfg)
         hkey = SkewOrdering(cfg.ordering).heap_key
         mul = lambda q, t: SkewMonomial(mono_mul(q, t[0]), t[1])
     else:
-        search = _make_finder(entries, cfg)
         hkey, mul = cfg.ordering.heap_key, mono_mul
     memo = {}
     filled = 0
@@ -899,13 +868,9 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     failures: list[str] = []
     entries = _entries(basis, cfg)
     _, reduce = _search(entries, cfg)
-    if cfg.mode in ("sigma", "skew"):
-        pairs = lambda t: _window_pairs(entries, t, cfg, pair_filter)
-        sp, shift = spoly_poly, "sigma"
-    else:
-        pairs, sp, shift = (lambda t: _left_pairs(entries, t, cfg)), spoly, "s"
+    _, pairs, _, sp, shift = _family(cfg)
     for t in range(len(entries)):
-        for a, b, sh, level, l in pairs(t):
+        for a, b, sh, level, l in pairs(entries, t, cfg, pair_filter):
             if _criterion(entries, a, b, sh, l, level, cfg):
                 continue
             s = sp(entries[a].poly, entries[b].shifted(sigma, sh))

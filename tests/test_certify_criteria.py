@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from skewgb import cli, engine
+from test_cli import PINNED
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -60,22 +61,35 @@ def test_criteria_agree_with_exhaustive_certify():
     assert all(failing[m] >= 10 for m in gen.MODES), failing
 
 
-def test_certify_on_serf_g2_skips_settled_pairs(monkeypatch):
-    # The exhaustive check reduces 488 S-polynomials on this basis; the
-    # criteria leave 51.
-    pf, cfg, gens = load((CORPUS / "serf-g2.txt").read_text())
+def certified_spolys(monkeypatch, text, name):
+    """The number of calls to ``engine.<name>`` that ``cli._certify`` makes
+    on the computed basis of the problem, which must certify."""
+    pf, cfg, gens = load(text)
     basis = cli._run_problem(pf, cfg, gens)[3]
     reduced = 0
-    spoly_poly = engine.spoly_poly
+    sp = getattr(engine, name)
 
     def counting(f, g):
         nonlocal reduced
         reduced += 1
-        return spoly_poly(f, g)
+        return sp(f, g)
 
-    monkeypatch.setattr(engine, "spoly_poly", counting)
+    monkeypatch.setattr(engine, name, counting)
     assert cli._certify(pf, cfg, basis) == (True, [])
-    assert 0 < reduced <= 60
+    return reduced
+
+
+def test_certify_on_serf_g2_skips_settled_pairs(monkeypatch):
+    # The exhaustive check reduces 488 S-polynomials on this basis; the
+    # criteria leave 51.
+    text = (CORPUS / "serf-g2.txt").read_text()
+    assert 0 < certified_spolys(monkeypatch, text, "spoly_poly") <= 60
+
+
+def test_certify_reduces_left_pairs_through_spoly(monkeypatch):
+    # The pinned left problem: of its three in-window pairs the chain
+    # criterion settles one, and the two others reach ``spoly``.
+    assert certified_spolys(monkeypatch, PINNED["left"][0], "spoly") == 2
 
 
 RUN_PROBLEM = cli._run_problem

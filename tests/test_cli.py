@@ -165,7 +165,8 @@ def test_skew_mode_run(tmp_path):
 
 # Problem text and full ``--stats --trace --certify`` output for one problem
 # per skew-ring route: left mode over mixed s-layers, two-sided skew mode,
-# and the free algebra computed inside S.
+# and the free algebra computed inside S.  One more left problem prints the
+# completion's own entries, whose tails the completion keeps reduced.
 PINNED = {
     "left": (
         """\
@@ -187,6 +188,27 @@ x(2)*x(1)
 x(0)*s + x(1)
 x(2)*s
 # pairs=6 product=0 chain=2 zero=2 added=4
+# certified: all in-window critical pairs reduce to zero
+""",
+    ),
+    "left-unreduced": (
+        """\
+mode: left
+degree_bound: 3
+letters: x
+interreduce: false
+
+s
+x(1)*s + x(0)
+""",
+        """\
+# (g2, s^0.g1)@1 -> g3
+# (g1, s^1.g3)@1 -> 0
+# (g2, s^1.g3)@1 -> 0
+s
+x(1)*s
+x(0)
+# pairs=3 product=0 chain=0 zero=2 added=3
 # certified: all in-window critical pairs reduce to zero
 """,
     ),

@@ -269,13 +269,13 @@ def completed_entries(monkeypatch, solve, gens, cfg):
 
 def unreduced_tail_terms(entries, cfg):
     """(tail terms that the one-entry search of some entry finds, tail
-    terms checked); each entry's tail is searched at its own level."""
-    finders = [engine._make_finder([other], cfg) for other in entries]
+    terms checked); each entry's tail is searched at its own level, its
+    s-degree (0 in sigma mode)."""
+    finders = [engine._family(cfg).finder([other], cfg) for other in entries]
     found = checked = 0
     for ent in entries:
-        level = ent.sdeg if cfg.mode == "skew" else 0
         for m, _ in ent.poly.terms[1:]:
-            found += any(hits(m, level) for hits in finders)
+            found += any(hits(m, ent.sdeg) for hits in finders)
             checked += 1
     return found, checked
 
@@ -291,7 +291,7 @@ def random_problem(rng, mode):
                                      terms=3, ordering=ordering,
                                      fixed_degree=fixed) for _ in range(n)]
         return gens, GBConfig(mode, rng.randint(3, 5), ordering)
-    if mode == "skew":
+    if mode in ("skew", "left"):
         gens = [random_skew_homogeneous(rng, letters, max_place=2, max_deg=2,
                                         terms=3, max_sdeg=2, ordering=ordering,
                                         fixed_degree=fixed) for _ in range(n)]
@@ -301,7 +301,7 @@ def random_problem(rng, mode):
     return gens, GBConfig(mode, rng.randint(3, 4), ordering)
 
 
-SOLVERS = {"sigma": sigma_gbasis, "skew": skew_gbasis,
+SOLVERS = {"sigma": sigma_gbasis, "skew": skew_gbasis, "left": left_gbasis,
            "free": letterplace.free_gbasis, "free2": letterplace.free_gbasis2}
 
 
