@@ -73,7 +73,7 @@ def test_trace_lines():
     assert p.stdout.splitlines()[:8] == TRACE_HEAD
 
 
-@pytest.mark.parametrize("label", ["c41w-d6", "serf-g2"])
+@pytest.mark.parametrize("label", ["c41-d4", "c41w-d6", "serf-g2"])
 def test_stats_output_matches_recorded_digest(label):
     # The benchmark's recorded SHA-256 digests of `skewgb <problem> --stats`.
     golden = json.loads((ROOT / "bench" / "golden.json").read_text())

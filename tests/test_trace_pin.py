@@ -7,8 +7,9 @@ line.  They were recorded before the completion began to keep its entries
 tail-reduced, which may change the tails the reductions see but none of
 the above.
 
-Two sets of inputs: the free2 variants of two corpus problems, and the
-first 200 problems of the benchmark's seeded generator, read from
+The inputs: the two free corpus problems as checked in (sigma backend)
+and as free2 variants (skew backend), c41-d4 over Z/32003, and the first
+200 problems of the benchmark's seeded generator, read from
 ``bench/gen.py`` without changing it.
 """
 
@@ -52,6 +53,12 @@ def corpus_free2(name):
     return text.replace("mode: free\n", "mode: free2\n", 1)
 
 
+def corpus_prime_field(name, p):
+    text = (CORPUS / f"{name}.txt").read_text()
+    assert "field: Q\n" in text
+    return text.replace("field: Q\n", f"field: {p}\n", 1)
+
+
 def digest(texts, tmp_path):
     h = hashlib.sha256()
     for text in texts:
@@ -62,6 +69,17 @@ def digest(texts, tmp_path):
 @pytest.mark.parametrize("name", ["c41-d4", "c41w-d6"])
 def test_free2_corpus_trace_is_pinned(name, tmp_path):
     assert digest([corpus_free2(name)], tmp_path) == PINS[f"{name}-free2"]
+
+
+@pytest.mark.parametrize("name", ["c41-d4", "c41w-d6"])
+def test_free_corpus_trace_is_pinned(name, tmp_path):
+    text = (CORPUS / f"{name}.txt").read_text()
+    assert digest([text], tmp_path) == PINS[f"{name}-free"]
+
+
+def test_prime_field_corpus_trace_is_pinned(tmp_path):
+    text = corpus_prime_field("c41-d4", 32003)
+    assert digest([text], tmp_path) == PINS["c41-d4-gf32003"]
 
 
 def test_generated_problem_traces_are_pinned(tmp_path):
