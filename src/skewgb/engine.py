@@ -28,9 +28,18 @@ reduction and ``certify``.  Every mode reduces through one front end,
 ``_search``, which pairs the reducer search of the mode family (closure
 sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
 ``_nf_terms`` and answers each (monomial, level) query once per basis
-state.  Both families keep their basis in ``_Entry`` records, which cache
-the images of leading monomials the searches act through.  The completion
-``_complete`` keeps its entries tail-reduced.
+state.  The completion ``_complete`` keeps its entries tail-reduced.
+
+Between one kernel call and the next, coefficients stay in int form: int
+numerators over one denominator (over Z/p, field elements over 1).  Both
+families keep their basis in ``_Entry`` records of monomials, ``den`` and
+``nums``, which cache the shifted monomial images the searches and
+S-polynomials act through; the kernel returns its irreducible terms over
+one final denominator, a new element is made monic from those ints, and
+``_Entry.spoly`` forms each S-polynomial from two entries' ints.
+``Fraction`` coefficients are built only where a polynomial leaves the
+engine: ``_Entry.poly``, ``normal_form`` and its ``record``, ``spoly`` and
+``spoly_poly``.
 
 Criteria: one ``_criterion`` serves the completion and ``certify``.  The
 product criterion holds only in ideal modes (difference ideals and the
@@ -49,7 +58,7 @@ import heapq
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .endo import MonomialEndomorphism, ShiftEndo
@@ -70,7 +79,7 @@ from .poly import (
     mono_mul,
     top_place,
 )
-from .skew import SkewElement, SkewMonomial, SkewOrdering, shift_left
+from .skew import SkewElement, SkewMonomial, SkewOrdering
 
 __all__ = [
     "EndomorphismRejected",
@@ -203,49 +212,105 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
 
 
 class _Entry:
-    """A monic basis element with cached shifted images; ``lm`` is the
-    P-monomial of its leading term, ``sdeg`` that term's s-degree and
+    """A monic basis element in int form, with cached shifted images.
+
+    ``monos`` are its monomials, leading one first, and ``den`` and
+    ``nums`` its tail coefficients over one denominator: the element is
+    lc * monos[0] + sum(nums[i] / den * monos[i + 1]), so den * element has
+    the positive int leading coefficient den and the int tail coefficients
+    nums, and ``take_tail`` keeps that form primitive.  Over Z/p, den is 1
+    and nums are the tail coefficients.  ``lc`` is the field's 1, ``lm`` the
+    P-monomial of the leading term, ``sdeg`` that term's s-degree and
     ``rest`` the leading monomial without the top variable.
 
-    ``den`` and ``nums`` are its tail coefficients over one denominator
-    (``field.common_denominator``): the element is lm + sum(nums[i] / den *
-    m_i) over its tail monomials m_i, so den * element has the positive
-    int leading coefficient den and the int tail coefficients nums, and it
-    is primitive because the element is monic.  Over Z/p, den is 1 and
-    nums are the tail coefficients.  A shift moves monomials only and keeps
-    their order, so these numbers serve every shifted image.  ``take_tail``
-    changes ``poly``, ``den``, ``nums`` and the shifted images; ``lm``,
-    ``sdeg``, ``rest``, ``lmw``, ``index`` and the shifted lms never change.
+    A shift moves monomials only and keeps their order, so the same numbers
+    serve every shifted image, and an image is a tuple of monomials:
+    ``shifted_lm`` and ``shifted_tail`` give those of sigma**u . element.
+    ``poly`` builds the element with field coefficients on first read, for
+    output.  ``take_tail`` changes ``monos``, ``den``, ``nums``, the tail
+    images and ``poly``; ``lm``, ``sdeg``, ``rest``, ``lmw``, ``index`` and
+    the shifted lms never change.
     """
 
-    __slots__ = ("poly", "sdeg", "lm", "rest", "lmw", "index", "den", "nums",
-                 "_shifted", "_shifted_lm")
+    __slots__ = ("monos", "lc", "den", "nums", "ordering", "sdeg", "lm",
+                 "rest", "lmw", "index", "_poly", "_tails", "_shifted_lm")
 
-    def __init__(self, poly: Polynomial, sdeg: int, index: int):
-        self.poly = poly
-        self.sdeg = sdeg
-        self.index = index
-        lm = poly.lm()
-        self.lm = lm.mono if isinstance(lm, SkewMonomial) else lm
+    ring = Polynomial
+    mul = staticmethod(mono_mul)  # cofactor times a monomial of the ring
+
+    def __init__(self, terms, ordering, sdeg: int, index: int):
+        """The entry of the nonzero element with the descending (monomial,
+        numerator) pairs ``terms`` over any one denominator, made monic."""
+        (lead, c), tail = terms[0], terms[1:]
+        if type(c) is int:
+            self.lc = Fraction(1)
+        else:  # Z/p
+            inv = c.inverse()
+            self.lc, c, tail = c * inv, 1, [(m, x * inv) for m, x in tail]
+        self.ordering, self.sdeg, self.index = ordering, sdeg, index
+        self.lm = lead.mono if isinstance(lead, SkewMonomial) else lead
         self.rest = self.lm[1:]
         self.lmw = top_place(self.lm) if self.lm else -1
         self._shifted_lm = {0: self.lm}
-        self.take_tail(poly.terms[1:])
+        self.monos = (lead,)
+        self.take_tail(c, tail)
 
-    def take_tail(self, tail):
-        """Make the descending (monomial, coeff) ``tail`` the tail: the one
-        place that sets ``poly``, ``den``, ``nums`` and the shifted images."""
-        p = self.poly
-        p = self.poly = type(p)(p.terms[:1] + tuple(tail), p.ordering, _sorted=True)
-        self.den, self.nums = common_denominator([c for _, c in tail])
-        self._shifted = {0: p}
+    @classmethod
+    def of(cls, poly, sdeg: int, index: int):
+        """The entry of the nonzero element ``poly``."""
+        _, nums = common_denominator([c for _, c in poly.terms])
+        return cls(list(zip(poly.monomials(), nums)), poly.ordering, sdeg,
+                   index)
 
-    def shifted(self, sigma: MonomialEndomorphism, u: int) -> Polynomial:
-        p = self._shifted.get(u)
+    def take_tail(self, den, tail):
+        """Make ``tail``, descending (monomial, numerator) pairs over
+        ``den``, the tail: the one place that sets ``monos``, ``den``,
+        ``nums``, the tail images and ``poly``.  One content gcd makes
+        (den, nums) primitive with den > 0."""
+        nums = [c for _, c in tail]
+        if nums and type(nums[0]) is int:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
+        else:
+            den = 1
+        self.monos = self.monos[:1] + tuple([m for m, _ in tail])
+        self.den, self.nums = den, nums
+        self._tails = {0: self.monos[1:]}
+        self._poly = None
+
+    def tail(self) -> dict:
+        """The tail as a {monomial: numerator} dict over ``den``, for the
+        kernel."""
+        return dict(zip(self.monos[1:], self.nums))
+
+    @property
+    def poly(self):
+        """The element with field coefficients (``Fraction`` over Q)."""
+        p = self._poly
         if p is None:
-            p = sigma.poly(self.poly, u)
-            self._shifted[u] = p
+            den = self.den
+            p = self._poly = self.ring(((self.monos[0], self.lc),) + tuple(
+                (m, Fraction(c, den) if type(c) is int else c)
+                for m, c in zip(self.monos[1:], self.nums)
+            ), self.ordering, _sorted=True)
         return p
+
+    @staticmethod
+    def shift(sigma: MonomialEndomorphism, m, u: int):
+        """The image of a monomial of the element under its u-th shift."""
+        return sigma.mono(m, u)
+
+    def shifted_tail(self, sigma: MonomialEndomorphism, u: int) -> tuple:
+        t = self._tails.get(u)
+        if t is None:
+            shift = self.shift
+            t = self._tails[u] = tuple([shift(sigma, m, u)
+                                        for m in self.monos[1:]])
+        return t
 
     def shifted_lm(self, sigma: MonomialEndomorphism, u: int) -> Monomial:
         m = self._shifted_lm.get(u)
@@ -253,6 +318,28 @@ class _Entry:
             m = sigma.mono(self.lm, u)
             self._shifted_lm[u] = m
         return m
+
+    def spoly(self, other: "_Entry", sh: int, l: Monomial,
+              sigma: MonomialEndomorphism):
+        """The S-polynomial of this entry and the sh-th shift of ``other``,
+        whose leading monomials have lcm ``l``, for the kernel: (D, {term:
+        numerator}) over the denominator D, the value of ``spoly_poly`` or
+        ``spoly`` on the two elements."""
+        mul = self.mul
+        da, db = self.den, other.den
+        D = lcm(da, db)
+        qa = mono_div(l, self.lm)
+        qb = mono_div(l, other.shifted_lm(sigma, sh))
+        fa, fb = D // da, D // db
+        work = {mul(qa, t): n * fa for t, n in zip(self.monos[1:], self.nums)}
+        for t, n in zip(other.shifted_tail(sigma, sh), other.nums):
+            t = mul(qb, t)
+            s = work.get(t, 0) - n * fb
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+        return D, work
 
 
 def _split(g, cfg: GBConfig):
@@ -348,30 +435,31 @@ def _make_finder(entries: list[_Entry], cfg: GBConfig):
     return search
 
 
-def _nf_terms(terms, level, find, hkey, record=None):
-    """Full normal form of (term, coefficient) pairs against a finder.
+def _nf_terms(M, work, level, find, hkey, record=None):
+    """Full normal form of the terms ``work``, a {term: numerator} dict over
+    the denominator M that the kernel consumes, against a finder.
 
-    Returns the irreducible terms in descending order.  ``find(term,
-    level)`` gives None for an irreducible term, else (cofactor, products,
-    shift, entry): ``products`` are the entry's shifted tail monomials times
-    the cofactor, paired in order with the tail numerators ``ent.nums``.
-    When ``record`` is a list, every reduction step appends (coeff,
-    cofactor, shift, entry index), reconstructing the subtracted
-    combination exactly.
+    Returns (M, out): the irreducible terms in descending order as (term,
+    numerator) pairs over one final denominator M.  ``find(term, level)``
+    gives None for an irreducible term, else (cofactor, products, shift,
+    entry): ``products`` are the entry's shifted tail monomials times the
+    cofactor, paired in order with the tail numerators ``ent.nums``.  When
+    ``record`` is a list, every reduction step appends (coeff, cofactor,
+    shift, entry index), reconstructing the subtracted combination exactly;
+    its coefficients are field elements (``Fraction(c, M)`` over Q).
 
-    Rationals are reduced fraction-free.  The working coefficients are int
-    numerators over one running denominator M, so a term's value is c / M.
-    A step by an entry whose int-primitive form has leading coefficient a
-    (``_Entry.den``) and tail numerators b takes g = gcd(a, c), scales
-    every pending numerator and M by a // g, and subtracts (c // g) * b
-    from the tail terms, all in int arithmetic.  Whenever M grows, the
-    content shared by M, c and the pending numerators is divided out.  Each
-    result term and each ``record`` coefficient is the exact
-    ``Fraction(c, M)`` at the moment it leaves the working set, one
-    division per term.  Over Z/p, a and M are 1 and the same loop runs on
-    the field elements.
+    Rationals are reduced fraction-free: a term's value is c / M.  A step by
+    an entry whose int-primitive form has leading coefficient a
+    (``_Entry.den``) and tail numerators b takes g = gcd(a, c), scales every
+    pending numerator and M by a // g, and subtracts (c // g) * b from the
+    tail terms, all in int arithmetic.  Whenever M grows, the content shared
+    by M, c and the pending numerators is divided out.  A term leaves the
+    working set over the M of that moment, which later steps may change, so
+    at the end the output numerators are brought over the lcm of those
+    denominators, one multiplication per term whose denominator differs.
+    Over Z/p, a and M are 1 and the same loop runs on the field elements.
 
-    Pending coefficients live in a term -> coefficient dict, and each term
+    Pending coefficients live in the term -> numerator dict, and each term
     also sits in a heap under ``hkey`` (a descending key, computed once when
     the term enters the dict).  A step only adds terms strictly below the
     term it reduces, so the top of the heap is always the largest pending
@@ -379,13 +467,11 @@ def _nf_terms(terms, level, find, hkey, record=None):
     is skipped when popped (lazy deletion), and a term that enters again
     is pushed again.
     """
-    M, nums = common_denominator([c for _, c in terms])
-    rational = bool(nums) and type(nums[0]) is int
-    work = dict(zip([t for t, _ in terms], nums))
     heap = [(hkey(t), t) for t in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     out = []
+    dens = []  # (end, M): out[previous end:end] is over M
     while heap:
         t = pop(heap)[1]
         c = work.pop(t, None)
@@ -393,11 +479,12 @@ def _nf_terms(terms, level, find, hkey, record=None):
             continue
         hit = find(t, level)
         if hit is None:
-            out.append((t, Fraction(c, M) if rational else c))
+            out.append((t, c))
             continue
         q, products, u, ent = hit
         if record is not None:
-            record.append((Fraction(c, M) if rational else c, q, u, ent.index))
+            record.append((Fraction(c, M) if type(c) is int else c,
+                           q, u, ent.index))
         a = ent.den
         if a != 1:
             g = gcd(a, c)
@@ -410,6 +497,8 @@ def _nf_terms(terms, level, find, hkey, record=None):
                 # same primes: on c41-d4 it reaches ~40 000 bits while the
                 # true denominators stay under ~1 800.
                 k = gcd(c, M, *work.values())
+                if len(out) > (dens[-1][0] if dens else 0):
+                    dens.append((len(out), M))
                 M = M // k * a
                 c //= k
                 work = {tt: cc // k * a for tt, cc in work.items()}
@@ -424,7 +513,16 @@ def _nf_terms(terms, level, find, hkey, record=None):
                     work[t2] = s
                 else:
                     del work[t2]
-    return out
+    if dens:
+        dens.append((len(out), M))
+        M = lcm(*[d for _, d in dens])
+        start = 0
+        for end, d in dens:
+            f = M // d
+            if f != 1:
+                out[start:end] = [(t, c * f) for t, c in out[start:end]]
+            start = end
+    return M, out
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +535,14 @@ class _Family(NamedTuple):
     entry: type  # _LeftEntry or _Entry
     pairs: object  # _left_pairs or _window_pairs
     finder: object  # _left_finder or _make_finder
-    spoly: object  # spoly or spoly_poly
     shift: str  # the shift's name in trace lines and certify failures
 
 
 def _family(cfg: GBConfig) -> _Family:
     """The parts of the mode family of ``cfg``, read at call time."""
     if cfg.mode == "left":
-        return _Family(_LeftEntry, _left_pairs, _left_finder, spoly, "s")
-    return _Family(_Entry, _window_pairs, _make_finder, spoly_poly, "sigma")
+        return _Family(_LeftEntry, _left_pairs, _left_finder, "s")
+    return _Family(_Entry, _window_pairs, _make_finder, "sigma")
 
 
 def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
@@ -518,9 +615,11 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     Returns (entries, stats, trace); the trace is a list of lines when
     ``cfg.trace`` is set, else None.
     """
-    Entry, pairs, finder, sp, shift = _family(cfg)
+    Entry, pairs, finder, shift = _family(cfg)
     left, by_sdeg = cfg.mode == "left", cfg.mode != "sigma"
     okey = cfg.ordering.key
+    ordering = SkewOrdering(cfg.ordering) if left else cfg.ordering
+    key = ordering.key
 
     entries: list[_Entry] = []
     stats = PairStats()
@@ -532,8 +631,7 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
         if trace is not None:
             trace.append(f"(g{a + 1}, {shift}^{sh}.g{b + 1})@{stratum} {outcome}")
 
-    def add_element(poly, sdeg: int):
-        ent = Entry(poly, sdeg, len(entries))
+    def add_element(ent):
         entries.append(ent)
         stats.added += 1
         for a, b, sh, stratum, l in pairs(entries, ent.index, cfg, pair_filter):
@@ -542,16 +640,22 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
                                   stats.considered, a, b, sh, l))
             stats.considered += 1
         # Reduce again each older tail that an image of the new lm divides.
+        # Such an image lies on the new s-degree or above, and no term it
+        # divides is below the new lm (with its s-degree in left mode), so
+        # a tail below either is not searched.
         hits = finder([ent], cfg)
+        lead = key(ent.monos[0])
         for old in entries[:-1]:
-            tail = old.poly.terms[1:]
-            if any(hits(m, old.sdeg) for m, _ in tail):
-                old.take_tail(reduce(tail, old.sdeg))
+            if (old.sdeg < ent.sdeg or len(old.monos) == 1
+                    or key(old.monos[1]) < lead):
+                continue
+            if any(hits(m, old.sdeg) for m in old.monos[1:]):
+                old.take_tail(*reduce(old.den, old.tail(), old.sdeg))
         return ent
 
     for poly, sdeg in seeds:  # unlike a normal form, a seed's tail may reduce
-        ent = add_element(poly, sdeg)
-        ent.take_tail(reduce(poly.terms[1:], sdeg))
+        ent = add_element(Entry.of(poly, sdeg, len(entries)))
+        ent.take_tail(*reduce(ent.den, ent.tail(), sdeg))
 
     while heap:
         stratum, _, _, _, a, b, sh, l = heapq.heappop(heap)
@@ -563,21 +667,20 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
                 stats.chain_skipped += 1
             note(a, b, sh, stratum, f"skip:{crit}")
             continue
-        s = sp(entries[a].poly, entries[b].shifted(cfg.sigma, sh))
         level = stratum if by_sdeg else 0
-        nf = reduce(s.terms, level)
+        _, nf = reduce(*entries[a].spoly(entries[b], sh, l, cfg.sigma), level)
         if not nf:
             stats.reduced_to_zero += 1
             note(a, b, sh, stratum, "-> 0")
             continue
-        h = type(s)(nf, s.ordering, _sorted=True).monic()
-        if cfg.mode == "sigma" and h.lm() == MONO_ONE:
+        lead = nf[0][0]
+        if cfg.mode == "sigma" and lead == MONO_ONE:
             note(a, b, sh, stratum, "-> 1")
             warnings.warn("basis contains a constant: unit ideal")
-            one = Polynomial.constant(h.lc(), cfg.ordering)
-            return [_Entry(one, 0, 0)], stats, trace
+            return [Entry(nf, ordering, 0, 0)], stats, trace
         # a left element may lead below the pair's s-degree
-        ent = add_element(h, h.sdeg() if left else level)
+        ent = add_element(Entry(nf, ordering, lead.sdeg if left else level,
+                                len(entries)))
         note(a, b, sh, stratum, f"-> g{ent.index + 1}")
 
     return entries, stats, trace
@@ -647,20 +750,24 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
 
 
 class _LeftEntry(_Entry):
-    """A monic element of S for left reduction; its shifted images are the
-    left s-power multiples s**u * element.  ``shift_left`` keeps
-    coefficients and term order, so ``den`` and ``nums`` serve every
-    multiple, and the leading monomial of s**u * element is the sigma**u
-    image of ``lm`` at s-degree ``sdeg + u``."""
+    """A monic element of S for left reduction, over monomials
+    ``SkewMonomial(m, e)``; its shifted images are the left s-power
+    multiples s**u * element, whose monomials are (sigma**u(m), e + u).
+    ``shift_left`` keeps coefficients and term order, so ``den`` and
+    ``nums`` serve every multiple, and the leading monomial of s**u *
+    element is the sigma**u image of ``lm`` at s-degree ``sdeg + u``."""
 
     __slots__ = ()
 
-    def shifted(self, sigma: MonomialEndomorphism, u: int) -> SkewElement:
-        g = self._shifted.get(u)
-        if g is None:
-            g = shift_left(u, self.poly, sigma)
-            self._shifted[u] = g
-        return g
+    ring = SkewElement
+
+    @staticmethod
+    def mul(q: Monomial, t: SkewMonomial) -> SkewMonomial:
+        return SkewMonomial(mono_mul(q, t[0]), t[1])
+
+    @staticmethod
+    def shift(sigma: MonomialEndomorphism, t: SkewMonomial, u: int):
+        return SkewMonomial(sigma.mono(t[0], u), t[1] + u)
 
 
 def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
@@ -727,7 +834,7 @@ def _entries(G, cfg: GBConfig):
     """Entries for the nonzero elements of G (``_split``), indexed by their
     position in G."""
     Entry = _family(cfg).entry
-    return [Entry(*_split(g, cfg), i) for i, g in enumerate(G) if g]
+    return [Entry.of(*_split(g, cfg), i) for i, g in enumerate(G) if g]
 
 
 def _search(entries, cfg: GBConfig):
@@ -740,18 +847,19 @@ def _search(entries, cfg: GBConfig):
     so a memo keyed by (m, level) keeps each answer with its products and is
     cleared whenever the number of entries has changed since it was filled;
     a hit is also cleared when its entry takes a new tail (``take_tail``),
-    and rebuilt from that tail.  ``reduce(terms, level, record=None)``
-    gives the ``_nf_terms`` normal form of (term, coefficient) pairs against
-    the family's closure: terms of P at one level in sigma/skew mode, terms
-    of S in left mode, whose search reads the level off each term.
+    and rebuilt from that tail.  ``reduce(M, work, level, record=None)``
+    gives the ``_nf_terms`` normal form, in int form, of the {term:
+    numerator} dict ``work`` over M against the family's closure: terms of
+    P at one level in sigma/skew mode, terms of S in left mode, whose search
+    reads the level off each term.  The products are the entry's
+    ``shifted_tail`` times the cofactor under the family's ``mul``, the
+    product ``_Entry.spoly`` uses too.
     """
     left = cfg.mode == "left"
-    search = _family(cfg).finder(entries, cfg)
-    if left:
-        hkey = SkewOrdering(cfg.ordering).heap_key
-        mul = lambda q, t: SkewMonomial(mono_mul(q, t[0]), t[1])
-    else:
-        hkey, mul = cfg.ordering.heap_key, mono_mul
+    family = _family(cfg)
+    search = family.finder(entries, cfg)
+    mul = family.entry.mul
+    hkey = (SkewOrdering(cfg.ordering) if left else cfg.ordering).heap_key
     memo = {}
     filled = 0
 
@@ -770,13 +878,13 @@ def _search(entries, cfg: GBConfig):
             return hit
         if hit is not None:  # new, or stale: its entry took a new tail since
             q, _, u, ent = hit
-            tail = ent.shifted(cfg.sigma, u).terms[1:]
-            hit, nums = (q, tuple([mul(q, t) for t, _ in tail]), u, ent), ent.nums
+            tail = ent.shifted_tail(cfg.sigma, u)
+            hit, nums = (q, tuple([mul(q, t) for t in tail]), u, ent), ent.nums
         memo[m, level] = hit, nums
         return hit
 
-    def reduce(terms, level, record=None):
-        return _nf_terms(terms, level, find, hkey, record)
+    def reduce(M, work, level, record=None):
+        return _nf_terms(M, work, level, find, hkey, record)
 
     return find, reduce
 
@@ -791,12 +899,19 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     """
     cfg.check_sigma()
     _, reduce = _search(_entries(G, cfg), cfg)
+
+    def nf_of(terms, level):
+        M, nums = common_denominator([c for _, c in terms])
+        M, out = reduce(M, dict(zip([t for t, _ in terms], nums)), level,
+                        record)
+        return [(t, Fraction(c, M) if type(c) is int else c) for t, c in out]
+
     if cfg.mode == "skew":
         # two-sided: reduce each s-homogeneous layer at its own level
         nf = [(SkewMonomial(m, level), c) for level, poly in f.parts
-              for m, c in reduce(poly.terms, level, record)]
+              for m, c in nf_of(poly.terms, level)]
     else:
-        nf = reduce(f.terms, 0, record)
+        nf = nf_of(f.terms, 0)
     if cfg.mode == "sigma":
         return Polynomial(nf, cfg.ordering, _sorted=True)
     return SkewElement(nf, SkewOrdering(cfg.ordering), _sorted=True)
@@ -815,14 +930,14 @@ def interreduce(basis, cfg: GBConfig):
     kept: list = []
     find, reduce = _search(kept, cfg)
     for ent in sorted(_entries(basis, cfg), key=lambda e: (e.sdeg, okey(e.lm))):
-        if find(ent.poly.lm(), ent.sdeg) is None:
+        if find(ent.monos[0], ent.sdeg) is None:
             ent.index = len(kept)
             kept.append(ent)
+    tails = [reduce(ent.den, ent.tail(), ent.sdeg) for ent in kept]
     out = []
-    for ent in kept:
+    for ent, tail in zip(kept, tails):
+        ent.take_tail(*tail)
         g = ent.poly
-        tail = reduce(g.terms[1:], ent.sdeg)
-        g = type(g)(g.terms[:1] + tuple(tail), g.ordering, _sorted=True)
         out.append(SkewElement.of_poly(g, ent.sdeg) if cfg.mode == "skew" else g)
     return out
 
@@ -868,13 +983,12 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     failures: list[str] = []
     entries = _entries(basis, cfg)
     _, reduce = _search(entries, cfg)
-    _, pairs, _, sp, shift = _family(cfg)
+    _, pairs, _, shift = _family(cfg)
     for t in range(len(entries)):
         for a, b, sh, level, l in pairs(entries, t, cfg, pair_filter):
             if _criterion(entries, a, b, sh, l, level, cfg):
                 continue
-            s = sp(entries[a].poly, entries[b].shifted(sigma, sh))
-            if reduce(s.terms, level):
+            if reduce(*entries[a].spoly(entries[b], sh, l, sigma), level)[1]:
                 if cfg.product_enabled() or cfg.chain_criterion:
                     return certify(basis, replace(
                         cfg, product_criterion=False, chain_criterion=False

@@ -8,9 +8,10 @@ point is used anywhere: ``inverse`` gives 1 / c in the field of c.
 
 Rationals need not stay ``Fraction`` values while they are worked on.
 ``common_denominator`` writes a list of them as int numerators over one
-positive denominator, which lets the normal-form kernel run on plain ints
-and divide only once per result term; it hands Z/p elements back as they
-are, over denominator 1.
+positive denominator; it hands Z/p elements back as they are, over
+denominator 1.  That is how input enters the engine, which keeps basis
+entries, S-polynomials and normal forms in this int form and builds
+``Fraction`` values again only for output.
 """
 
 from __future__ import annotations

@@ -61,20 +61,21 @@ def test_criteria_agree_with_exhaustive_certify():
     assert all(failing[m] >= 10 for m in gen.MODES), failing
 
 
-def certified_spolys(monkeypatch, text, name):
-    """The number of calls to ``engine.<name>`` that ``cli._certify`` makes
-    on the computed basis of the problem, which must certify."""
+def certified_spolys(monkeypatch, text):
+    """The number of S-polynomials (``_Entry.spoly``, which left entries
+    inherit) that ``cli._certify`` forms on the computed basis of the
+    problem, which must certify."""
     pf, cfg, gens = load(text)
     basis = cli._run_problem(pf, cfg, gens)[3]
     reduced = 0
-    sp = getattr(engine, name)
+    sp = engine._Entry.spoly
 
-    def counting(f, g):
+    def spoly(*args):
         nonlocal reduced
         reduced += 1
-        return sp(f, g)
+        return sp(*args)
 
-    monkeypatch.setattr(engine, name, counting)
+    monkeypatch.setattr(engine._Entry, "spoly", spoly)
     assert cli._certify(pf, cfg, basis) == (True, [])
     return reduced
 
@@ -83,13 +84,13 @@ def test_certify_on_serf_g2_skips_settled_pairs(monkeypatch):
     # The exhaustive check reduces 488 S-polynomials on this basis; the
     # criteria leave 51.
     text = (CORPUS / "serf-g2.txt").read_text()
-    assert 0 < certified_spolys(monkeypatch, text, "spoly_poly") <= 60
+    assert 0 < certified_spolys(monkeypatch, text) <= 60
 
 
 def test_certify_reduces_left_pairs_through_spoly(monkeypatch):
     # The pinned left problem: of its three in-window pairs the chain
     # criterion settles one, and the two others reach ``spoly``.
-    assert certified_spolys(monkeypatch, PINNED["left"][0], "spoly") == 2
+    assert certified_spolys(monkeypatch, PINNED["left"][0]) == 2
 
 
 RUN_PROBLEM = cli._run_problem

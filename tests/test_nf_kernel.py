@@ -18,11 +18,20 @@ rebuilds f - nf.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from randgen import random_coeff, random_mono, random_poly
-from skewgb.endo import ShiftEndo
-from skewgb.engine import GBConfig, _Entry, _LeftEntry, _search, normal_form
-from skewgb.field import GF, ModInt
+from skewgb.endo import PowerEndo, ShiftEndo
+from skewgb.engine import (
+    GBConfig,
+    _Entry,
+    _LeftEntry,
+    _search,
+    normal_form,
+    spoly,
+    spoly_poly,
+)
+from skewgb.field import GF, ModInt, common_denominator
 from skewgb.skew import SkewElement, SkewMonomial, shift_left
 from skewgb.poly import (
     DEGLEX,
@@ -30,6 +39,7 @@ from skewgb.poly import (
     Polynomial,
     mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
     top_place,
 )
@@ -446,14 +456,28 @@ def memo_cases(mode, entry, term):
 
 
 def test_memo_sees_appended_entries_in_sigma_mode():
-    memo_cases("sigma", lambda text, i: _Entry(parse_poly(text), 0, i),
+    memo_cases("sigma", lambda text, i: _Entry.of(parse_poly(text), 0, i),
                lambda m: m)
 
 
 def test_memo_sees_appended_entries_in_left_mode():
-    memo_cases("left", lambda text, i: _LeftEntry(
+    memo_cases("left", lambda text, i: _LeftEntry.of(
         SkewElement.of_poly(parse_poly(text)), 0, i),
         lambda m: SkewMonomial(m, 0))
+
+
+def int_form(terms):
+    """(term, coefficient) pairs as the kernel's (M, {term: numerator})."""
+    M, nums = common_denominator([c for _, c in terms])
+    return M, dict(zip([t for t, _ in terms], nums))
+
+
+def reduced(reduce, f, record):
+    """The sigma-mode normal form of f through a ``_search`` reduce, with
+    field coefficients."""
+    M, out = reduce(*int_form(f.terms), 0, record)
+    return Polynomial([(m, Fraction(c, M)) for m, c in out], f.ordering,
+                      _sorted=True)
 
 
 def test_memo_follows_a_changed_tail():
@@ -466,22 +490,142 @@ def test_memo_follows_a_changed_tail():
         ordering = (LEX, DEGLEX)[n % 2]
         f, G = random_case(rng, ordering, large_denominators)
         cfg = GBConfig(mode="sigma", degree_bound=4, ordering=ordering)
-        entries = [_Entry(g.monic(), 0, i) for i, g in enumerate(G) if g]
+        entries = [_Entry.of(g.monic(), 0, i) for i, g in enumerate(G) if g]
         _, reduce = _search(entries, cfg)
         first = []
-        reduce(f.terms, 0, first)
+        reduced(reduce, f, first)
         ent = rng.choice(entries)
         key = ordering.key
         noise = lifted(random_poly(rng, letters=2, max_place=2, max_deg=2,
                                    terms=4, ordering=ordering),
                        rng, large_denominators)
-        ent.take_tail([(m, c) for m, c in noise.terms if key(m) < key(ent.lm)])
+        tail = [(m, c) for m, c in noise.terms if key(m) < key(ent.lm)]
+        den, nums = int_form(tail)
+        ent.take_tail(den, list(nums.items()))
         G = list(G)
         G[ent.index] = ent.poly
         record = []
-        nf = Polynomial(reduce(f.terms, 0, record), ordering, _sorted=True)
+        nf = reduced(reduce, f, record)
         want, want_record, _ = reference_nf(f, G, ordering)
         assert nf == want
         assert record == want_record
         stale += any(i == ent.index for _, _, _, i in first)
     assert stale > 100
+
+
+# ---------------------------------------------------------------------------
+# The int form: kernel output, S-polynomials and entries
+
+
+def test_term_that_leaves_before_a_rescale_keeps_its_value():
+    # y(0) is irreducible and leaves over M = 2; the step on x(0) by
+    # x(0) + 1/3 (den 3) then rescales M to 3 and divides out the content
+    # 2, so the kernel must bring y(0) over a common final denominator.
+    G = [parse_poly("x(0) + 1/3")]
+    f = parse_poly("1/2*y(0) + x(0)")
+    cfg = GBConfig(mode="sigma", degree_bound=2)
+    entries = [_Entry.of(G[0], 0, 0)]
+    assert entries[0].den == 3
+    _, reduce = _search(entries, cfg)
+    M, out = reduce(*int_form(f.terms), 0)
+    assert M == 6 and [c for _, c in out] == [3, -2]
+    want, _, _ = reference_nf(f, G, LEX)
+    assert want == parse_poly("1/2*y(0) - 1/3")
+    assert Polynomial([(m, Fraction(c, M)) for m, c in out], LEX,
+                      _sorted=True) == want
+    assert normal_form(f, G, cfg) == want
+
+
+def random_entry_pair(rng, ordering, lift, family):
+    """Two random monic elements of the family ("sigma", "skew" or "left")
+    with coefficients through lift(rng, c), as (element, element)."""
+    while True:
+        if family == "left":
+            g = [lifted(random_left_element(rng, ordering), rng, lift)
+                 for _ in range(2)]
+        else:
+            g = [lifted(random_poly(rng, letters=2, max_place=2, max_deg=2,
+                                    terms=4, ordering=ordering), rng, lift)
+                 for _ in range(2)]
+        if all(g):
+            return [h.monic() for h in g]
+
+
+def check_int_spolys(seed, lift, coeff_type):
+    """``_Entry.spoly`` on random pairs of entries against ``spoly_poly``
+    (sigma and skew, under the shift and a power map) and ``spoly`` (left,
+    the higher entry first and the other lifted by s**shift)."""
+    rng = random.Random(seed)
+    nonzero = 0
+    for n in range(300):
+        ordering = (LEX, DEGLEX)[n % 2]
+        family = ("sigma", "skew", "left")[n % 3]
+        sigma = PowerEndo(2) if family == "skew" and n % 2 else SHIFT
+        f, g = random_entry_pair(rng, ordering, lift, family)
+        if family == "left":
+            (a, fa), (b, gb) = sorted(
+                [(_LeftEntry.of(h, h.sdeg(), i), h)
+                 for i, h in enumerate((f, g))],
+                key=lambda e: -e[0].sdeg)
+            sh = a.sdeg - b.sdeg
+            want = spoly(fa, shift_left(sh, gb, sigma))
+            ring = SkewElement
+        else:
+            a, b = _Entry.of(f, 0, 0), _Entry.of(g, 0, 1)
+            sh = rng.randint(0, 2)
+            want = spoly_poly(f, sigma.poly(g, sh))
+            ring = Polynomial
+        l = mono_lcm(a.lm, b.shifted_lm(sigma, sh))
+        D, work = a.spoly(b, sh, l, sigma)
+        got = ring([(t, Fraction(c, D) if coeff_type is Fraction else c)
+                    for t, c in work.items()], want.ordering)
+        assert got == want
+        assert all(type(c) is coeff_type for _, c in got.terms)
+        nonzero += bool(want)
+    assert nonzero > 200
+
+
+def test_int_spoly_matches_fraction_spoly():
+    check_int_spolys(20248, large_denominators, Fraction)
+
+
+def test_int_spoly_matches_fraction_spoly_over_prime_field():
+    check_int_spolys(20249, mod_7, ModInt)
+
+
+def test_entry_poly_rebuilt_from_ints():
+    # An entry keeps ints only; ``poly`` rebuilds the Fraction (or Z/p)
+    # form, after construction, after ``take_tail`` from a numerator list
+    # over a scaled, signed denominator, and for a kernel output made monic.
+    rng = random.Random(20250)
+    for n in range(300):
+        ordering = (LEX, DEGLEX)[n % 2]
+        lift = (large_denominators, mod_7)[n % 3 == 0]
+        g = lifted(random_poly(rng, letters=2, max_place=2, max_deg=3,
+                               terms=5, ordering=ordering), rng, lift)
+        if not g:
+            continue
+        g = g.monic()
+        ent = _Entry.of(g, 0, 0)
+        assert ent.poly == g and ent.poly.terms == g.terms
+        tail = [(m, lift(rng, random_coeff(rng)))
+                for m in {random_mono(rng, letters=2, max_place=2, max_deg=3)
+                          for _ in range(4)}
+                if ordering.key(m) < ordering.key(ent.lm)]
+        tail = [(m, c) for m, c in sorted(
+            tail, key=lambda t: ordering.key(t[0]), reverse=True) if c]
+        den, nums = int_form(tail)
+        k = rng.choice((1, -1, 6, -35)) if lift is large_denominators else 1
+        ent.take_tail(den * k, [(m, c * k) for m, c in nums.items()])
+        want = Polynomial(g.terms[:1] + tuple(tail), ordering, _sorted=True)
+        assert ent.poly == want
+        assert all(type(c) is type(g.lc()) for _, c in ent.poly.terms)
+        if ent.nums and type(ent.nums[0]) is int:
+            assert ent.den > 0 and gcd(ent.den, *ent.nums) == 1
+        h = lifted(random_poly(rng, letters=2, max_place=2, max_deg=3,
+                               terms=5, ordering=ordering), rng, lift)
+        if h:
+            M, work = int_form(h.terms)
+            made = _Entry(list(work.items()), ordering, 0, 0)
+            assert made.poly == h.monic()
+            assert type(made.poly.lc()) is type(h.monic().lc())
