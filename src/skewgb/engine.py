@@ -933,6 +933,8 @@ def interreduce(basis, cfg: GBConfig):
         if find(ent.monos[0], ent.sdeg) is None:
             ent.index = len(kept)
             kept.append(ent)
+    # Every tail reduces against the kept elements as given, before any
+    # of them takes its new tail.
     tails = [reduce(ent.den, ent.tail(), ent.sdeg) for ent in kept]
     out = []
     for ent, tail in zip(kept, tails):

@@ -3,9 +3,10 @@
 The trace lists every critical pair the completion takes, with its
 outcome, so these digests pin the pair order, the criteria, which pairs
 reduce to zero and which add an element, besides the basis and the stats
-line.  They were recorded before the completion began to keep its entries
-tail-reduced, which may change the tails the reductions see but none of
-the above.
+line.  The free2 and generator pins were recorded before the completion
+began to keep its entries tail-reduced, which may change the tails the
+reductions see but none of the above; the free-mode and Z/p pins before
+the engine kept its entries and S-polynomials in int form.
 
 The inputs: the two free corpus problems as checked in (sigma backend)
 and as free2 variants (skew backend), c41-d4 over Z/32003, and the first
