@@ -30,15 +30,11 @@ sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
 ``_nf_terms`` and answers each (monomial, level) query once per basis
 state.  The completion ``_complete`` keeps its entries tail-reduced.
 
-Between one kernel call and the next, coefficients stay in int form: int
-numerators over one denominator (over Z/p, field elements over 1).  Both
-families keep their basis in ``_Entry`` records of monomials, ``den`` and
-``nums``, which cache the shifted monomial images the searches and
-S-polynomials act through; the kernel returns its irreducible terms over
-one final denominator, a new element is made monic from those ints, and
-``_Entry.spoly`` forms each S-polynomial from two entries' ints.
-``Fraction`` coefficients are built only where a polynomial leaves the
-engine: ``_Entry.poly``, ``normal_form`` and its ``record``, ``spoly`` and
+From one kernel call to the next, coefficients stay int numerators over
+one denominator (Z/p elements over 1): in the basis entries (``_Entry``),
+in the S-polynomials they form (``_Entry.spoly``) and in the kernel's
+results.  ``Fraction`` values are built only where a polynomial leaves the
+engine: ``_Entry.poly``, ``normal_form`` and its record, ``spoly`` and
 ``spoly_poly``.
 
 Criteria: one ``_criterion`` serves the completion and ``certify``.  The
