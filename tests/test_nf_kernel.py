@@ -625,7 +625,7 @@ def test_entry_poly_rebuilt_from_ints():
         h = lifted(random_poly(rng, letters=2, max_place=2, max_deg=3,
                                terms=5, ordering=ordering), rng, lift)
         if h:
-            M, work = int_form(h.terms)
+            _, work = int_form(h.terms)
             made = _Entry(list(work.items()), ordering, 0, 0)
             assert made.poly == h.monic()
             assert type(made.poly.lc()) is type(h.monic().lc())
