@@ -7,11 +7,17 @@ Three computations run on one completion loop and an oracle checks them:
 * ``skew_gbasis``  — two-sided bases of s-homogeneous ideals of S, truncated
   by s-degree;
 * ``left_gbasis``  — left-module bases in S, no homogeneity assumption;
-* ``oracle_gbasis_truncated`` — a deliberately naive commutative (module)
-  Buchberger run on the fully expanded, finite window of shifted generators.
-  It shares only the arithmetic layer with the main algorithms and exists to
-  cross-check their leading-monomial ideals inside the window;
-  ``lm_window_match`` maps the main basis's lms through the same rule.
+* ``oracle_gbasis_truncated`` — a commutative (module) Buchberger run on the
+  fully expanded, finite window of shifted generators, to cross-check the
+  main algorithms' leading-monomial ideals inside the window;
+  ``lm_window_match`` maps the main basis's lms through the same rule.  Its
+  algorithm stays deliberately naive: no shifts, no criteria, FIFO pairs and
+  the first listed generator whose lm divides.  Only its arithmetic is
+  tuned: generators in integer form (primitive over Q, monic over Z/p),
+  integer S-polynomials, and a pseudo-reducing normal form that pops terms
+  from a heap.  It shares the coefficient and monomial layers with the main
+  algorithms, and none of their pair enumeration, criteria, reducer search,
+  kernel or completion.
 
 Critical pairs carry a shift decoration: the pair (a, b, k) stands for
 spoly(a, sigma**k . b) with the appropriate s-power bookkeeping in skew
@@ -34,8 +40,8 @@ From one kernel call to the next, coefficients stay int numerators over
 one denominator (Z/p elements over 1): in the basis entries (``_Entry``),
 in the S-polynomials they form (``_Entry.spoly``) and in the kernel's
 results.  ``Fraction`` values are built only where a polynomial leaves the
-engine: ``_Entry.poly``, ``normal_form`` and its record, ``spoly`` and
-``spoly_poly``.
+engine: ``_Entry.poly``, ``normal_form`` and its record, ``spoly``,
+``spoly_poly`` and the oracle's returned basis.
 
 Criteria: one ``_criterion`` serves the completion and ``certify``.  The
 product criterion holds only in ideal modes (difference ideals and the
@@ -58,7 +64,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .endo import MonomialEndomorphism, ShiftEndo
-from .field import common_denominator
+from .field import common_denominator, inverse
 from .poly import (
     LETTER_BITS,
     LETTER_MASK,
@@ -326,11 +332,14 @@ class _Entry:
         D = lcm(da, db)
         qa = mono_div(l, self.lm)
         qb = mono_div(l, other.shifted_lm(sigma, sh))
+        # A factor of 1 (always, over Z/p) leaves the numerators as they are.
         fa, fb = D // da, D // db
-        work = {mul(qa, t): n * fa for t, n in zip(self.monos[1:], self.nums)}
-        for t, n in zip(other.shifted_tail(sigma, sh), other.nums):
+        na = self.nums if fa == 1 else [n * fa for n in self.nums]
+        nb = other.nums if fb == 1 else [n * fb for n in other.nums]
+        work = {mul(qa, t): n for t, n in zip(self.monos[1:], na)}
+        for t, n in zip(other.shifted_tail(sigma, sh), nb):
             t = mul(qb, t)
-            s = work.get(t, 0) - n * fb
+            s = work.get(t, 0) - n
             if s:
                 work[t] = s
             else:
@@ -1000,37 +1009,78 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
 # The independent oracle
 
 
-def _oracle_nf(f: SkewElement, gens: list[SkewElement]):
-    """Plain module normal form: first listed generator whose lm divides."""
-    okey = f.ordering.key
-    work = dict(f.terms)
+def _oracle_form(terms):
+    """Nonzero descending (term, coefficient) pairs as an oracle generator
+    (lead term, a, tail pairs).  Over Q the numerators are made primitive
+    with the positive int leading coefficient a; over Z/p the generator is
+    made monic, a = 1.  The form is unique for each class of nonzero scalar
+    multiples."""
+    nums = [c for _, c in terms]
+    if type(nums[0]) is int:
+        g = gcd(*nums)
+        if nums[0] < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+        a = nums[0]
+    else:  # Z/p
+        inv = nums[0].inverse()
+        nums = [c * inv for c in nums]
+        a = 1
+    return terms[0][0], a, tuple(zip([t for t, _ in terms[1:]], nums[1:]))
+
+
+def _oracle_nf(work: dict, gens: list, hkey):
+    """Plain module normal form of the {term: numerator} dict ``work``
+    against the oracle generators ``gens``: the first listed generator whose
+    lm divides on the same level reduces.  Returns the nonzero result as an
+    oracle generator (``_oracle_form``), or None.
+
+    Over Q this is pseudo-reduction in int arithmetic: a term c reduced by a
+    generator with leading coefficient a takes k = gcd(a, c), scales every
+    pending and every output numerator by a // k and subtracts c // k times
+    the cofactor times the tail, so the result is a nonzero multiple of the
+    normal form.  Over Z/p every a is 1 and the same loop runs on the field
+    elements.  Terms are popped from a heap under ``hkey``, largest
+    first; a step only adds terms below the one it reduces, and a term that
+    cancels leaves its heap entry behind, skipped when popped."""
+    heap = [(hkey(t), t) for t in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     out = []
-    while work:
-        t = max(work, key=okey)
-        c = work.pop(t)
+    while heap:
+        t = pop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         m, e = t
-        red = None
-        for g in gens:
-            v = g.lm()
+        for v, a, tail in gens:
             if v.sdeg == e and mono_divides(v.mono, m):
-                red = g
                 break
-        if red is None:
+        else:
             out.append((t, c))
             continue
-        q = mono_div(m, red.lm().mono)
-        for (mm, i), cc in red.terms[1:]:
-            t = SkewMonomial(mono_mul(q, mm), i)
-            prev = work.get(t)
+        if a != 1:
+            k = gcd(a, c)
+            a //= k
+            c //= k
+            if a != 1:
+                work = {tt: cc * a for tt, cc in work.items()}
+                out = [(tt, cc * a) for tt, cc in out]
+        q = mono_div(m, v.mono)
+        for (mm, i), b in tail:
+            t2 = SkewMonomial(mono_mul(q, mm), i)
+            prev = work.get(t2)
             if prev is None:
-                work[t] = -c * cc
+                work[t2] = -c * b
+                push(heap, (hkey(t2), t2))
             else:
-                s2 = prev - c * cc
-                if s2:
-                    work[t] = s2
+                s = prev - c * b
+                if s:
+                    work[t2] = s
                 else:
-                    del work[t]
-    return SkewElement(out, f.ordering)
+                    del work[t2]
+    return _oracle_form(out) if out else None
 
 
 def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
@@ -1038,38 +1088,62 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
 
     degree_cap skips pairs whose lcm exceeds that total degree, which is
     exact for the capped part of the lm-ideal when the input is homogeneous.
+
+    It runs in integer form (``_oracle_form``: primitive over Q, monic over
+    Z/p): the S-polynomial of generators with leading coefficients a_i, a_j
+    is (a_j / g) q_i f_i - (a_i / g) q_j f_j for g = gcd(a_i, a_j), and
+    ``_oracle_nf`` pseudo-reduces it.  Each result is a scalar multiple of
+    the one field arithmetic gives, so the same pairs reduce to zero.  The
+    generators become monic elements of S only on return.
     """
-    G: list[SkewElement] = []
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    c, ordering = gens[0].lc(), gens[0].ordering
+    one = c * inverse(c)  # the field's 1
+    G: list = []
     seen = set()
     for g in gens:
-        if g.is_zero():
-            continue
-        g = g.monic()
-        if g not in seen:
-            seen.add(g)
-            G.append(g)
+        _, nums = common_denominator([c for _, c in g.terms])
+        f = _oracle_form(list(zip(g.monomials(), nums)))
+        if f not in seen:
+            seen.add(f)
+            G.append(f)
+    hkey = ordering.heap_key
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     k = 0
     while k < len(pairs):
         i, j = pairs[k]
         k += 1
-        vi, vj = G[i].lm(), G[j].lm()
+        (vi, ai, ti), (vj, aj, tj) = G[i], G[j]
         if vi.sdeg != vj.sdeg:
             continue
-        if degree_cap is not None:
-            l = mono_lcm(vi.mono, vj.mono)
-            if sum(e for _, e in l) > degree_cap:
-                continue
-        s = spoly(G[i], G[j])
-        if s.is_zero():
+        l = mono_lcm(vi.mono, vj.mono)
+        if degree_cap is not None and sum(e for _, e in l) > degree_cap:
             continue
-        nf = _oracle_nf(s, G)
-        if nf.is_zero():
+        g = gcd(ai, aj)
+        fi, fj = aj // g, ai // g
+        qi, qj = mono_div(l, vi.mono), mono_div(l, vj.mono)
+        work = {SkewMonomial(mono_mul(qi, mm), lvl): b * fi if fi != 1 else b
+                for (mm, lvl), b in ti}
+        for (mm, lvl), b in tj:
+            t = SkewMonomial(mono_mul(qj, mm), lvl)
+            s = work.get(t, 0) - (b * fj if fj != 1 else b)
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+        if not work:
             continue
-        G.append(nf.monic())
+        nf = _oracle_nf(work, G, hkey)
+        if nf is None:
+            continue
+        G.append(nf)
         t = len(G) - 1
         pairs.extend((i2, t) for i2 in range(t))
-    return G
+    return [SkewElement(((v, one),) + tuple(
+        (t, Fraction(b, a) if type(b) is int else b) for t, b in tail
+    ), ordering, _sorted=True) for v, a, tail in G]
 
 
 def _window_slots(w, cfg: GBConfig):

@@ -120,3 +120,45 @@ def test_no_package_module_defines_an_unread_private_name():
     sources["engine.py"] += "\n\ndef _stale_helper():\n    return 1\n"
     assert [d.split(" (")[0] for d in dead_helpers(sources)] == \
         ["engine.py: _stale_helper"]
+
+
+# The oracle's value is its independence: it may share the arithmetic and
+# monomial layers with the engine, never its pair logic, reducer searches,
+# normal-form kernel or completion.
+ORACLE_ROOTS = ("_oracle_nf", "_oracle_buchberger", "oracle_gbasis_truncated",
+                "expand_window_sigma", "expand_window_skew",
+                "free_oracle_match")
+ENGINE_ONLY = {"_nf_terms", "_Entry", "_LeftEntry", "_search", "_make_finder",
+               "_left_finder", "_criterion", "_chain_kills", "_window_pairs",
+               "_left_pairs", "_family", "_complete"}
+
+
+def names_reached(sources: dict, roots) -> dict:
+    """The module-level functions of the given modules that ``roots`` reach
+    by naming them, transitively, each with the names its body reads."""
+    defs = {node.name: node
+            for src in sources.values() for node in ast.parse(src).body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached[name] = names_read(ast.unparse(defs[name]))
+        todo.extend(reached[name])
+    return reached
+
+
+def test_the_oracle_names_no_engine_machinery():
+    sources = {p: (SRC / p).read_text(encoding="utf-8")
+               for p in ("engine.py", "letterplace.py")}
+    reached = names_reached(sources, ORACLE_ROOTS)
+    assert set(ORACLE_ROOTS) <= set(reached)
+    shared = {f: sorted(names & ENGINE_ONLY) for f, names in reached.items()
+              if names & ENGINE_ONLY}
+    assert not shared, f"the oracle names engine machinery: {shared}"
+    # A helper of the oracle that reaches for the kernel is caught.
+    sources["engine.py"] += ("\n\ndef _oracle_nf(work, gens, hkey):\n"
+                             "    return _nf_terms(1, work, 0, None, hkey)\n")
+    reached = names_reached(sources, ORACLE_ROOTS)
+    assert reached["_oracle_nf"] & ENGINE_ONLY == {"_nf_terms"}

@@ -1,0 +1,188 @@
+"""The oracle Buchberger against a field-arithmetic reference.
+
+``_oracle_buchberger`` and ``_oracle_nf`` run in integer form with a heap.
+The reference below is the textbook version in field arithmetic that they
+replaced: monic generators, ``spoly``, and the largest pending term taken by
+a scan.  Both must give the same generators, element by element and in
+order, and reduce the same pairs."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from randgen import (
+    random_free_homogeneous,
+    random_skew_homogeneous,
+    random_weighted_poly,
+)
+from skewgb import engine
+from skewgb.engine import (
+    GBConfig,
+    expand_window_sigma,
+    expand_window_skew,
+    spoly,
+)
+from skewgb.field import GF
+from skewgb.letterplace import iota_prime
+from skewgb.poly import DEGLEX, LEX, mono_div, mono_divides, mono_lcm, mono_mul
+from skewgb.skew import SkewElement, SkewMonomial
+from skewgb.textio import parse_poly
+
+
+def reference_nf(f: SkewElement, gens: list[SkewElement]):
+    """Plain module normal form: first listed generator whose lm divides."""
+    okey = f.ordering.key
+    work = dict(f.terms)
+    out = []
+    while work:
+        t = max(work, key=okey)
+        c = work.pop(t)
+        m, e = t
+        red = None
+        for g in gens:
+            v = g.lm()
+            if v.sdeg == e and mono_divides(v.mono, m):
+                red = g
+                break
+        if red is None:
+            out.append((t, c))
+            continue
+        q = mono_div(m, red.lm().mono)
+        for (mm, i), cc in red.terms[1:]:
+            t = SkewMonomial(mono_mul(q, mm), i)
+            prev = work.get(t)
+            if prev is None:
+                work[t] = -c * cc
+            else:
+                s2 = prev - c * cc
+                if s2:
+                    work[t] = s2
+                else:
+                    del work[t]
+    return SkewElement(out, f.ordering)
+
+
+def reference_buchberger(gens: list[SkewElement], degree_cap=None):
+    """Textbook module Buchberger in field arithmetic: no shifts, no
+    criteria, FIFO pairs.  Returns (generators, number of reduced pairs)."""
+    G: list[SkewElement] = []
+    seen = set()
+    for g in gens:
+        if g.is_zero():
+            continue
+        g = g.monic()
+        if g not in seen:
+            seen.add(g)
+            G.append(g)
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    k = reduced = 0
+    while k < len(pairs):
+        i, j = pairs[k]
+        k += 1
+        vi, vj = G[i].lm(), G[j].lm()
+        if vi.sdeg != vj.sdeg:
+            continue
+        if degree_cap is not None:
+            l = mono_lcm(vi.mono, vj.mono)
+            if sum(e for _, e in l) > degree_cap:
+                continue
+        s = spoly(G[i], G[j])
+        if s.is_zero():
+            continue
+        reduced += 1
+        nf = reference_nf(s, G)
+        if nf.is_zero():
+            continue
+        G.append(nf.monic())
+        t = len(G) - 1
+        pairs.extend((i2, t) for i2 in range(t))
+    return G, reduced
+
+
+def recoef(f, rng, field):
+    """f with each coefficient c replaced: over Q by c times a random
+    fraction (so leading coefficients are non-units and tails fractional),
+    over Z/7 by its integer numerator mod 7."""
+    if field == "Q":
+        terms = [(m, c * Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                 for m, c in f.terms]
+    else:
+        terms = [(m, GF(7).of(c.numerator)) for m, c in f.terms]
+    return type(f)(terms, f.ordering)
+
+
+def random_input(rng, kind, field):
+    """Window-expanded generators of a random problem, and its degree cap;
+    a scaled copy of the first one checks deduplication on scalar
+    classes."""
+    ordering = rng.choice((LEX, DEGLEX))
+    fixed = rng.randint(1, 2) if ordering is LEX else None
+    n = rng.randint(1, 2)
+    cap = None
+    if kind == "sigma":
+        cfg = GBConfig(mode="sigma", degree_bound=3, ordering=ordering)
+        H = [random_weighted_poly(rng, letters=2, max_weight=2, max_deg=2,
+                                  terms=3, ordering=ordering,
+                                  fixed_degree=fixed) for _ in range(n)]
+        gens = expand_window_sigma(H, cfg)
+    elif kind == "skew":
+        cfg = GBConfig(mode="skew", degree_bound=3, ordering=ordering)
+        H = [random_skew_homogeneous(rng, letters=2, max_place=1, max_deg=2,
+                                     terms=2, max_sdeg=1, ordering=ordering,
+                                     fixed_degree=fixed) for _ in range(n)]
+        gens = expand_window_skew(H, cfg)
+    else:
+        cap = 3
+        cfg = GBConfig(mode="sigma", degree_bound=cap, ordering=ordering)
+        H = [iota_prime(random_free_homogeneous(rng, 2, max_deg=2, terms=3),
+                        ordering) for _ in range(n)]
+        gens = expand_window_sigma(H, cfg)
+    gens = [recoef(g, rng, field) for g in gens]
+    gens.append(gens[0].scale(GF(7).of(3) if field == "Z/7" else
+                              Fraction(-5, 3)))
+    return gens, cap
+
+
+def reduced_pairs(monkeypatch):
+    """Counts the calls of ``engine._oracle_nf``."""
+    calls = []
+    nf = engine._oracle_nf
+
+    def counted(*args):
+        calls.append(1)
+        return nf(*args)
+
+    monkeypatch.setattr(engine, "_oracle_nf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["Q", "Z/7"])
+@pytest.mark.parametrize("kind", ["sigma", "skew", "free"])
+def test_oracle_matches_field_reference(kind, field, monkeypatch):
+    rng = random.Random(f"{kind}-{field}")
+    calls = reduced_pairs(monkeypatch)
+    grew = 0
+    for _ in range(40):
+        gens, cap = random_input(rng, kind, field)
+        ref, reduced = reference_buchberger(gens, cap)
+        calls.clear()
+        got = engine._oracle_buchberger(gens, cap)
+        assert repr([g.terms for g in got]) == repr([g.terms for g in ref])
+        assert len(calls) == reduced
+        grew += len(ref) > len(gens) - 1
+    assert grew >= 5  # the S-polynomials added generators
+
+
+def test_oracle_scales_terms_that_left_before_a_non_unit_step():
+    # The S-polynomial of a = 2*x(1)^2 + x(0)^2 and b = 2*x(2)*x(1) + x(1)^3
+    # is x(2)*x(0)^2 - x(1)^4.  Its lead x(2)*x(0)^2 is irreducible and
+    # leaves first; then x(1)^4 is reduced twice by a, whose leading
+    # coefficient 2 is prime to the pending coefficients, so the term that
+    # left must be scaled with the rest: the normal form is
+    # x(2)*x(0)^2 - 1/4*x(0)^4.
+    gens = [SkewElement.of_poly(parse_poly(t))
+            for t in ("2*x(1)^2 + x(0)^2", "2*x(2)*x(1) + x(1)^3")]
+    got = engine._oracle_buchberger(gens)
+    assert got[2] == SkewElement.of_poly(parse_poly("x(2)*x(0)^2 - 1/4*x(0)^4"))
+    assert got == reference_buchberger(gens)[0]
