@@ -1099,8 +1099,8 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     gens = [g for g in gens if g]
     if not gens:
         return []
-    c, ordering = gens[0].lc(), gens[0].ordering
-    one = c * inverse(c)  # the field's 1
+    lc, ordering = gens[0].lc(), gens[0].ordering
+    one = lc * inverse(lc)  # the field's 1
     G: list = []
     seen = set()
     for g in gens:
@@ -1110,37 +1110,36 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
             seen.add(f)
             G.append(f)
     hkey = ordering.heap_key
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
-    k = 0
-    while k < len(pairs):
-        i, j = pairs[k]
-        k += 1
-        (vi, ai, ti), (vj, aj, tj) = G[i], G[j]
-        if vi.sdeg != vj.sdeg:
-            continue
-        l = mono_lcm(vi.mono, vj.mono)
-        if degree_cap is not None and sum(e for _, e in l) > degree_cap:
-            continue
-        g = gcd(ai, aj)
-        fi, fj = aj // g, ai // g
-        qi, qj = mono_div(l, vi.mono), mono_div(l, vj.mono)
-        work = {SkewMonomial(mono_mul(qi, mm), lvl): b * fi if fi != 1 else b
-                for (mm, lvl), b in ti}
-        for (mm, lvl), b in tj:
-            t = SkewMonomial(mono_mul(qj, mm), lvl)
-            s = work.get(t, 0) - (b * fj if fj != 1 else b)
-            if s:
-                work[t] = s
-            else:
-                del work[t]
-        if not work:
-            continue
-        nf = _oracle_nf(work, G, hkey)
-        if nf is None:
-            continue
-        G.append(nf)
-        t = len(G) - 1
-        pairs.extend((i2, t) for i2 in range(t))
+    # A new generator's pairs queue behind all others, so the FIFO order is
+    # (i, j) by j, then i, over the growing G; no pair list is kept.
+    j = 1
+    while j < len(G):
+        vj, aj, tj = G[j]
+        for i in range(j):
+            vi, ai, ti = G[i]
+            if vi.sdeg != vj.sdeg:
+                continue
+            l = mono_lcm(vi.mono, vj.mono)
+            if degree_cap is not None and sum(e for _, e in l) > degree_cap:
+                continue
+            g = gcd(ai, aj)
+            fi, fj = aj // g, ai // g
+            qi, qj = mono_div(l, vi.mono), mono_div(l, vj.mono)
+            work = {SkewMonomial(mono_mul(qi, mm), lvl):
+                    b * fi if fi != 1 else b for (mm, lvl), b in ti}
+            for (mm, lvl), b in tj:
+                t = SkewMonomial(mono_mul(qj, mm), lvl)
+                s = work.get(t, 0) - (b * fj if fj != 1 else b)
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+            if not work:
+                continue
+            nf = _oracle_nf(work, G, hkey)
+            if nf is not None:
+                G.append(nf)
+        j += 1
     return [SkewElement(((v, one),) + tuple(
         (t, Fraction(b, a) if type(b) is int else b) for t, b in tail
     ), ordering, _sorted=True) for v, a, tail in G]
