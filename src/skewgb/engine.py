@@ -13,11 +13,11 @@ Three computations run on one completion loop and an oracle checks them:
   ``lm_window_match`` maps the main basis's lms through the same rule.  Its
   algorithm stays deliberately naive: no shifts, no criteria, FIFO pairs and
   the first listed generator whose lm divides.  Only its arithmetic is
-  tuned: generators in integer form (primitive over Q, monic over Z/p),
-  integer S-polynomials, and a pseudo-reducing normal form that pops terms
-  from a heap.  It shares the coefficient and monomial layers with the main
-  algorithms, and none of their pair enumeration, criteria, reducer search,
-  kernel or completion.
+  tuned: generators in integer form (primitive over Q, monic over Z/p) on
+  packed monomials (``poly.MonoPacking``), integer S-polynomials, and a
+  pseudo-reducing normal form that pops terms from a heap.  It shares the
+  coefficient and monomial layers with the main algorithms, and none of
+  their pair enumeration, criteria, reducer search, kernel or completion.
 
 Critical pairs carry a shift decoration: the pair (a, b, k) stands for
 spoly(a, sigma**k . b) with the appropriate s-power bookkeeping in skew
@@ -72,6 +72,7 @@ from .poly import (
     Monomial,
     MonomialOrdering,
     LEX,
+    MonoPacking,
     Polynomial,
     mono_coprime,
     mono_degree,
@@ -1010,8 +1011,8 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
 
 
 def _oracle_form(terms):
-    """Nonzero descending (term, coefficient) pairs as an oracle generator
-    (lead term, a, tail pairs).  Over Q the numerators are made primitive
+    """Nonzero descending (packed monomial, coefficient) pairs as an oracle
+    generator (lm, a, tail pairs).  Over Q the numerators are made primitive
     with the positive int leading coefficient a; over Z/p the generator is
     made monic, a = 1.  The form is unique for each class of nonzero scalar
     multiples."""
@@ -1030,32 +1031,36 @@ def _oracle_form(terms):
     return terms[0][0], a, tuple(zip([t for t, _ in terms[1:]], nums[1:]))
 
 
-def _oracle_nf(work: dict, gens: list, hkey):
-    """Plain module normal form of the {term: numerator} dict ``work``
-    against the oracle generators ``gens``: the first listed generator whose
-    lm divides on the same level reduces.  Returns the nonzero result as an
-    oracle generator (``_oracle_form``), or None.
+def _oracle_nf(work: dict, gens: list, guards: int):
+    """Plain module normal form of the {packed monomial: numerator} dict
+    ``work`` on one level against ``gens``, that level's oracle generators:
+    the first listed whose lm divides reduces, by the mask test over the
+    packing's ``guards``.  Returns the nonzero result as an oracle generator
+    (``_oracle_form``), or None.
 
     Over Q this is pseudo-reduction in int arithmetic: a term c reduced by a
     generator with leading coefficient a takes k = gcd(a, c), scales every
     pending and every output numerator by a // k and subtracts c // k times
     the cofactor times the tail, so the result is a nonzero multiple of the
     normal form.  Over Z/p every a is 1 and the same loop runs on the field
-    elements.  Terms are popped from a heap under ``hkey``, largest
+    elements.  Terms are popped from a heap of negated monomials, largest
     first; a step only adds terms below the one it reduces, and a term that
-    cancels leaves its heap entry behind, skipped when popped."""
-    heap = [(hkey(t), t) for t in work]
+    cancels leaves its heap entry behind, skipped when popped.  A product
+    that outgrew a field sets a guard bit and raises ``OverflowError``."""
+    heap = [-t for t in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     out = []
     while heap:
-        t = pop(heap)[1]
+        t = -pop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        m, e = t
+        if t & guards:
+            raise OverflowError("monomial outgrows its packing")
+        tg = t | guards
         for v, a, tail in gens:
-            if v.sdeg == e and mono_divides(v.mono, m):
+            if (tg - v) & guards == guards:
                 break
         else:
             out.append((t, c))
@@ -1067,13 +1072,13 @@ def _oracle_nf(work: dict, gens: list, hkey):
             if a != 1:
                 work = {tt: cc * a for tt, cc in work.items()}
                 out = [(tt, cc * a) for tt, cc in out]
-        q = mono_div(m, v.mono)
-        for (mm, i), b in tail:
-            t2 = SkewMonomial(mono_mul(q, mm), i)
+        q = t - v
+        for mm, b in tail:
+            t2 = q + mm
             prev = work.get(t2)
             if prev is None:
                 work[t2] = -c * b
-                push(heap, (hkey(t2), t2))
+                push(heap, -t2)
             else:
                 s = prev - c * b
                 if s:
@@ -1093,56 +1098,68 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     Z/p): the S-polynomial of generators with leading coefficients a_i, a_j
     is (a_j / g) q_i f_i - (a_i / g) q_j f_j for g = gcd(a_i, a_j), and
     ``_oracle_nf`` pseudo-reduces it.  Each result is a scalar multiple of
-    the one field arithmetic gives, so the same pairs reduce to zero.  The
-    generators become monic elements of S only on return.
+    the one field arithmetic gives, so the same pairs reduce to zero.  A
+    generator is kept as its level of S, where its pairs and reducers lie,
+    and its form over packed monomials; a field that overflows starts the
+    run over at twice the width.  Generators become monic only on return.
     """
     gens = [g for g in gens if g]
     if not gens:
         return []
     lc, ordering = gens[0].lc(), gens[0].ordering
     one = lc * inverse(lc)  # the field's 1
-    G: list = []
-    seen = set()
-    for g in gens:
-        _, nums = common_denominator([c for _, c in g.terms])
-        f = _oracle_form(list(zip(g.monomials(), nums)))
-        if f not in seen:
-            seen.add(f)
-            G.append(f)
-    hkey = ordering.heap_key
-    # A new generator's pairs queue behind all others, so the FIFO order is
-    # (i, j) by j, then i, over the growing G; no pair list is kept.
-    j = 1
-    while j < len(G):
-        vj, aj, tj = G[j]
-        for i in range(j):
-            vi, ai, ti = G[i]
-            if vi.sdeg != vj.sdeg:
-                continue
-            l = mono_lcm(vi.mono, vj.mono)
-            if degree_cap is not None and sum(e for _, e in l) > degree_cap:
-                continue
-            g = gcd(ai, aj)
-            fi, fj = aj // g, ai // g
-            qi, qj = mono_div(l, vi.mono), mono_div(l, vj.mono)
-            work = {SkewMonomial(mono_mul(qi, mm), lvl):
-                    b * fi if fi != 1 else b for (mm, lvl), b in ti}
-            for (mm, lvl), b in tj:
-                t = SkewMonomial(mono_mul(qj, mm), lvl)
-                s = work.get(t, 0) - (b * fj if fj != 1 else b)
-                if s:
-                    work[t] = s
-                else:
-                    del work[t]
-            if not work:
-                continue
-            nf = _oracle_nf(work, G, hkey)
-            if nf is not None:
-                G.append(nf)
-        j += 1
-    return [SkewElement(((v, one),) + tuple(
-        (t, Fraction(b, a) if type(b) is int else b) for t, b in tail
-    ), ordering, _sorted=True) for v, a, tail in G]
+    rows = [(g.terms[0][0].sdeg, [v.mono for v, _ in g.terms],
+             common_denominator([c for _, c in g.terms])[1]) for g in gens]
+    width = 8  # exponents and degrees up to 127
+    while True:
+        P = MonoPacking((c for _, ms, _ in rows for m in ms for c, _ in m),
+                        ordering.base, width)
+        levels: dict = {}  # level -> its forms, in listed order
+        try:
+            # (level, oracle form) in listed order, without repeats
+            G = list(dict.fromkeys(
+                (lvl, _oracle_form(list(zip(map(P.pack, ms), nums))))
+                for lvl, ms, nums in rows))
+            for lvl, f in G:
+                levels.setdefault(lvl, []).append(f)
+            # A new generator's pairs queue behind all others, so the FIFO
+            # order is (i, j) by j, then i, over the growing G: no pair list.
+            j = 1
+            while j < len(G):
+                lj, (vj, aj, tj) = G[j]
+                for i in range(j):
+                    li, (vi, ai, ti) = G[i]
+                    if li != lj:
+                        continue
+                    l = P.lcm(vi, vj)
+                    if degree_cap is not None and P.degree(l) > degree_cap:
+                        continue
+                    qi, qj = l - vi, l - vj
+                    g = gcd(ai, aj)
+                    fi, fj = aj // g, ai // g
+                    work = {qi + mm: b * fi if fi != 1 else b for mm, b in ti}
+                    for mm, b in tj:
+                        t = qj + mm
+                        s = work.get(t, 0) - (b * fj if fj != 1 else b)
+                        if s:
+                            work[t] = s
+                        else:
+                            del work[t]
+                    if not work:
+                        continue
+                    nf = _oracle_nf(work, levels[lj], P.guards)
+                    if nf is not None:
+                        G.append((lj, nf))
+                        levels[lj].append(nf)
+                j += 1
+            break
+        except OverflowError:
+            width *= 2
+    un = P.unpack
+    return [SkewElement(((SkewMonomial(un(v), lvl), one),) + tuple(
+        (SkewMonomial(un(t), lvl), Fraction(b, a) if type(b) is int else b)
+        for t, b in tail
+    ), ordering, _sorted=True) for lvl, (v, a, tail) in G]
 
 
 def _window_slots(w, cfg: GBConfig):

@@ -13,6 +13,10 @@ its largest place, ``top_place``, and ``None`` for the monomial 1, which
 lies below every place; it bounds how far a shifted divisor can sit inside
 a multiple and drives all truncation windows downstream.
 
+``MonoPacking`` packs monomials into ints for the oracle, as in Monagan and
+Pearce, "Sparse polynomial division using a heap" (JSC 46, 2011): a product
+is an addition and a divisibility test one mask test.
+
 ``Terms`` is the term arithmetic shared by the three rings (sums, scaling,
 ``monic``, leading data); ``Polynomial`` adds the commutative product of P.
 """
@@ -47,6 +51,7 @@ __all__ = [
     "LEX",
     "DEGLEX",
     "ORDERINGS",
+    "MonoPacking",
     "Terms",
     "Polynomial",
 ]
@@ -265,6 +270,59 @@ class MonomialOrdering:
 LEX = MonomialOrdering("lex")
 DEGLEX = MonomialOrdering("deglex")
 ORDERINGS = {"lex": LEX, "deglex": DEGLEX}
+
+
+class MonoPacking:
+    """Monomials over a fixed set of variable codes, packed into ints.
+
+    Each code has a field of ``width`` bits, ascending with the code, and
+    one more field holds the degree: on top under deglex, at the bottom
+    under lex, so int comparison is the ordering.  The top bit of a field is
+    a guard, clear in a packed monomial: the product is ``m + n``, exact,
+    and sets a guard bit where a field outgrows its width; the quotient is
+    ``m - n``; m divides n iff ``((n | guards) - m) & guards == guards``.
+    ``pack`` and ``lcm`` raise ``OverflowError`` for an outgrown field.
+    """
+
+    __slots__ = ("width", "guards", "exps", "shifts", "deg_shift", "codes")
+
+    def __init__(self, codes, ordering: MonomialOrdering, width: int):
+        low = ordering.kind == "lex"
+        self.codes = [None] * low + sorted(set(codes))  # the code of a field
+        n = len(self.codes) - low
+        self.width = width
+        self.shifts = {c: k * width for k, c in enumerate(self.codes)}
+        self.deg_shift = 0 if low else n * width
+        self.guards = sum(1 << (k * width + width - 1) for k in range(n + 1))
+        field = (1 << width) - 1
+        self.exps = ((1 << (n + 1) * width) - 1) ^ (field << self.deg_shift)
+
+    def pack(self, m: Monomial) -> int:
+        deg = sum(e for _, e in m)
+        if deg >> (self.width - 1):  # every exponent is at most the degree
+            raise OverflowError("monomial outgrows its packing")
+        return sum(e << self.shifts[c] for c, e in m) + (deg << self.deg_shift)
+
+    def unpack(self, p: int) -> Monomial:
+        w, out = self.width, []
+        p &= self.exps
+        while p:  # the top field left is the largest code left
+            k = (p.bit_length() - 1) // w
+            out.append((self.codes[k], p >> k * w))
+            p &= (1 << k * w) - 1
+        return tuple(out)
+
+    def degree(self, p: int) -> int:
+        return p >> self.deg_shift & ((1 << self.width) - 1)
+
+    def lcm(self, m: int, n: int) -> int:
+        g = self.guards
+        ge = ((m | g) - n) & g  # the guards of the fields where m >= n
+        x = (n ^ ((m ^ n) & (ge - (ge >> (self.width - 1))))) & self.exps
+        deg = x % ((1 << self.width) - 1)  # 2**width is 1 modulo that
+        if deg >> (self.width - 1):
+            raise OverflowError("monomial outgrows its packing")
+        return x | deg << self.deg_shift
 
 
 class Terms:

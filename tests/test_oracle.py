@@ -1,10 +1,11 @@
 """The oracle Buchberger against a field-arithmetic reference.
 
-``_oracle_buchberger`` and ``_oracle_nf`` run in integer form with a heap.
-The reference below is the textbook version in field arithmetic that they
-replaced: monic generators, ``spoly``, and the largest pending term taken by
-a scan.  Both must give the same generators, element by element and in
-order, and reduce the same pairs."""
+``_oracle_buchberger`` and ``_oracle_nf`` run in integer form with a heap,
+on packed monomials.  The reference below is the textbook version in field
+arithmetic and tuple monomials that they replaced: monic generators,
+``spoly``, and the largest pending term taken by a scan.  Both must give
+the same generators, element by element and in order, and reduce the same
+pairs."""
 
 import random
 from fractions import Fraction
@@ -186,3 +187,28 @@ def test_oracle_scales_terms_that_left_before_a_non_unit_step():
     got = engine._oracle_buchberger(gens)
     assert got[2] == SkewElement.of_poly(parse_poly("x(2)*x(0)^2 - 1/4*x(0)^4"))
     assert got == reference_buchberger(gens)[0]
+
+
+@pytest.mark.parametrize("texts, aborted, reduced", [
+    # x(0)^150 does not fit a field of the first width: packing the input
+    # fails, and the whole run is made at the second width.
+    (("x(1)^2 - x(0)^150", "x(1)*x(0) + 3*x(0)^2"), 0, 3),
+    # The input fits, and the first reduced pair adds x(0)^101 - 9*x(0)^3.
+    # The S-polynomial of x(1)^2 - x(0)^100 and that generator holds
+    # x(0)^201, which the second call pops: the run starts over.
+    (("x(1)^2 - x(0)^100", "x(1)*x(0) + 3*x(0)^2"), 2, 3),
+    # Reducing x(2)*x(0)^100 by the second generator makes x(1)*x(0)^160,
+    # whose field overflows; sums stay exact, so it cancels against the
+    # same product of the next step and nothing starts over.
+    (("x(1) - x(0)^100", "x(2) + x(1)*x(0)^60"), 0, 1),
+])
+def test_oracle_starts_over_when_an_overflowed_term_is_popped(
+        texts, aborted, reduced, monkeypatch):
+    gens = [SkewElement.of_poly(parse_poly(t)) for t in texts]
+    calls = reduced_pairs(monkeypatch)
+    got = engine._oracle_buchberger(gens)
+    ref = reference_buchberger(gens)
+    assert repr([g.terms for g in got]) == repr([g.terms for g in ref[0]])
+    assert ref[1] == reduced
+    # The calls of the run that overflowed count too.
+    assert len(calls) == aborted + reduced

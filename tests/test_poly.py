@@ -13,6 +13,7 @@ from skewgb.poly import (
     ORDERINGS,
     LETTER_BITS,
     PLACE_STEP,
+    MonoPacking,
     Polynomial,
     mono,
     mono_coprime,
@@ -316,3 +317,63 @@ def test_polynomial_add_random():
                 fg = f * g
                 if fg:
                     assert fg.lm() == mono_mul(f.lm(), g.lm())
+
+
+def rand_exp_mono(rng, letters=3, max_place=5, max_exp=3):
+    """A random monomial with up to four variables of exponent <= max_exp."""
+    return mono_from_pairs(
+        (var_code(rng.randrange(letters), rng.randrange(max_place + 1)),
+         rng.randint(1, max_exp)) for _ in range(rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("ordering", [LEX, DEGLEX])
+def test_packing_round_trips_and_realizes_the_ordering(ordering):
+    rng = random.Random(f"pack-{ordering}")
+    codes = [var_code(l, p) for l in range(3) for p in range(6)]
+    P = MonoPacking(codes, ordering, 8)
+    monos = [rand_exp_mono(rng) for _ in range(400)]
+    for m in monos:
+        assert P.unpack(P.pack(m)) == m
+        assert P.degree(P.pack(m)) == mono_degree(m)
+    for _ in range(3000):
+        m, n = rng.choice(monos), rng.choice(monos)
+        pm, pn = P.pack(m), P.pack(n)
+        assert (pm > pn) - (pm < pn) == compare(m, n, ordering)
+
+
+@pytest.mark.parametrize("ordering", [LEX, DEGLEX])
+def test_packed_arithmetic_matches_the_tuple_monomials(ordering):
+    rng = random.Random(f"packops-{ordering}")
+    codes = [var_code(l, p) for l in range(3) for p in range(6)]
+    P = MonoPacking(codes, ordering, 8)
+    G = P.guards
+    divisible = 0
+    for _ in range(2000):
+        m, n = rand_exp_mono(rng), rand_exp_mono(rng)
+        if rng.random() < 0.3:
+            n = mono_mul(m, n)
+        pm, pn = P.pack(m), P.pack(n)
+        assert pm + pn == P.pack(mono_mul(m, n))
+        assert P.lcm(pm, pn) == P.pack(mono_lcm(m, n))
+        divides = ((pn | G) - pm) & G == G
+        assert divides == mono_divides(m, n)
+        if divides:
+            divisible += 1
+            assert pn - pm == P.pack(mono_div(n, m))
+    assert divisible > 400
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("ordering", [LEX, DEGLEX])
+def test_a_field_that_outgrows_its_width_sets_its_guard(width, ordering):
+    x, y = var_code(0, 0), var_code(1, 2)
+    P = MonoPacking([x, y], ordering, width)
+    top = (1 << (width - 1)) - 1
+    full = P.pack(((x, top),))
+    assert full & P.guards == 0
+    assert P.unpack(full) == ((x, top),)
+    assert (full + P.pack(((x, 1),))) >> (P.shifts[x] + width - 1) & 1
+    with pytest.raises(OverflowError):
+        P.pack(((x, top + 1),))
+    with pytest.raises(OverflowError):  # each field fits, the degree not
+        P.lcm(full, P.pack(((y, 1),)))
