@@ -36,12 +36,12 @@ sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
 ``_nf_terms`` and answers each (monomial, level) query once per basis
 state.  The completion ``_complete`` keeps its entries tail-reduced.
 
-From one kernel call to the next, coefficients stay int numerators over
-one denominator (Z/p elements over 1): in the basis entries (``_Entry``),
-in the S-polynomials they form (``_Entry.spoly``) and in the kernel's
-results.  ``Fraction`` values are built only where a polynomial leaves the
-engine: ``_Entry.poly``, ``normal_form`` and its record, ``spoly``,
-``spoly_poly`` and the oracle's returned basis.
+From one kernel call to the next, coefficients stay in the int form of
+``field`` (int numerators over one denominator, Z/p elements over 1): in
+the basis entries (``_Entry``), in the S-polynomials they form
+(``_Entry.spoly``) and in the kernel's results.  ``field.fraction`` makes
+field elements only where a polynomial leaves the engine: ``_Entry.poly``,
+``normal_form`` and its record and the oracle's returned basis.
 
 Criteria: one ``_criterion`` serves the completion and ``certify``.  The
 product criterion holds only in ideal modes (difference ideals and the
@@ -59,12 +59,11 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .endo import MonomialEndomorphism, ShiftEndo
-from .field import common_denominator, inverse
+from .field import common_denominator, fraction, inverse, primitive
 from .poly import (
     LETTER_BITS,
     LETTER_MASK,
@@ -245,11 +244,7 @@ class _Entry:
         """The entry of the nonzero element with the descending (monomial,
         numerator) pairs ``terms`` over any one denominator, made monic."""
         (lead, c), tail = terms[0], terms[1:]
-        if type(c) is int:
-            self.lc = Fraction(1)
-        else:  # Z/p
-            inv = c.inverse()
-            self.lc, c, tail = c * inv, 1, [(m, x * inv) for m, x in tail]
+        self.lc = c * inverse(c)
         self.ordering, self.sdeg, self.index = ordering, sdeg, index
         self.lm = lead.mono if isinstance(lead, SkewMonomial) else lead
         self.rest = self.lm[1:]
@@ -268,18 +263,9 @@ class _Entry:
     def take_tail(self, den, tail):
         """Make ``tail``, descending (monomial, numerator) pairs over
         ``den``, the tail: the one place that sets ``monos``, ``den``,
-        ``nums``, the tail images and ``poly``.  One content gcd makes
-        (den, nums) primitive with den > 0."""
-        nums = [c for _, c in tail]
-        if nums and type(nums[0]) is int:
-            g = gcd(den, *nums)
-            if den < 0:
-                g = -g
-            if g != 1:
-                den //= g
-                nums = [c // g for c in nums]
-        else:
-            den = 1
+        ``nums``, the tail images and ``poly``.  ``field.primitive`` makes
+        (den, nums) primitive: den > 0 over Q, den = 1 over Z/p."""
+        den, nums = primitive(den, [c for _, c in tail])
         self.monos = self.monos[:1] + tuple([m for m, _ in tail])
         self.den, self.nums = den, nums
         self._tails = {0: self.monos[1:]}
@@ -297,8 +283,7 @@ class _Entry:
         if p is None:
             den = self.den
             p = self._poly = self.ring(((self.monos[0], self.lc),) + tuple(
-                (m, Fraction(c, den) if type(c) is int else c)
-                for m, c in zip(self.monos[1:], self.nums)
+                (m, fraction(c, den)) for m, c in zip(self.monos[1:], self.nums)
             ), self.ordering, _sorted=True)
         return p
 
@@ -361,7 +346,7 @@ def _split(g, cfg: GBConfig):
     if cfg.mode != "skew":
         return g.monic(), 0
     if not g.is_s_homogeneous():
-        raise ValueError("two-sided mode needs s-homogeneous elements")
+        raise ValueError("two-sided mode needs s-homogeneous generators")
     sdeg, poly = g.parts[0]
     return poly.monic(), sdeg
 
@@ -452,7 +437,7 @@ def _nf_terms(M, work, level, find, hkey, record=None):
     cofactor, paired in order with the tail numerators ``ent.nums``.  When
     ``record`` is a list, every reduction step appends (coeff, cofactor,
     shift, entry index), reconstructing the subtracted combination exactly;
-    its coefficients are field elements (``Fraction(c, M)`` over Q).
+    its coefficients are field elements (``field.fraction(c, M)``).
 
     Rationals are reduced fraction-free: a term's value is c / M.  A step by
     an entry whose int-primitive form has leading coefficient a
@@ -489,8 +474,7 @@ def _nf_terms(M, work, level, find, hkey, record=None):
             continue
         q, products, u, ent = hit
         if record is not None:
-            record.append((Fraction(c, M) if type(c) is int else c,
-                           q, u, ent.index))
+            record.append((fraction(c, M), q, u, ent.index))
         a = ent.den
         if a != 1:
             g = gcd(a, c)
@@ -692,31 +676,34 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     return entries, stats, trace
 
 
-def _prepare_seeds(polys_with_sdeg, cfg: GBConfig):
-    """Drop zeros, normalize to monic, deduplicate; None on unit ideal."""
-    seeds = []
-    seen = set()
-    for poly, sdeg in polys_with_sdeg:
-        if poly.is_zero():
-            continue
-        p = poly.monic()
-        if cfg.mode == "sigma" and p.lm() == MONO_ONE:
-            warnings.warn("constant generator: unit ideal")
-            return None, p
-        key = (p, sdeg)
-        if key in seen:
-            continue
-        seen.add(key)
-        seeds.append((p, sdeg))
-    return seeds, None
+def _element(ent: _Entry, cfg: GBConfig):
+    """The basis element of an entry, shaped like the mode's input: a
+    polynomial of P in sigma mode, an element of S otherwise."""
+    g = ent.poly
+    return SkewElement.of_poly(g, ent.sdeg) if cfg.mode == "skew" else g
 
 
-def _result(basis, cfg: GBConfig, stats: PairStats, trace) -> GBResult:
-    """The solvers' result: the completed basis, interreduced unless the
-    config says otherwise."""
+def _solve(H, cfg: GBConfig, mode: str, pair_filter=None) -> GBResult:
+    """The solvers' one body: complete from the distinct ``_split`` seeds of
+    the nonzero elements of H, then interreduce unless the config says
+    otherwise.  In sigma mode a constant generator gives the unit ideal."""
+    if cfg.mode != mode:
+        raise ValueError(f"config mode must be {mode!r}")
+    cfg.check_sigma()
+    seeds = {}
+    for h in H:
+        if h:
+            poly, sdeg = _split(h, cfg)
+            if mode == "sigma" and poly.lm() == MONO_ONE:
+                warnings.warn("constant generator: unit ideal")
+                return GBResult([poly], mode, cfg.degree_bound, PairStats(),
+                                None)
+            seeds[poly, sdeg] = None  # an ordered set: a repeat is dropped
+    entries, stats, trace = _complete(seeds, cfg, pair_filter)
+    basis = [_element(e, cfg) for e in entries]
     if cfg.interreduce:
         basis = interreduce(basis, cfg)
-    return GBResult(basis, cfg.mode, cfg.degree_bound, stats, trace)
+    return GBResult(basis, mode, cfg.degree_bound, stats, trace)
 
 
 def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
@@ -727,28 +714,13 @@ def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     reduces to zero modulo the shifted basis closure.  ``pair_filter`` is
     passed to the completion (the letterplace V filter).
     """
-    if cfg.mode != "sigma":
-        raise ValueError("config mode must be 'sigma'")
-    cfg.check_sigma()
-    seeds, unit = _prepare_seeds(((h, 0) for h in H), cfg)
-    if seeds is None:
-        return GBResult([unit], cfg.mode, cfg.degree_bound, PairStats(), None)
-    entries, stats, trace = _complete(seeds, cfg, pair_filter)
-    return _result([e.poly for e in entries], cfg, stats, trace)
+    return _solve(H, cfg, "sigma", pair_filter)
 
 
 def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     """d-truncated two-sided Gröbner basis for s-homogeneous generators;
     ``pair_filter`` is passed to the completion (the letterplace R filter)."""
-    if cfg.mode != "skew":
-        raise ValueError("config mode must be 'skew'")
-    cfg.check_sigma()
-    if not all(h.is_s_homogeneous() for h in H if h):
-        raise ValueError("two-sided mode needs s-homogeneous generators")
-    seeds, _ = _prepare_seeds((_split(h, cfg) for h in H if h), cfg)
-    entries, stats, trace = _complete(seeds, cfg, pair_filter)
-    basis = [SkewElement.of_poly(e.poly, e.sdeg) for e in entries]
-    return _result(basis, cfg, stats, trace)
+    return _solve(H, cfg, "skew", pair_filter)
 
 
 # ---------------------------------------------------------------------------
@@ -824,12 +796,7 @@ def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig, pair_filter):
 
 def left_gbasis(H, cfg: GBConfig) -> GBResult:
     """d-truncated left Gröbner basis; no homogeneity assumption."""
-    if cfg.mode != "left":
-        raise ValueError("config mode must be 'left'")
-    cfg.check_sigma()
-    seeds, _ = _prepare_seeds((_split(h, cfg) for h in H if h), cfg)
-    entries, stats, trace = _complete(seeds, cfg)
-    return _result([e.poly for e in entries], cfg, stats, trace)
+    return _solve(H, cfg, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +877,7 @@ def normal_form(f, G, cfg: GBConfig, record=None):
         M, nums = common_denominator([c for _, c in terms])
         M, out = reduce(M, dict(zip([t for t, _ in terms], nums)), level,
                         record)
-        return [(t, Fraction(c, M) if type(c) is int else c) for t, c in out]
+        return [(t, fraction(c, M)) for t, c in out]
 
     if cfg.mode == "skew":
         # two-sided: reduce each s-homogeneous layer at its own level
@@ -945,8 +912,7 @@ def interreduce(basis, cfg: GBConfig):
     out = []
     for ent, tail in zip(kept, tails):
         ent.take_tail(*tail)
-        g = ent.poly
-        out.append(SkewElement.of_poly(g, ent.sdeg) if cfg.mode == "skew" else g)
+        out.append(_element(ent, cfg))
     return out
 
 
@@ -1012,23 +978,11 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
 
 def _oracle_form(terms):
     """Nonzero descending (packed monomial, coefficient) pairs as an oracle
-    generator (lm, a, tail pairs).  Over Q the numerators are made primitive
-    with the positive int leading coefficient a; over Z/p the generator is
-    made monic, a = 1.  The form is unique for each class of nonzero scalar
-    multiples."""
-    nums = [c for _, c in terms]
-    if type(nums[0]) is int:
-        g = gcd(*nums)
-        if nums[0] < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-        a = nums[0]
-    else:  # Z/p
-        inv = nums[0].inverse()
-        nums = [c * inv for c in nums]
-        a = 1
-    return terms[0][0], a, tuple(zip([t for t, _ in terms[1:]], nums[1:]))
+    generator (lm, a, tail pairs), made primitive (``field.primitive``):
+    over Q with the positive int leading coefficient a, over Z/p monic,
+    a = 1.  The form is unique for each class of nonzero scalar multiples."""
+    a, nums = primitive(terms[0][1], [c for _, c in terms[1:]])
+    return terms[0][0], a, tuple(zip([t for t, _ in terms[1:]], nums))
 
 
 def _oracle_nf(work: dict, gens: list, guards: int):
@@ -1157,8 +1111,7 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
             width *= 2
     un = P.unpack
     return [SkewElement(((SkewMonomial(un(v), lvl), one),) + tuple(
-        (SkewMonomial(un(t), lvl), Fraction(b, a) if type(b) is int else b)
-        for t, b in tail
+        (SkewMonomial(un(t), lvl), fraction(b, a)) for t, b in tail
     ), ordering, _sorted=True) for lvl, (v, a, tail) in G]
 
 
@@ -1174,23 +1127,18 @@ def _window_slots(w, cfg: GBConfig):
     raise ValueError("lm window comparison supports sigma and skew modes")
 
 
-def expand_window_sigma(H, cfg: GBConfig):
-    """All shift images of H whose polynomial weight stays within d, as
-    elements of S on level 0."""
-    return [
-        SkewElement.of_poly(cfg.sigma.poly(h, i))
-        for h in H if h for i, _ in _window_slots(h.weight(), cfg)
-    ]
-
-
-def expand_window_skew(H, cfg: GBConfig):
-    """All s**i . h . s**j images of the s-homogeneous H with total
-    s-degree within d."""
+def expand_window(H, cfg: GBConfig):
+    """The oracle's generators, as elements of S: under ``_window_slots``,
+    the shift images of weight within d of each nonzero h of H on level 0
+    (sigma mode), or its s**i . h . s**j images of total s-degree within d,
+    where h is s-homogeneous (skew mode, ``_split``)."""
     out = []
-    for poly, sdeg in (_split(h, cfg) for h in H if h):
-        for i, levels in _window_slots(sdeg, cfg):
-            img = cfg.sigma.poly(poly, i)
-            out.extend(SkewElement.of_poly(img, lvl) for lvl in levels)
+    for h in H:
+        if h:
+            poly, w = (h, h.weight()) if cfg.mode == "sigma" else _split(h, cfg)
+            for i, levels in _window_slots(w, cfg):
+                img = cfg.sigma.poly(poly, i)
+                out.extend(SkewElement.of_poly(img, lvl) for lvl in levels)
     return out
 
 
@@ -1200,8 +1148,7 @@ def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
     cfg.check_sigma()
     if cfg.mode not in ("sigma", "skew"):
         raise ValueError("oracle supports sigma and skew modes")
-    expand = expand_window_sigma if cfg.mode == "sigma" else expand_window_skew
-    G = _oracle_buchberger(expand(H, cfg), degree_cap)  # nonzero and monic
+    G = _oracle_buchberger(expand_window(H, cfg), degree_cap)  # nonzero, monic
     if cfg.mode == "sigma":
         G = [g.parts[0][1] for g in G]
     return GBResult(G, cfg.mode, cfg.degree_bound, PairStats(), None)

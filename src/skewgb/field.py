@@ -6,31 +6,33 @@ counts as the rational it equals.  Prime-field coefficients are ``ModInt``
 values normalized to the least nonnegative representative.  No floating
 point is used anywhere: ``inverse`` gives 1 / c in the field of c.
 
-Rationals need not stay ``Fraction`` values while they are worked on.
-``common_denominator`` writes a list of them as int numerators over one
-positive denominator; it hands Z/p elements back as they are, over
-denominator 1.  That is how input enters the engine, which keeps basis
-entries, S-polynomials and normal forms in this int form and builds
-``Fraction`` values again only for output.
+Rationals need not stay ``Fraction`` values while they are worked on.  In
+int form a vector of coefficients is int numerators over one int
+denominator, Z/p elements over 1.  ``common_denominator``, ``primitive``
+and ``fraction`` define that form for the engine, which keeps its basis
+entries, S-polynomials and normal forms in it and never tests a type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = ["ModInt", "Rationals", "PrimeField", "QQ", "GF", "is_prime",
-           "inverse", "common_denominator"]
+           "inverse", "common_denominator", "primitive", "fraction"]
 
-# Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as witnesses is exact below _MR_LIMIT,
+# the smallest strong pseudoprime to all of them (without 41, only below
+# 318665857834031151167461 = 399165290221 * 798330580441).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for moduli of practical size."""
+    """Miller-Rabin primality test, exact for every n below ``_MR_LIMIT``."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -138,6 +140,29 @@ def inverse(c):
     return Fraction(1, c)
 
 
+def fraction(c, den: int):
+    """The field element c / den of an int form (c itself over Z/p)."""
+    return c if isinstance(c, ModInt) else Fraction(c, den)
+
+
+def primitive(a, nums: list) -> tuple:
+    """(a, nums), an int-form vector with leading coefficient a, made
+    primitive: over Q with a > 0 and content 1, over Z/p with a the int 1.
+    All nonzero scalar multiples of a vector give the same result."""
+    if a == 1:
+        return 1, nums
+    if isinstance(a, ModInt):
+        inv = a.inverse()
+        return 1, [c * inv for c in nums]
+    g = gcd(a, *nums)
+    if a < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        nums = [c // g for c in nums]
+    return a, nums
+
+
 def common_denominator(coeffs: list) -> tuple[int, list]:
     """The coefficients as (M, numerators), each equal to numerator / M.
 
@@ -186,6 +211,8 @@ class PrimeField:
     """The field Z/p for a prime p."""
 
     def __init__(self, p: int):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"{p} is too large for an exact primality test")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

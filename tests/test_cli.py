@@ -346,9 +346,13 @@ def test_usage_errors(tmp_path):
         ("mode: sigma\ndegree_bound: 4\ncolor: red\n\nx(0)\n", "unknown header"),
         ("mode: sigma\ndegree_bound: 4\n\nq(1)\n", "bad generator"),
         ("mode: sigma\ndegree_bound: 4\nfield: 6\n\nx(0)\n", "6"),
+        ("mode: sigma\ndegree_bound: 4\nfield: 318665857834031151167461\n\n"
+         "x(0)\n", "318665857834031151167461 is not prime"),
         ("mode: sigma\ndegree_bound: 4\nordering: degrevlex\n\nx(0)\n",
          "unknown ordering"),
         ("mode: skew\ndegree_bound: 4\nletters: x,s\n\nx(0)*s\n", "reserved"),
+        ("mode: skew\ndegree_bound: 4\n\nx(0)*s + x(1)\n",
+         "error: two-sided mode needs s-homogeneous generators"),
         ("mode: sigma\ndegree_bound: 4\ncriteria: magic\n\nx(0)\n",
          "unknown criteria"),
         ("mode: sigma\ndegree_bound: 4\ntrace: maybe\n\nx(0)\n",

@@ -24,6 +24,22 @@ def test_is_prime_larger():
     assert not is_prime(41041)
 
 
+def test_is_prime_needs_base_41():
+    # The smallest strong pseudoprime to every prime base up to 37.
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+
+
+def test_prime_field_refuses_moduli_past_the_exact_bound():
+    # A strong pseudoprime to all 13 bases: is_prime is not exact from here.
+    n = 1287836182261 * 2575672364521
+    assert n == 3317044064679887385961981
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(n)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(318665857834031151167461)
+
+
 def test_rationals_basic():
     assert QQ.zero == Fraction(0)
     assert QQ.one == Fraction(1)

@@ -20,8 +20,7 @@ from randgen import (
 from skewgb import engine
 from skewgb.engine import (
     GBConfig,
-    expand_window_sigma,
-    expand_window_skew,
+    expand_window,
     spoly,
 )
 from skewgb.field import GF
@@ -126,19 +125,19 @@ def random_input(rng, kind, field):
         H = [random_weighted_poly(rng, letters=2, max_weight=2, max_deg=2,
                                   terms=3, ordering=ordering,
                                   fixed_degree=fixed) for _ in range(n)]
-        gens = expand_window_sigma(H, cfg)
+        gens = expand_window(H, cfg)
     elif kind == "skew":
         cfg = GBConfig(mode="skew", degree_bound=3, ordering=ordering)
         H = [random_skew_homogeneous(rng, letters=2, max_place=1, max_deg=2,
                                      terms=2, max_sdeg=1, ordering=ordering,
                                      fixed_degree=fixed) for _ in range(n)]
-        gens = expand_window_skew(H, cfg)
+        gens = expand_window(H, cfg)
     else:
         cap = 3
         cfg = GBConfig(mode="sigma", degree_bound=cap, ordering=ordering)
         H = [iota_prime(random_free_homogeneous(rng, 2, max_deg=2, terms=3),
                         ordering) for _ in range(n)]
-        gens = expand_window_sigma(H, cfg)
+        gens = expand_window(H, cfg)
     gens = [recoef(g, rng, field) for g in gens]
     gens.append(gens[0].scale(GF(7).of(3) if field == "Z/7" else
                               Fraction(-5, 3)))
