@@ -407,3 +407,121 @@ def test_help_exits_zero():
     p = run_cli("--help")
     assert p.returncode == 0
     assert "problem file" in p.stdout
+
+
+# Outputs that depend on how monomials are stored: a lex skew solve that is
+# dominated by divisibility scans, a power endomorphism whose images grow as
+# e**u, a lex normal form whose exponents pass 127, and a known deglex
+# certification failure that must stay exactly as it is (its basis holds
+# leading monomials above the weight window).
+GAP2 = """\
+mode: skew
+degree_bound: 3
+ordering: lex
+letters: x,y
+
+2*y(0)*y(0) - 2*x(1)*x(0)
+4*y(1)*y(0) + 2*x(1)*x(1)
+"""
+
+POWER2 = """\
+mode: skew
+degree_bound: 4
+letters: x,y
+endo: power 2
+
+x(1)^9*y(0) - x(0)^11
+(y(1)^2*x(0) - x(1)^3)*s
+(x(1)*y(1) - y(0)^2)*s^2
+"""
+
+LEX_EXPONENTS = """\
+mode: sigma
+degree_bound: 1
+ordering: lex
+letters: x
+
+x(1) - x(0)^70
+x(1)^2 - x(0)
+"""
+
+DEGLEX_D5 = """\
+mode: sigma
+degree_bound: 5
+ordering: deglex
+letters: x
+
+x(2)*x(0) - x(1)
+"""
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_text(tmp_path, text, *flags):
+    path = tmp_path / "problem.txt"
+    path.write_text(text)
+    return run_cli(path, *flags)
+
+
+def test_lex_skew_quadrics_gap_output_is_pinned(tmp_path):
+    p = run_text(tmp_path, GAP2, "--stats")
+    assert p.returncode == 0
+    assert p.stderr == ""
+    assert p.stdout.splitlines()[-1] == (
+        "# pairs=39849 product=0 chain=36380 zero=3249 added=222")
+    assert sha256(p.stdout) == (
+        "3093441f7dce100ac7be7a7563e7bd4ec58aaded7f6c6b7c7ec9e2420077c2e1")
+
+
+def test_power_endomorphism_output_is_pinned(tmp_path):
+    # sigma**4 of x(1)^9*y(0) is x(1)^144*y(0)^16: the images outgrow
+    # seven-bit exponents.
+    p = run_text(tmp_path, POWER2, "--stats", "--trace", "--certify")
+    assert p.returncode == 0
+    assert p.stderr == ""
+    assert p.stdout.splitlines()[-2:] == [
+        "# pairs=1265 product=0 chain=951 zero=295 added=22",
+        "# certified: all in-window critical pairs reduce to zero",
+    ]
+    assert sha256(p.stdout) == (
+        "fa4d4eba8f9fa83af60a1908726975ce534b8f7acf1c6faa59287a6d8e2146ef")
+
+
+def test_lex_exponents_past_127_are_pinned(tmp_path):
+    p = run_text(tmp_path, LEX_EXPONENTS, "--stats", "--trace", "--certify")
+    assert p.returncode == 0
+    assert p.stderr == ""
+    assert p.stdout.splitlines()[-4:] == [
+        "x(0)^140 - x(0)",
+        "x(1) - x(0)^70",
+        "# pairs=6 product=3 chain=0 zero=2 added=3",
+        "# certified: all in-window critical pairs reduce to zero",
+    ]
+    assert sha256(p.stdout) == (
+        "6fdd52eea1b14727873fd5b39d542c980f799c56a6136f908fd5d87380b584aa")
+
+
+def test_known_deglex_certify_failure_is_pinned(tmp_path):
+    p = run_text(tmp_path, DEGLEX_D5, "--certify")
+    assert p.returncode == 3
+    assert p.stderr == ""
+    assert p.stdout == """\
+x(2)*x(0) - x(1)
+x(4)*x(0) - x(5)
+x(4)*x(1) - x(3)*x(0)
+x(6)*x(1) - x(1)*x(0)
+x(6)*x(5) - x(5)*x(0)
+x(3)*x(0)^2 - x(6)
+x(3)^2*x(0) - x(3)
+# FAILED pair (g1, sigma^0.g6) does not reduce to zero
+# FAILED pair (g1, sigma^1.g6) does not reduce to zero
+# FAILED pair (g1, sigma^2.g6) does not reduce to zero
+# FAILED pair (g2, sigma^1.g6) does not reduce to zero
+# FAILED pair (g6, sigma^1.g2) does not reduce to zero
+# FAILED pair (g3, sigma^1.g6) does not reduce to zero
+# FAILED pair (g6, sigma^1.g6) does not reduce to zero
+# FAILED pair (g6, sigma^2.g6) does not reduce to zero
+# certification failed
+"""
