@@ -20,6 +20,7 @@ from __future__ import annotations
 from .poly import (
     LETTER_BITS,
     Monomial,
+    MonoPacking,
     PLACE_STEP,
     Polynomial,
     mono_pow,
@@ -43,6 +44,10 @@ class MonomialEndomorphism:
         raise NotImplementedError
 
     def mono(self, m: Monomial, k: int = 1) -> Monomial:
+        raise NotImplementedError
+
+    def packed(self, P: MonoPacking):
+        """sigma**u on P's monomials: a function (m, u) -> image."""
         raise NotImplementedError
 
     def poly(self, f: Polynomial, k: int = 1) -> Polynomial:
@@ -70,6 +75,18 @@ class ShiftEndo(MonomialEndomorphism):
             return m
         step = k << LETTER_BITS
         return tuple((c + step, e) for c, e in m)
+
+    def packed(self, P: MonoPacking):
+        """Move the variable fields up u places; the degree stays.  What
+        leaves the range lands in P's spare places, which no valid monomial
+        has, so such an image divides none."""
+        exps, step = P.exps, P.step
+
+        def sigma(m: int, u: int) -> int:
+            v = m & exps
+            return v << u * step | m ^ v
+
+        return sigma
 
     def __eq__(self, other):
         return isinstance(other, ShiftEndo)
@@ -100,6 +117,20 @@ class PowerEndo(MonomialEndomorphism):
         if k == 0 or not m:
             return m
         return mono_pow(m, self.e**k)
+
+    def packed(self, P: MonoPacking):
+        """Multiply the fields and the degree by e**u.  The degree bounds
+        every exponent, so an image whose degree outgrows its field raises
+        ``OverflowError`` before a field could carry into the next."""
+        e = self.e
+
+        def sigma(m: int, u: int) -> int:
+            k, b = e**u, m & P.base
+            if P.degree(b) * k >> (P.width - 1):
+                raise OverflowError("image outgrows its packing")
+            return b * k | m ^ b
+
+        return sigma
 
     def __eq__(self, other):
         return isinstance(other, PowerEndo) and other.e == self.e

@@ -43,10 +43,17 @@ the basis entries (``_Entry``), in the S-polynomials they form
 field elements only where a polynomial leaves the engine: ``_Entry.poly``,
 ``normal_form`` and its record and the oracle's returned basis.
 
-Criteria: one ``_criterion`` serves the completion and ``certify``.  The
-product criterion holds only in ideal modes (difference ideals and the
-letterplace image of free ideals), where coprime leading monomials force a
-trivial syzygy; it is unsound for modules and stays off in skew modes.
+Monomials are ints packed by ``poly.MonoPacking`` (``_packed``) in the
+same stretch, from the entries and the kernel's heap to the reducer
+search, the pairs and the criteria, and sigma**u is the endomorphism's
+``packed`` action.  ``_Entry.of`` packs; ``_Entry.poly``, ``normal_form``
+and its record unpack, and a pair filter sees the lcm unpacked.
+
+Criteria: one ``_Divisors.criterion`` serves the completion and
+``certify``.  The product criterion holds only in ideal modes (difference
+ideals and the letterplace image of free ideals), where coprime leading
+monomials force a trivial syzygy; it is unsound for modules and stays off
+in skew modes.
 The chain criterion is applied everywhere, but only when both sub-pairs
 have strictly smaller lcm, which keeps it sound without treated-pair
 bookkeeping or an order of treatment.  ``_complete`` takes pairs stratum
@@ -60,7 +67,6 @@ import heapq
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .endo import MonomialEndomorphism, ShiftEndo
 from .field import common_denominator, fraction, inverse, primitive
@@ -73,12 +79,9 @@ from .poly import (
     LEX,
     MonoPacking,
     Polynomial,
-    mono_coprime,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     top_place,
 )
 from .skew import SkewElement, SkewMonomial, SkewOrdering
@@ -214,123 +217,122 @@ def spoly(f: SkewElement, g: SkewElement) -> SkewElement:
 
 
 class _Entry:
-    """A monic basis element in int form, with cached shifted images.
+    """A monic basis element in int form over packed monomials.
 
-    ``monos`` are its monomials, leading one first, and ``den`` and
-    ``nums`` its tail coefficients over one denominator: the element is
-    lc * monos[0] + sum(nums[i] / den * monos[i + 1]), so den * element has
-    the positive int leading coefficient den and the int tail coefficients
-    nums, and ``take_tail`` keeps that form primitive.  Over Z/p, den is 1
-    and nums are the tail coefficients.  ``lc`` is the field's 1, ``lm`` the
-    P-monomial of the leading term, ``sdeg`` that term's s-degree and
-    ``rest`` the leading monomial without the top variable.
+    ``monos`` are its terms packed by ``packing`` (``poly.MonoPacking``),
+    leading one first: monomials of P in sigma/skew mode, of S in left mode
+    (``_pack``), and ``den`` and ``nums`` its tail coefficients over one
+    denominator: the element is lc * monos[0] + sum(nums[i] / den *
+    monos[i + 1]), so den * element has the positive int leading
+    coefficient den and the int tail coefficients nums, and ``take_tail``
+    keeps that form primitive.  Over Z/p, den is 1 and nums are the tail
+    coefficients.  ``lc`` is the field's 1, ``lm`` the packed P-monomial of
+    the leading term, ``sdeg`` that term's s-degree, ``top`` the (place,
+    letter, exponent) of the lm's largest variable (None for 1) and ``lmw``
+    its place (-1 for 1).
 
-    A shift moves monomials only and keeps their order, so the same numbers
-    serve every shifted image, and an image is a tuple of monomials:
-    ``shifted_lm`` and ``shifted_tail`` give those of sigma**u . element.
-    ``poly`` builds the element with field coefficients on first read, for
-    output.  ``take_tail`` changes ``monos``, ``den``, ``nums``, the tail
-    images and ``poly``; ``lm``, ``sdeg``, ``rest``, ``lmw``, ``index`` and
-    the shifted lms never change.
+    A shift (in left mode the left s-power multiple) moves monomials only
+    and keeps their order, so the same numbers serve every shifted image:
+    ``images(u)`` gives its tail terms.  ``poly`` unpacks the element on
+    first read, for output.  ``take_tail`` changes ``monos``, ``den``,
+    ``nums`` and ``poly``; ``lm``, ``sdeg``, ``top``, ``lmw`` and ``index``
+    never change.
     """
 
-    __slots__ = ("monos", "lc", "den", "nums", "ordering", "sdeg", "lm",
-                 "rest", "lmw", "index", "_poly", "_tails", "_shifted_lm")
+    __slots__ = ("monos", "lc", "den", "nums", "packing", "sdeg", "lm", "top",
+                 "lmw", "index", "_poly")
 
-    ring = Polynomial
-    mul = staticmethod(mono_mul)  # cofactor times a monomial of the ring
-
-    def __init__(self, terms, ordering, sdeg: int, index: int):
-        """The entry of the nonzero element with the descending (monomial,
-        numerator) pairs ``terms`` over any one denominator, made monic."""
+    def __init__(self, terms, packing: MonoPacking, sdeg: int, index: int):
+        """The entry of the nonzero element with descending (term,
+        numerator) pairs ``terms`` over one denominator, made monic."""
         (lead, c), tail = terms[0], terms[1:]
         self.lc = c * inverse(c)
-        self.ordering, self.sdeg, self.index = ordering, sdeg, index
-        self.lm = lead.mono if isinstance(lead, SkewMonomial) else lead
-        self.rest = self.lm[1:]
-        self.lmw = top_place(self.lm) if self.lm else -1
-        self._shifted_lm = {0: self.lm}
+        self.packing, self.sdeg, self.index = packing, sdeg, index
+        self.lm = lead & packing.base
+        self.top = next(((v >> LETTER_BITS, v & LETTER_MASK, e) for v, e
+                         in packing.unpack(self.lm)), None)  # the largest
+        self.lmw = self.top[0] if self.top else -1
         self.monos = (lead,)
         self.take_tail(c, tail)
 
     @classmethod
-    def of(cls, poly, sdeg: int, index: int):
+    def of(cls, poly, sdeg: int, index: int, packing: MonoPacking):
         """The entry of the nonzero element ``poly``."""
         _, nums = common_denominator([c for _, c in poly.terms])
-        return cls(list(zip(poly.monomials(), nums)), poly.ordering, sdeg,
-                   index)
+        return cls([(_pack(packing, t), c) for t, c in
+                    zip(poly.monomials(), nums)], packing, sdeg, index)
 
     def take_tail(self, den, tail):
-        """Make ``tail``, descending (monomial, numerator) pairs over
+        """Make ``tail``, descending (packed term, numerator) pairs over
         ``den``, the tail: the one place that sets ``monos``, ``den``,
-        ``nums``, the tail images and ``poly``.  ``field.primitive`` makes
-        (den, nums) primitive: den > 0 over Q, den = 1 over Z/p."""
+        ``nums`` and ``poly``.  ``field.primitive`` makes (den, nums)
+        primitive: den > 0 over Q, den = 1 over Z/p."""
         den, nums = primitive(den, [c for _, c in tail])
         self.monos = self.monos[:1] + tuple([m for m, _ in tail])
         self.den, self.nums = den, nums
-        self._tails = {0: self.monos[1:]}
         self._poly = None
 
     def tail(self) -> dict:
-        """The tail as a {monomial: numerator} dict over ``den``, for the
+        """The tail as a {term: numerator} dict over ``den``, for the
         kernel."""
         return dict(zip(self.monos[1:], self.nums))
 
     @property
     def poly(self):
-        """The element with field coefficients (``Fraction`` over Q)."""
+        """The element with tuple monomials and field coefficients."""
         p = self._poly
         if p is None:
-            den = self.den
-            p = self._poly = self.ring(((self.monos[0], self.lc),) + tuple(
-                (m, fraction(c, den)) for m, c in zip(self.monos[1:], self.nums)
-            ), self.ordering, _sorted=True)
+            P, den = self.packing, self.den
+            terms = ((_unpack(P, self.monos[0]), self.lc),) + tuple(
+                (_unpack(P, m), fraction(c, den))
+                for m, c in zip(self.monos[1:], self.nums))
+            p = self._poly = (
+                SkewElement(terms, SkewOrdering(P.ordering), _sorted=True)
+                if P.skew else Polynomial(terms, P.ordering, _sorted=True))
         return p
 
-    @staticmethod
-    def shift(sigma: MonomialEndomorphism, m, u: int):
-        """The image of a monomial of the element under its u-th shift."""
-        return sigma.mono(m, u)
+    def images(self, u: int) -> list:
+        """The tail terms of sigma**u . element, or in left mode of s**u *
+        element, whose terms are (sigma**u(m), e + u)."""
+        P = self.packing
+        sigma, su = P.sigma, u << P.sdeg_shift if P.skew else 0
+        return [sigma(t, u) + su for t in self.monos[1:]]
 
-    def shifted_tail(self, sigma: MonomialEndomorphism, u: int) -> tuple:
-        t = self._tails.get(u)
-        if t is None:
-            shift = self.shift
-            t = self._tails[u] = tuple([shift(sigma, m, u)
-                                        for m in self.monos[1:]])
-        return t
-
-    def shifted_lm(self, sigma: MonomialEndomorphism, u: int) -> Monomial:
-        m = self._shifted_lm.get(u)
-        if m is None:
-            m = sigma.mono(self.lm, u)
-            self._shifted_lm[u] = m
-        return m
-
-    def spoly(self, other: "_Entry", sh: int, l: Monomial,
-              sigma: MonomialEndomorphism):
+    def spoly(self, other: "_Entry", sh: int, l: int):
         """The S-polynomial of this entry and the sh-th shift of ``other``,
         whose leading monomials have lcm ``l``, for the kernel: (D, {term:
         numerator}) over the denominator D, the value of ``spoly_poly`` or
         ``spoly`` on the two elements."""
-        mul = self.mul
         da, db = self.den, other.den
         D = lcm(da, db)
-        qa = mono_div(l, self.lm)
-        qb = mono_div(l, other.shifted_lm(sigma, sh))
+        qa = l - self.lm
+        qb = l - self.packing.sigma(other.lm, sh)
         # A factor of 1 (always, over Z/p) leaves the numerators as they are.
         fa, fb = D // da, D // db
         na = self.nums if fa == 1 else [n * fa for n in self.nums]
         nb = other.nums if fb == 1 else [n * fb for n in other.nums]
-        work = {mul(qa, t): n for t, n in zip(self.monos[1:], na)}
-        for t, n in zip(other.shifted_tail(sigma, sh), nb):
-            t = mul(qb, t)
+        work = {qa + t: n for t, n in zip(self.monos[1:], na)}
+        for t, n in zip(other.images(sh), nb):
+            t += qb
             s = work.get(t, 0) - n
             if s:
                 work[t] = s
             else:
                 del work[t]
         return D, work
+
+
+def _pack(P: MonoPacking, t) -> int:
+    """A monomial of P, or of S with its s-degree on top, packed by P."""
+    if isinstance(t, SkewMonomial):
+        return P.pack(t.mono) | t.sdeg << P.sdeg_shift
+    return P.pack(t)
+
+
+def _unpack(P: MonoPacking, t: int):
+    """The monomial of P, or of S when P packs those, that P packed as t."""
+    return SkewMonomial(P.unpack(t), t >> P.sdeg_shift) if P.skew \
+        else P.unpack(t)
 
 
 def _split(g, cfg: GBConfig):
@@ -351,84 +353,139 @@ def _split(g, cfg: GBConfig):
     return poly.monic(), sdeg
 
 
-def _make_finder(entries: list[_Entry], cfg: GBConfig):
-    """Reducer search over the lazily shifted basis closure.
+def _packed(cfg: GBConfig, elements, run):
+    """``run(P)`` under a packing P of the elements' monomials: their
+    letters, their places plus the window (how far a shift moves a leading
+    monomial inside it), as many spare places, fields 8 bits wide.  An
+    ``OverflowError`` (a monomial outgrew P) starts the run over with twice
+    the width and the places; the run is deterministic, so its result does
+    not depend on P."""
+    monos = [v.mono if isinstance(v, SkewMonomial) else v
+             for g in elements for v in g.monomials()]
+    letters, places = MonoPacking.extent(monos)
+    places += cfg.degree_bound
+    width = 8
+    while True:
+        P = MonoPacking(letters, places, cfg.ordering, width, spare=places,
+                        sigma=cfg.sigma, skew=cfg.mode == "left")
+        try:
+            return run(P)
+        except OverflowError:
+            width, places = 2 * width, 2 * places
 
-    Returns search(m, level) -> (entry, shift, shifted lm) or None, for
-    ``_search``.  Among all entries and shifts whose image divides m it
-    picks the smallest (okey(shifted lm), entry index, shift).  Shifting
-    strictly raises a monomial under lex and deglex, so the smallest
-    dividing shift of an entry gives that entry's smallest image, and the
-    search may stop at it.  In skew mode the shift may not push the
-    reducer past the working s-degree.
 
-    For the place shift only the shifts u that carry the top variable of an
-    entry's lm onto a variable of m with the same letter can divide, so each
-    call maps the letters of m to their codes, ascending, and walks the list
-    of the entry's top letter.  A constant lm divides at u = 0.  Any other
-    endomorphism comes only in skew mode (``check_sigma`` refuses it where
-    the window is a weight), so its shifts are tried up to the s-degree cap.
+class _Divisors:
+    """The images of the lms of a growing list of entries that divide a
+    monomial, for the reducer search (``smallest``) and the criteria
+    (``criterion``): ``dividing(n, level, exact)`` yields (entry, u) for
+    each sigma**u(lm) that divides the packed n, with u at most ``level``
+    less the entry's s-degree (weight in sigma mode), or exactly that with
+    ``exact``; a level of None sets no bound.
+
+    Under the place shift sigma**u(lm) can divide n only where it puts the
+    top variable of the lm on a variable of n with the same letter and at
+    least the exponent.  So ``columns[letter][place]`` keeps (exponent,
+    variable fields of the lm, entry) by that variable, ``ones`` the
+    entries whose lm is 1, and only those shifts are tried, each with one
+    mask test of n's variable fields shifted down u places.  Any other
+    endomorphism tries every shift of every entry.
     """
-    sigma = cfg.sigma
-    okey = cfg.ordering.key
-    level_capped = cfg.mode == "skew"
-    is_shift = isinstance(sigma, ShiftEndo)
 
-    def search(m: Monomial, level: int):
-        md = dict(m)
-        if is_shift:
-            by_letter: dict[int, list] = {}
-            for c, e in reversed(m):
-                by_letter.setdefault(c & LETTER_MASK, []).append((c, e))
-        best_sel = None
-        best = None
-        for ent in entries:
-            if level_capped:
-                ucap = level - ent.sdeg
-                if ucap < 0:
-                    continue
-            if is_shift:
-                u = 0
-                if ent.lm:
-                    u = None
-                    c0, e0 = ent.lm[0]
-                    for c, e in by_letter.get(c0 & LETTER_MASK, ()):
-                        step = c - c0
-                        if step < 0 or e < e0:
-                            continue
-                        if level_capped and step >> LETTER_BITS > ucap:
-                            break
-                        for cc, k in ent.rest:
-                            if md.get(cc + step, 0) < k:
-                                break
-                        else:
-                            u = step >> LETTER_BITS
-                            break
-                    if u is None:
+    __slots__ = ("entries", "seen", "columns", "ones", "packing", "by_sdeg",
+                 "left", "product", "chain")
+
+    def __init__(self, entries: list, cfg: GBConfig, P: MonoPacking):
+        self.entries, self.seen, self.packing = entries, 0, P
+        self.by_sdeg, self.left = cfg.mode != "sigma", cfg.mode == "left"
+        self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
+        self.columns = ([[[] for _ in range(P.places)]
+                         for _ in range(P.letters)]
+                        if isinstance(cfg.sigma, ShiftEndo) else None)
+        self.ones: list = []
+
+    def dividing(self, n: int, level, exact: bool = False):
+        P, by_sdeg, guards = self.packing, self.by_sdeg, self.packing.guards
+        entries = self.entries
+        if self.columns is None:
+            ng, sigma = n | guards, P.sigma
+            for ent in entries:
+                hi = level - (ent.sdeg if by_sdeg else ent.lmw)
+                for u in range(hi if exact and hi >= 0 else 0, hi + 1):
+                    if (ng - sigma(ent.lm, u)) & guards == guards:
+                        yield ent, u
+            return
+        for ent in entries[self.seen:]:
+            if ent.top:
+                p0, a, e0 = ent.top
+                self.columns[a][p0].append((e0, ent.lm & P.exps, ent))
+            else:
+                self.ones.append(ent)
+        self.seen = len(entries)
+        for ent in self.ones:  # every image of 1 is 1
+            hi = 0 if level is None else level - (ent.sdeg if by_sdeg else -1)
+            if hi >= 0:
+                yield ent, hi if exact else 0
+        nv, by_letter = n & P.exps, {}
+        for v, e in P.unpack(n):
+            by_letter.setdefault(v & LETTER_MASK, []).append(
+                (v >> LETTER_BITS, e))
+        for a, vs in by_letter.items():
+            column = self.columns[a]
+            for p, e in vs:
+                for p0 in range(p + 1):
+                    if not column[p0]:
                         continue
-                img = ent.shifted_lm(sigma, u)
-                sel = (okey(img), ent.index, u)
-                if best_sel is None or sel < best_sel:
-                    best_sel, best = sel, (ent, u, img)
-                continue
-            for u in range(ucap + 1):
-                img = ent.shifted_lm(sigma, u)
-                for c, e in img:
-                    if md.get(c, 0) < e:
-                        break
-                else:
-                    sel = (okey(img), ent.index, u)
-                    if best_sel is None or sel < best_sel:
-                        best_sel, best = sel, (ent, u, img)
-                    break
+                    u = p - p0
+                    su = nv >> u * P.step | guards
+                    for e0, lmv, ent in column[p0]:
+                        if e0 > e or (su - lmv) & guards != guards:
+                            continue
+                        if level is not None:
+                            hi = level - (ent.sdeg if by_sdeg else p0)
+                            if u > hi or exact and u != hi:
+                                continue
+                        yield ent, u
+
+    def smallest(self, m: int, level: int):
+        """The reducer search for ``_search``: (entry, shift, shifted lm)
+        with the smallest (shifted lm, entry index, shift) among the images
+        that divide the term m, or None.  Every shift counts in sigma mode;
+        in skew mode the shift may not push the reducer past ``level``; in
+        left mode the image is the s-power multiple on m's s-degree."""
+        P, best = self.packing, None
+        level = (m >> P.sdeg_shift if self.left else level if self.by_sdeg
+                 else None)
+        for ent, u in self.dividing(m, level, self.left):
+            img = P.sigma(ent.lm, u)
+            if best is None or img < best[2] or img == best[2] and (
+                    ent.index, u) < (best[0].index, best[1]):
+                best = ent, u, img
         return best
 
-    return search
+    def criterion(self, a: int, b: int, sh: int, l: int, level: int):
+        """The criterion that settles the pair (a, b, sh) with lcm l at
+        ``level`` (its stratum, or its s-degree in left mode): "product",
+        "chain" or None, under the toggles of the config.  The lms are
+        coprime iff their packed product is their lcm.  The chain criterion
+        (Gebauer–Möller) asks for an image of an entry's lm that divides l
+        with both its lcms below l; the images are sigma**u for u up to the
+        level less the entry's s-degree (weight in sigma mode), or in left
+        mode the one s-power multiple on that level."""
+        P, entries = self.packing, self.entries
+        alm, blm = entries[a].lm, P.sigma(entries[b].lm, sh)
+        if self.product and l == alm + blm:
+            return "product"
+        if self.chain:
+            for ent, u in self.dividing(l, level, self.left):
+                img = P.sigma(ent.lm, u)
+                if P.lcm(alm, img) < l and P.lcm(img, blm) < l:
+                    return "chain"
+        return None
 
 
-def _nf_terms(M, work, level, find, hkey, record=None):
-    """Full normal form of the terms ``work``, a {term: numerator} dict over
-    the denominator M that the kernel consumes, against a finder.
+def _nf_terms(M, work, level, find, over, record=None):
+    """Full normal form of the terms ``work``, a {packed term: numerator}
+    dict over the denominator M that the kernel consumes, against a finder.
 
     Returns (M, out): the irreducible terms in descending order as (term,
     numerator) pairs over one final denominator M.  ``find(term, level)``
@@ -437,7 +494,8 @@ def _nf_terms(M, work, level, find, hkey, record=None):
     cofactor, paired in order with the tail numerators ``ent.nums``.  When
     ``record`` is a list, every reduction step appends (coeff, cofactor,
     shift, entry index), reconstructing the subtracted combination exactly;
-    its coefficients are field elements (``field.fraction(c, M)``).
+    its coefficients are field elements (``field.fraction(c, M)``) and its
+    cofactors packed.
 
     Rationals are reduced fraction-free: a term's value is c / M.  A step by
     an entry whose int-primitive form has leading coefficient a
@@ -451,23 +509,26 @@ def _nf_terms(M, work, level, find, hkey, record=None):
     Over Z/p, a and M are 1 and the same loop runs on the field elements.
 
     Pending coefficients live in the term -> numerator dict, and each term
-    also sits in a heap under ``hkey`` (a descending key, computed once when
-    the term enters the dict).  A step only adds terms strictly below the
-    term it reduces, so the top of the heap is always the largest pending
-    term.  A term that cancels leaves the dict only; its stale heap entry
-    is skipped when popped (lazy deletion), and a term that enters again
-    is pushed again.
+    also sits in a heap of negated terms, so the largest pops first.  A step
+    only adds terms strictly below the term it reduces, so the top of the
+    heap is always the largest pending term.  A term that cancels leaves
+    the dict only; its stale heap entry is skipped when popped (lazy
+    deletion), and a term that enters again is pushed again.  Every term
+    that does not cancel is popped, and one that has a bit of ``over`` (it
+    outgrew the packing) raises ``OverflowError``.
     """
-    heap = [(hkey(t), t) for t in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     out = []
     dens = []  # (end, M): out[previous end:end] is over M
     while heap:
-        t = pop(heap)[1]
+        t = -pop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
+        if t & over:
+            raise OverflowError("monomial outgrows its packing")
         hit = find(t, level)
         if hit is None:
             out.append((t, c))
@@ -496,7 +557,7 @@ def _nf_terms(M, work, level, find, hkey, record=None):
             prev = work.get(t2)
             if prev is None:
                 work[t2] = -c * b
-                push(heap, (hkey(t2), t2))
+                push(heap, -t2)
             else:
                 s = prev - c * b
                 if s:
@@ -519,23 +580,16 @@ def _nf_terms(M, work, level, find, hkey, record=None):
 # The completion core (all modes)
 
 
-class _Family(NamedTuple):
-    """The parts that differ between left mode and sigma/skew mode."""
-
-    entry: type  # _LeftEntry or _Entry
-    pairs: object  # _left_pairs or _window_pairs
-    finder: object  # _left_finder or _make_finder
-    shift: str  # the shift's name in trace lines and certify failures
-
-
-def _family(cfg: GBConfig) -> _Family:
-    """The parts of the mode family of ``cfg``, read at call time."""
-    if cfg.mode == "left":
-        return _Family(_LeftEntry, _left_pairs, _left_finder, "s")
-    return _Family(_Entry, _window_pairs, _make_finder, "sigma")
+def _family(cfg: GBConfig):
+    """What differs between left mode and sigma/skew mode beyond the
+    packing: the pair enumerator, and the shift's name in trace lines and
+    certify failures."""
+    return (_left_pairs, "s") if cfg.mode == "left" else (_window_pairs,
+                                                           "sigma")
 
 
-def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
+def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
+                  P: MonoPacking, pair_filter):
     """The in-window critical pairs of entry t against entries 0..t.
 
     Yields (a, b, shift, stratum, lcm) for spoly(a, sigma**shift . b): for
@@ -547,10 +601,11 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
     and the shifts run exactly up to stratum d.  That is one rule for both
     modes, because the letterplace correspondence maps the weight of an
     ideal of P onto the s-degree of its image in S.  ``pair_filter(lcm,
-    stratum)``, when given, vetoes pairs the caller knows to be irrelevant.
+    stratum)``, when given, vetoes pairs the caller knows to be irrelevant;
+    it sees the lcm unpacked.
     """
     skew_mode = cfg.mode == "skew"
-    sigma = cfg.sigma
+    sigma, plcm = P.sigma, P.lcm
     d = cfg.degree_bound
     for j in range(t + 1):
         for a, b, sh0 in ((t, t, 1),) if j == t else ((j, t, 0), (t, j, 1)):
@@ -559,45 +614,15 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig, pair_filter):
             if wa > d:
                 continue
             for sh in range(sh0, d - wb + 1):
-                l = mono_lcm(ea.lm, eb.shifted_lm(sigma, sh))
+                l = plcm(ea.lm, sigma(eb.lm, sh))
                 stratum = max(wa, wb + sh)
-                if pair_filter is None or pair_filter(l, stratum):
+                if pair_filter is None or pair_filter(P.unpack(l), stratum):
                     yield a, b, sh, stratum, l
 
 
-def _criterion(entries, a, b, sh, l, level, cfg: GBConfig):
-    """The criterion that settles the pair (a, b, sh) with lcm l at
-    ``level`` (its stratum, or its s-degree in left mode): "product",
-    "chain" or None, under the toggles of ``cfg``.  The chain criterion
-    (Gebauer–Möller) asks for an image of an entry's lm that divides l with
-    both its lcms below l; the images are sigma**u for u up to the level
-    less the entry's s-degree (weight in sigma mode), or in left mode the
-    one s-power multiple on that level."""
-    sigma = cfg.sigma
-    alm = entries[a].lm
-    blm = entries[b].shifted_lm(sigma, sh)
-    if cfg.product_enabled() and mono_coprime(alm, blm):
-        return "product"
-    if not cfg.chain_criterion:
-        return None
-    okey = cfg.ordering.key
-    lkey = okey(l)
-    left, by_sdeg = cfg.mode == "left", cfg.mode != "sigma"
-    for ent in entries:
-        top = level - (ent.sdeg if by_sdeg else ent.lmw)
-        if top < 0:
-            continue
-        for u in range(top if left else 0, top + 1):
-            img = ent.shifted_lm(sigma, u)
-            if (mono_divides(img, l) and okey(mono_lcm(alm, img)) < lkey
-                    and okey(mono_lcm(img, blm)) < lkey):
-                return "chain"
-    return None
-
-
-def _complete(seeds, cfg: GBConfig, pair_filter=None):
+def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
     """Run pair completion in any mode on monic (element, s-degree) seeds,
-    through the parts of the mode family (``_family``).
+    through the parts of the mode family (``_family``), over the packing P.
 
     A pair reduces at its stratum in skew and left mode, at 0 in sigma mode
     (where every s-degree is 0).  ``pair_filter(lcm, level)`` may veto
@@ -605,17 +630,15 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     Returns (entries, stats, trace); the trace is a list of lines when
     ``cfg.trace`` is set, else None.
     """
-    Entry, pairs, finder, shift = _family(cfg)
+    pairs, shift = _family(cfg)
     left, by_sdeg = cfg.mode == "left", cfg.mode != "sigma"
-    okey = cfg.ordering.key
-    ordering = SkewOrdering(cfg.ordering) if left else cfg.ordering
-    key = ordering.key
 
     entries: list[_Entry] = []
     stats = PairStats()
     trace = [] if cfg.trace else None
     heap: list = []
-    _, reduce = _search(entries, cfg)
+    _, reduce = _search(entries, cfg, P)
+    criterion = _Divisors(entries, cfg, P).criterion
 
     def note(a, b, sh, stratum, outcome):
         if trace is not None:
@@ -624,32 +647,32 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
     def add_element(ent):
         entries.append(ent)
         stats.added += 1
-        for a, b, sh, stratum, l in pairs(entries, ent.index, cfg, pair_filter):
+        for a, b, sh, stratum, l in pairs(entries, ent.index, cfg, P,
+                                          pair_filter):
             # The running count breaks ties in the order of enumeration.
-            heapq.heappush(heap, (stratum, mono_degree(l), okey(l),
-                                  stats.considered, a, b, sh, l))
+            heapq.heappush(heap, (stratum, P.degree(l), l, stats.considered,
+                                  a, b, sh))
             stats.considered += 1
         # Reduce again each older tail that an image of the new lm divides.
         # Such an image lies on the new s-degree or above, and no term it
         # divides is below the new lm (with its s-degree in left mode), so
         # a tail below either is not searched.
-        hits = finder([ent], cfg)
-        lead = key(ent.monos[0])
+        hits = _Divisors([ent], cfg, P).smallest
+        lead = ent.monos[0]
         for old in entries[:-1]:
-            if (old.sdeg < ent.sdeg or len(old.monos) == 1
-                    or key(old.monos[1]) < lead):
+            if old.sdeg < ent.sdeg or len(old.monos) == 1 or old.monos[1] < lead:
                 continue
             if any(hits(m, old.sdeg) for m in old.monos[1:]):
                 old.take_tail(*reduce(old.den, old.tail(), old.sdeg))
         return ent
 
     for poly, sdeg in seeds:  # unlike a normal form, a seed's tail may reduce
-        ent = add_element(Entry.of(poly, sdeg, len(entries)))
+        ent = add_element(_Entry.of(poly, sdeg, len(entries), P))
         ent.take_tail(*reduce(ent.den, ent.tail(), sdeg))
 
     while heap:
-        stratum, _, _, _, a, b, sh, l = heapq.heappop(heap)
-        crit = _criterion(entries, a, b, sh, l, stratum, cfg)
+        stratum, _, l, _, a, b, sh = heapq.heappop(heap)
+        crit = criterion(a, b, sh, l, stratum)
         if crit:
             if crit == "product":
                 stats.product_skipped += 1
@@ -658,19 +681,19 @@ def _complete(seeds, cfg: GBConfig, pair_filter=None):
             note(a, b, sh, stratum, f"skip:{crit}")
             continue
         level = stratum if by_sdeg else 0
-        _, nf = reduce(*entries[a].spoly(entries[b], sh, l, cfg.sigma), level)
+        _, nf = reduce(*entries[a].spoly(entries[b], sh, l), level)
         if not nf:
             stats.reduced_to_zero += 1
             note(a, b, sh, stratum, "-> 0")
             continue
         lead = nf[0][0]
-        if cfg.mode == "sigma" and lead == MONO_ONE:
+        if cfg.mode == "sigma" and lead == 0:
             note(a, b, sh, stratum, "-> 1")
             warnings.warn("basis contains a constant: unit ideal")
-            return [Entry(nf, ordering, 0, 0)], stats, trace
+            return [_Entry(nf, P, 0, 0)], stats, trace
         # a left element may lead below the pair's s-degree
-        ent = add_element(Entry(nf, ordering, lead.sdeg if left else level,
-                                len(entries)))
+        ent = add_element(_Entry(nf, P, lead >> P.sdeg_shift if left else level,
+                                 len(entries)))
         note(a, b, sh, stratum, f"-> g{ent.index + 1}")
 
     return entries, stats, trace
@@ -699,10 +722,14 @@ def _solve(H, cfg: GBConfig, mode: str, pair_filter=None) -> GBResult:
                 return GBResult([poly], mode, cfg.degree_bound, PairStats(),
                                 None)
             seeds[poly, sdeg] = None  # an ordered set: a repeat is dropped
-    entries, stats, trace = _complete(seeds, cfg, pair_filter)
-    basis = [_element(e, cfg) for e in entries]
-    if cfg.interreduce:
-        basis = interreduce(basis, cfg)
+
+    def run(P):
+        entries, stats, trace = _complete(seeds, cfg, P, pair_filter)
+        if cfg.interreduce:
+            entries = _interreduce(entries, cfg, P)
+        return [_element(e, cfg) for e in entries], stats, trace
+
+    basis, stats, trace = _packed(cfg, [g for g, _ in seeds], run)
     return GBResult(basis, mode, cfg.degree_bound, stats, trace)
 
 
@@ -727,70 +754,23 @@ def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
 # Left module mode
 
 
-class _LeftEntry(_Entry):
-    """A monic element of S for left reduction, over monomials
-    ``SkewMonomial(m, e)``; its shifted images are the left s-power
-    multiples s**u * element, whose monomials are (sigma**u(m), e + u).
-    ``shift_left`` keeps coefficients and term order, so ``den`` and
-    ``nums`` serve every multiple, and the leading monomial of s**u *
-    element is the sigma**u image of ``lm`` at s-degree ``sdeg + u``."""
-
-    __slots__ = ()
-
-    ring = SkewElement
-
-    @staticmethod
-    def mul(q: Monomial, t: SkewMonomial) -> SkewMonomial:
-        return SkewMonomial(mono_mul(q, t[0]), t[1])
-
-    @staticmethod
-    def shift(sigma: MonomialEndomorphism, t: SkewMonomial, u: int):
-        return SkewMonomial(sigma.mono(t[0], u), t[1] + u)
-
-
-def _left_finder(entries: list[_LeftEntry], cfg: GBConfig):
-    """Left reducer search: search(monomial of S, level) returns the s-power
-    multiple of an entry whose lm divides the term, as (entry, shift,
-    shifted lm) for ``_search``, or None.  The entry with the smallest
-    (okey(shifted lm), index) wins."""
-    sigma = cfg.sigma
-    okey = cfg.ordering.key
-
-    def search(t, level):
-        m, e = t
-        best_sel = None
-        best = None
-        for ent in entries:
-            u = e - ent.sdeg
-            if u < 0:
-                continue
-            img = ent.shifted_lm(sigma, u)
-            if mono_divides(img, m):
-                sel = (okey(img), ent.index)
-                if best_sel is None or sel < best_sel:
-                    best_sel, best = sel, (ent, u, img)
-        return best
-
-    return search
-
-
-def _left_pairs(entries: list[_LeftEntry], t: int, cfg: GBConfig, pair_filter):
+def _left_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
+                P: MonoPacking, pair_filter):
     """The in-window left critical pairs of entry t against entries 0..t-1.
 
     Yields (a, b, shift, s-degree, lcm) for spoly(a, s**shift . b): the
     entry of larger leading s-degree comes first and the other is lifted to
     meet it; on equal s-degree (shift 0) entry t comes first.  Pairs above
     s-degree d are dropped, as are those that ``pair_filter(lcm, s-degree)``
-    vetoes, when given.
+    vetoes, when given; it sees the lcm unpacked.
     """
-    sigma = cfg.sigma
     for j in range(t):
         da, db = entries[t].sdeg, entries[j].sdeg
         a, b, sh = (t, j, da - db) if da >= db else (j, t, db - da)
         e = max(da, db)
         if e <= cfg.degree_bound:
-            l = mono_lcm(entries[a].lm, entries[b].shifted_lm(sigma, sh))
-            if pair_filter is None or pair_filter(l, e):
+            l = P.lcm(entries[a].lm, P.sigma(entries[b].lm, sh))
+            if pair_filter is None or pair_filter(P.unpack(l), e):
                 yield a, b, sh, e, l
 
 
@@ -803,14 +783,13 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
 # Normal form, interreduction, membership
 
 
-def _entries(G, cfg: GBConfig):
-    """Entries for the nonzero elements of G (``_split``), indexed by their
-    position in G."""
-    Entry = _family(cfg).entry
-    return [Entry.of(*_split(g, cfg), i) for i, g in enumerate(G) if g]
+def _entries(G, cfg: GBConfig, P: MonoPacking):
+    """Entries over P for the nonzero elements of G (``_split``), indexed by
+    their position in G."""
+    return [_Entry.of(*_split(g, cfg), i, P) for i, g in enumerate(G) if g]
 
 
-def _search(entries, cfg: GBConfig):
+def _search(entries, cfg: GBConfig, P: MonoPacking):
     """The reducer search of the mode family over ``entries``, and the
     reduction through it; both see entries appended later.
 
@@ -824,15 +803,12 @@ def _search(entries, cfg: GBConfig):
     gives the ``_nf_terms`` normal form, in int form, of the {term:
     numerator} dict ``work`` over M against the family's closure: terms of
     P at one level in sigma/skew mode, terms of S in left mode, whose search
-    reads the level off each term.  The products are the entry's
-    ``shifted_tail`` times the cofactor under the family's ``mul``, the
-    product ``_Entry.spoly`` uses too.
+    reads the level off each term.  The cofactor is the term's P-monomial
+    less the image, and the products are the entry's ``images`` plus the
+    cofactor, the product ``_Entry.spoly`` uses too.
     """
-    left = cfg.mode == "left"
-    family = _family(cfg)
-    search = family.finder(entries, cfg)
-    mul = family.entry.mul
-    hkey = (SkewOrdering(cfg.ordering) if left else cfg.ordering).heap_key
+    search = _Divisors(entries, cfg, P).smallest
+    base, over = P.base, P.over
     memo = {}
     filled = 0
 
@@ -846,18 +822,18 @@ def _search(entries, cfg: GBConfig):
             hit = search(m, level)
             if hit is not None:
                 ent, u, img = hit
-                hit = mono_div(m.mono if left else m, img), None, u, ent
+                hit = (m & base) - img, None, u, ent
         elif hit is None or hit[3].nums is nums:
             return hit
         if hit is not None:  # new, or stale: its entry took a new tail since
             q, _, u, ent = hit
-            tail = ent.shifted_tail(cfg.sigma, u)
-            hit, nums = (q, tuple([mul(q, t) for t in tail]), u, ent), ent.nums
+            hit, nums = (q, tuple([q + t for t in ent.images(u)]), u,
+                         ent), ent.nums
         memo[m, level] = hit, nums
         return hit
 
     def reduce(M, work, level, record=None):
-        return _nf_terms(M, work, level, find, hkey, record)
+        return _nf_terms(M, work, level, find, over, record)
 
     return find, reduce
 
@@ -868,26 +844,52 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     In sigma mode f and G are polynomials of P and the closure is all
     sigma-power images; in skew/left modes they are skew elements and the
     closure carries the matching s-power decorations.  When ``record`` is a
-    list, it receives the division steps (see ``_nf_terms``) in every mode.
+    list, it receives the division steps (see ``_nf_terms``) in every mode,
+    with tuple cofactors.
     """
     cfg.check_sigma()
-    _, reduce = _search(_entries(G, cfg), cfg)
+    G = list(G)
 
-    def nf_of(terms, level):
-        M, nums = common_denominator([c for _, c in terms])
-        M, out = reduce(M, dict(zip([t for t, _ in terms], nums)), level,
-                        record)
-        return [(t, fraction(c, M)) for t, c in out]
+    def run(P):
+        steps = None if record is None else []
+        _, reduce = _search(_entries(G, cfg, P), cfg, P)
 
-    if cfg.mode == "skew":
-        # two-sided: reduce each s-homogeneous layer at its own level
-        nf = [(SkewMonomial(m, level), c) for level, poly in f.parts
-              for m, c in nf_of(poly.terms, level)]
-    else:
-        nf = nf_of(f.terms, 0)
+        def nf_of(terms, level):
+            M, nums = common_denominator([c for _, c in terms])
+            M, out = reduce(M, {_pack(P, t): c for (t, _), c in
+                                zip(terms, nums)}, level, steps)
+            return [(_unpack(P, t), fraction(c, M)) for t, c in out]
+
+        if cfg.mode == "skew":
+            # two-sided: reduce each s-homogeneous layer at its own level
+            nf = [(SkewMonomial(m, level), c) for level, poly in f.parts
+                  for m, c in nf_of(poly.terms, level)]
+        else:
+            nf = nf_of(f.terms, 0)
+        return nf, steps and [(c, P.unpack(q), u, i) for c, q, u, i in steps]
+
+    nf, steps = _packed(cfg, [*G, f], run)
+    if record is not None:
+        record.extend(steps)
     if cfg.mode == "sigma":
         return Polynomial(nf, cfg.ordering, _sorted=True)
     return SkewElement(nf, SkewOrdering(cfg.ordering), _sorted=True)
+
+
+def _interreduce(entries, cfg: GBConfig, P: MonoPacking):
+    """The entries that ``interreduce`` keeps, their tails reduced."""
+    kept: list = []
+    find, reduce = _search(kept, cfg, P)
+    for ent in sorted(entries, key=lambda e: (e.sdeg, e.lm)):
+        if find(ent.monos[0], ent.sdeg) is None:
+            ent.index = len(kept)
+            kept.append(ent)
+    # Every tail reduces against the kept elements as given, before any
+    # of them takes its new tail.
+    tails = [reduce(ent.den, ent.tail(), ent.sdeg) for ent in kept]
+    for ent, tail in zip(kept, tails):
+        ent.take_tail(*tail)
+    return kept
 
 
 def interreduce(basis, cfg: GBConfig):
@@ -899,21 +901,10 @@ def interreduce(basis, cfg: GBConfig):
     already tail-reduced, it only drops lm-redundant elements and sorts.
     """
     cfg.check_sigma()
-    okey = cfg.ordering.key
-    kept: list = []
-    find, reduce = _search(kept, cfg)
-    for ent in sorted(_entries(basis, cfg), key=lambda e: (e.sdeg, okey(e.lm))):
-        if find(ent.monos[0], ent.sdeg) is None:
-            ent.index = len(kept)
-            kept.append(ent)
-    # Every tail reduces against the kept elements as given, before any
-    # of them takes its new tail.
-    tails = [reduce(ent.den, ent.tail(), ent.sdeg) for ent in kept]
-    out = []
-    for ent, tail in zip(kept, tails):
-        ent.take_tail(*tail)
-        out.append(_element(ent, cfg))
-    return out
+    basis = list(basis)
+    return _packed(cfg, basis, lambda P: [
+        _element(e, cfg) for e in _interreduce(_entries(basis, cfg, P), cfg, P)
+    ])
 
 
 def member(f, basis, cfg: GBConfig) -> bool:
@@ -943,8 +934,8 @@ def member(f, basis, cfg: GBConfig) -> bool:
 
 def certify(basis, cfg: GBConfig, pair_filter=None):
     """Check that every in-window critical pair reduces to zero, skipping
-    those that ``_criterion`` settles as the completion would.  Returns (ok,
-    failures).
+    those that ``_Divisors.criterion`` settles as the completion would.
+    Returns (ok, failures).
 
     The pairs come from the completion's own enumerators, so the two see the
     same window.  The criteria are sound for a check as well: a chain's two
@@ -953,23 +944,28 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     again with both criteria off, which reduces every pair and lists the
     failures in enumeration order; ``criteria: none`` asks for that run."""
     cfg.check_sigma()
-    sigma = cfg.sigma
-    failures: list[str] = []
-    entries = _entries(basis, cfg)
-    _, reduce = _search(entries, cfg)
-    _, pairs, _, shift = _family(cfg)
-    for t in range(len(entries)):
-        for a, b, sh, level, l in pairs(entries, t, cfg, pair_filter):
-            if _criterion(entries, a, b, sh, l, level, cfg):
-                continue
-            if reduce(*entries[a].spoly(entries[b], sh, l, sigma), level)[1]:
-                if cfg.product_enabled() or cfg.chain_criterion:
-                    return certify(basis, replace(
-                        cfg, product_criterion=False, chain_criterion=False
-                    ), pair_filter)
-                failures.append(f"pair (g{a + 1}, {shift}^{sh}.g{b + 1}) "
-                                f"does not reduce to zero")
-    return not failures, failures
+    basis = list(basis)
+    pairs, shift = _family(cfg)
+
+    def run(P):
+        failures: list[str] = []
+        entries = _entries(basis, cfg, P)
+        _, reduce = _search(entries, cfg, P)
+        criterion = _Divisors(entries, cfg, P).criterion
+        for t in range(len(entries)):
+            for a, b, sh, level, l in pairs(entries, t, cfg, P, pair_filter):
+                if criterion(a, b, sh, l, level):
+                    continue
+                if reduce(*entries[a].spoly(entries[b], sh, l), level)[1]:
+                    if cfg.product_enabled() or cfg.chain_criterion:
+                        return certify(basis, replace(
+                            cfg, product_criterion=False, chain_criterion=False
+                        ), pair_filter)
+                    failures.append(f"pair (g{a + 1}, {shift}^{sh}.g{b + 1}) "
+                                    f"does not reduce to zero")
+        return not failures, failures
+
+    return _packed(cfg, basis, run)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,10 +1060,10 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     one = lc * inverse(lc)  # the field's 1
     rows = [(g.terms[0][0].sdeg, [v.mono for v, _ in g.terms],
              common_denominator([c for _, c in g.terms])[1]) for g in gens]
+    letters, places = MonoPacking.extent(m for _, ms, _ in rows for m in ms)
     width = 8  # exponents and degrees up to 127
     while True:
-        P = MonoPacking((c for _, ms, _ in rows for m in ms for c, _ in m),
-                        ordering.base, width)
+        P = MonoPacking(letters, places, ordering.base, width)
         levels: dict = {}  # level -> its forms, in listed order
         try:
             # (level, oracle form) in listed order, without repeats

@@ -13,9 +13,12 @@ its largest place, ``top_place``, and ``None`` for the monomial 1, which
 lies below every place; it bounds how far a shifted divisor can sit inside
 a multiple and drives all truncation windows downstream.
 
-``MonoPacking`` packs monomials into ints for the oracle, as in Monagan and
-Pearce, "Sparse polynomial division using a heap" (JSC 46, 2011): a product
-is an addition and a divisibility test one mask test.
+``MonoPacking`` packs monomials into ints, one field per (place, letter),
+place-major, as in Monagan and Pearce, "Sparse polynomial division using a
+heap" (JSC 46, 2011): int comparison is the ordering, a product is an
+addition, a divisibility test one mask test and the place shift a bit
+shift.  The engine and the oracle compute on packed monomials; the tuple
+monomials of this module are their input and output.
 
 ``Terms`` is the term arithmetic shared by the three rings (sums, scaling,
 ``monic``, leading data); ``Polynomial`` adds the commutative product of P.
@@ -23,8 +26,7 @@ is an addition and a divisibility test one mask test.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import neg
+from operator import sub
 from typing import Iterable
 
 from .field import inverse
@@ -91,6 +93,15 @@ def mono_from_pairs(pairs: Iterable[tuple[int, int]]) -> Monomial:
     return tuple(sorted(acc.items(), reverse=True))
 
 
+def _combine(m: Monomial, n: Monomial, op) -> Monomial:
+    """op over the exponents of each variable of m or n (a missing one
+    counts 0), as a monomial: zeros dropped, codes descending."""
+    dm, dn = dict(m), dict(n)
+    return tuple(sorted(((c, e) for c in dm.keys() | dn.keys()
+                         if (e := op(dm.get(c, 0), dn.get(c, 0)))),
+                        reverse=True))
+
+
 def mono_mul(m: Monomial, n: Monomial) -> Monomial:
     """Product of two monomials (merge of sorted exponent vectors)."""
     if not m:
@@ -121,9 +132,7 @@ def mono_mul(m: Monomial, n: Monomial) -> Monomial:
 def mono_pow(m: Monomial, k: int) -> Monomial:
     if k < 0:
         raise ValueError("negative exponent")
-    if k == 0:
-        return MONO_ONE
-    return tuple((c, e * k) for c, e in m)
+    return tuple((c, e * k) for c, e in m) if k else MONO_ONE
 
 
 def mono_divides(m: Monomial, n: Monomial) -> bool:
@@ -141,80 +150,22 @@ def mono_divides(m: Monomial, n: Monomial) -> bool:
 
 def mono_div(m: Monomial, n: Monomial) -> Monomial:
     """Exact quotient m / n; raises ValueError if n does not divide m."""
-    out = []
-    j = 0
-    lm = len(m)
-    for cn, en in n:
-        while j < lm and m[j][0] > cn:
-            out.append(m[j])
-            j += 1
-        if j == lm or m[j][0] != cn or m[j][1] < en:
-            raise ValueError("not divisible")
-        if m[j][1] > en:
-            out.append((cn, m[j][1] - en))
-        j += 1
-    out.extend(m[j:])
-    return tuple(out)
+    if not mono_divides(n, m):
+        raise ValueError("not divisible")
+    return _combine(m, n, sub)
 
 
 def mono_gcd(m: Monomial, n: Monomial) -> Monomial:
-    out = []
-    i = j = 0
-    lm, ln = len(m), len(n)
-    while i < lm and j < ln:
-        cm, em = m[i]
-        cn, en = n[j]
-        if cm > cn:
-            i += 1
-        elif cm < cn:
-            j += 1
-        else:
-            out.append((cm, em if em < en else en))
-            i += 1
-            j += 1
-    return tuple(out)
+    return _combine(m, n, min)
 
 
 def mono_lcm(m: Monomial, n: Monomial) -> Monomial:
-    if not m:
-        return n
-    if not n:
-        return m
-    out = []
-    i = j = 0
-    lm, ln = len(m), len(n)
-    while i < lm and j < ln:
-        cm, em = m[i]
-        cn, en = n[j]
-        if cm > cn:
-            out.append(m[i])
-            i += 1
-        elif cm < cn:
-            out.append(n[j])
-            j += 1
-        else:
-            out.append((cm, em if em > en else en))
-            i += 1
-            j += 1
-    out.extend(m[i:])
-    out.extend(n[j:])
-    return tuple(out)
+    return _combine(m, n, max)
 
 
 def mono_coprime(m: Monomial, n: Monomial) -> bool:
-    """True iff gcd(m, n) = 1, without building the gcd."""
-    i = j = 0
-    lm, ln = len(m), len(n)
-    while i < lm and j < ln:
-        cm = m[i][0]
-        cn = n[j][0]
-        if cm > cn:
-            i += 1
-        elif cm < cn:
-            j += 1
-        else:
-            return False
-    return True
+    """True iff gcd(m, n) = 1."""
+    return not mono_gcd(m, n)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -243,20 +194,6 @@ class MonomialOrdering:
             return m
         return (sum(e for _, e in m), m)
 
-    def heap_key(self, m: Monomial):
-        """A key whose native comparison realizes the reverse ordering.
-
-        ``heapq`` pops the smallest key first, so a heap under this key pops
-        the largest monomial first.  The exponent vector is flattened (which
-        keeps lex: a pair compares by code, then exponent) and negated; the
-        trailing 1 lies above every negated entry, so a monomial still sorts
-        after each of its proper extensions, which lex places above it.
-        """
-        flat = (*map(neg, chain.from_iterable(m)), 1)
-        if self.kind == "lex":
-            return flat
-        return (sum(flat[1:-1:2]), flat)
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrdering) and other.kind == self.kind
 
@@ -273,43 +210,78 @@ ORDERINGS = {"lex": LEX, "deglex": DEGLEX}
 
 
 class MonoPacking:
-    """Monomials over a fixed set of variable codes, packed into ints.
+    """Monomials packed into ints, one W-bit field per variable.
 
-    Each code has a field of ``width`` bits, ascending with the code, and
-    one more field holds the degree: on top under deglex, at the bottom
-    under lex, so int comparison is the ordering.  The top bit of a field is
-    a guard, clear in a packed monomial: the product is ``m + n``, exact,
-    and sets a guard bit where a field outgrows its width; the quotient is
-    ``m - n``; m divides n iff ``((n | guards) - m) & guards == guards``.
-    ``pack`` and ``lcm`` raise ``OverflowError`` for an outgrown field.
+    Letter i at place p has field p * letters + i (place-major), so the
+    fields ascend with the variable codes and the place shift moves them up
+    ``step`` bits a place.  ``places`` places are in range; ``spare`` more
+    above take what a shift carries out, short of the degree field, which
+    lies at the bottom under lex and on top under deglex: int comparison is
+    the ordering.  With ``skew`` a term of S carries its s-degree above
+    everything, at ``sdeg_shift``, and compares s-degree first.
+
+    The top bit of each field is a guard, clear in a packed monomial: the
+    product is ``m + n``, exact, and sets a guard bit where a field outgrows
+    its width; the quotient is ``m - n``; m divides n iff ``((n | guards) -
+    m) & guards == guards``.  A monomial is valid when it has no bit of
+    ``over`` (a guard, a spare place, a degree from 2**(W - 1) up); as the
+    degree bounds every exponent, the fields of a valid monomial and of a
+    sum of two are exact.  ``pack`` and ``lcm`` raise ``OverflowError`` for
+    what is not valid.  ``sigma`` is an endomorphism's ``packed`` action.
     """
 
-    __slots__ = ("width", "guards", "exps", "shifts", "deg_shift", "codes")
+    __slots__ = ("letters", "places", "width", "step", "base_shift",
+                 "deg_shift", "sdeg_shift", "exps", "guards", "over", "base",
+                 "codes", "ordering", "sigma", "skew")
 
-    def __init__(self, codes, ordering: MonomialOrdering, width: int):
-        low = ordering.kind == "lex"
-        self.codes = [None] * low + sorted(set(codes))  # the code of a field
-        n = len(self.codes) - low
-        self.width = width
-        self.shifts = {c: k * width for k, c in enumerate(self.codes)}
-        self.deg_shift = 0 if low else n * width
-        self.guards = sum(1 << (k * width + width - 1) for k in range(n + 1))
-        field = (1 << width) - 1
-        self.exps = ((1 << (n + 1) * width) - 1) ^ (field << self.deg_shift)
+    def __init__(self, letters: int, places: int, ordering: MonomialOrdering,
+                 width: int, spare: int = 0, sigma=None, skew: bool = False):
+        lex = ordering.kind == "lex"
+        self.letters, self.places, self.width = letters, places, width
+        self.ordering, self.skew = ordering, skew
+        self.step = letters * width
+        self.codes = [var_code(k % letters, k // letters)  # field -> code
+                      for k in range((places + spare) * letters)]
+        bits = len(self.codes) * width  # the variable fields
+        self.base_shift = width if lex else 0  # the bit of field 0
+        self.deg_shift = 0 if lex else bits
+        self.sdeg_shift = top = bits + width
+        self.base = (1 << top) - 1
+        self.exps = ((1 << bits) - 1) << self.base_shift
+        self.guards = ((1 << top) - 1) // ((1 << width) - 1) << (width - 1)
+        limit = self.base_shift + places * self.step
+        beyond = (1 << top) - (1 << limit) if skew else -(1 << limit)
+        half = (1 << (width - 1)) - 1  # the degree's value bits
+        self.over = self.guards | (beyond & ~(half << self.deg_shift))
+        self.sigma = None if sigma is None else sigma.packed(self)
+
+    @staticmethod
+    def extent(monomials) -> tuple[int, int]:
+        """The (letters, places) that the given monomials occupy."""
+        codes = {c for m in monomials for c, _ in m}
+        return (max((c & LETTER_MASK for c in codes), default=0) + 1,
+                max((c >> LETTER_BITS for c in codes), default=0) + 1)
 
     def pack(self, m: Monomial) -> int:
-        deg = sum(e for _, e in m)
-        if deg >> (self.width - 1):  # every exponent is at most the degree
+        w, letters, p, deg = self.width, self.letters, 0, 0
+        for c, e in m:
+            place, letter = c >> LETTER_BITS, c & LETTER_MASK
+            if place >= self.places or letter >= letters:
+                raise OverflowError("monomial outgrows its packing")
+            p += e << self.base_shift + (place * letters + letter) * w
+            deg += e
+        if deg >> (w - 1):  # every exponent is at most the degree
             raise OverflowError("monomial outgrows its packing")
-        return sum(e << self.shifts[c] for c, e in m) + (deg << self.deg_shift)
+        return p | deg << self.deg_shift
 
     def unpack(self, p: int) -> Monomial:
-        w, out = self.width, []
+        w, shift, codes, out = self.width, self.base_shift, self.codes, []
         p &= self.exps
         while p:  # the top field left is the largest code left
-            k = (p.bit_length() - 1) // w
-            out.append((self.codes[k], p >> k * w))
-            p &= (1 << k * w) - 1
+            k = (p.bit_length() - 1 - shift) // w
+            e = p >> shift + k * w
+            p ^= e << shift + k * w
+            out.append((codes[k], e))
         return tuple(out)
 
     def degree(self, p: int) -> int:
@@ -319,10 +291,12 @@ class MonoPacking:
         g = self.guards
         ge = ((m | g) - n) & g  # the guards of the fields where m >= n
         x = (n ^ ((m ^ n) & (ge - (ge >> (self.width - 1))))) & self.exps
-        deg = x % ((1 << self.width) - 1)  # 2**width is 1 modulo that
-        if deg >> (self.width - 1):
+        # 2**width is 1 modulo 2**width - 1, and both degrees are below
+        # 2**(width - 1), so this is the degree of x.
+        x |= x % ((1 << self.width) - 1) << self.deg_shift
+        if x & self.over:
             raise OverflowError("monomial outgrows its packing")
-        return x | deg << self.deg_shift
+        return x
 
 
 class Terms:

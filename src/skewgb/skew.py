@@ -50,10 +50,6 @@ class SkewOrdering:
     def key(self, v: SkewMonomial):
         return v[1], self.base.key(v[0])
 
-    def heap_key(self, v: SkewMonomial):
-        """A key realizing the reverse ordering (see ``heap_key`` of P)."""
-        return -v[1], self.base.heap_key(v[0])
-
     def __eq__(self, other):
         return isinstance(other, SkewOrdering) and other.base == self.base
 

@@ -249,15 +249,16 @@ def test_interreduce_is_idempotent_and_monic():
     assert all(g.lc() == QQ.one for g in red)
 
 
-def completed_entries(monkeypatch, solve, gens, cfg):
-    """The entries of the one ``_complete`` run inside solve(gens, cfg),
-    with the config that run saw (the embedded one in the free modes)."""
+def completed_tails(monkeypatch, solve, gens, cfg):
+    """``unreduced_tail_terms`` of the entries of the one ``_complete`` run
+    inside solve(gens, cfg) as that run returns them, with the config and
+    packing that run saw (the embedded config in the free modes)."""
     runs = []
     complete = engine._complete
 
-    def spy(seeds, ecfg, pair_filter=None):
-        out = complete(seeds, ecfg, pair_filter)
-        runs.append((out[0], ecfg))
+    def spy(seeds, ecfg, P, pair_filter=None):
+        out = complete(seeds, ecfg, P, pair_filter)
+        runs.append(unreduced_tail_terms(out[0], ecfg, P))
         return out
 
     monkeypatch.setattr(engine, "_complete", spy)
@@ -267,14 +268,15 @@ def completed_entries(monkeypatch, solve, gens, cfg):
     return run
 
 
-def unreduced_tail_terms(entries, cfg):
+def unreduced_tail_terms(entries, cfg, P):
     """(tail terms that the one-entry search of some entry finds, tail
     terms checked); each entry's tail is searched at its own level, its
     s-degree (0 in sigma mode)."""
-    finders = [engine._family(cfg).finder([other], cfg) for other in entries]
+    finders = [engine._Divisors([other], cfg, P).smallest
+               for other in entries]
     found = checked = 0
     for ent in entries:
-        for m, _ in ent.poly.terms[1:]:
+        for m in ent.monos[1:]:
             found += any(hits(m, ent.sdeg) for hits in finders)
             checked += 1
     return found, checked
@@ -311,9 +313,7 @@ def test_completion_keeps_every_tail_reduced(monkeypatch, mode):
     checked = 0
     for _ in range(40):
         gens, cfg = random_problem(rng, mode)
-        entries, ecfg = completed_entries(monkeypatch, SOLVERS[mode], gens,
-                                          cfg)
-        found, n = unreduced_tail_terms(entries, ecfg)
+        found, n = completed_tails(monkeypatch, SOLVERS[mode], gens, cfg)
         assert found == 0, (gens, cfg)
         checked += n
     assert checked >= 50
@@ -323,9 +323,8 @@ def test_completion_keeps_c41w_tails_reduced(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "corpus" / "c41w-d6.txt"
     pf = cli.parse_problem(path.read_text())
     cfg = cli._config(pf, False)
-    entries, ecfg = completed_entries(monkeypatch, letterplace.free_gbasis,
-                                      cli._parse_generators(pf, cfg), cfg)
-    found, checked = unreduced_tail_terms(entries, ecfg)
+    found, checked = completed_tails(monkeypatch, letterplace.free_gbasis,
+                                     cli._parse_generators(pf, cfg), cfg)
     assert found == 0 and checked >= 100
 
 

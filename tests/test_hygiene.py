@@ -129,9 +129,9 @@ def test_no_package_module_defines_an_unread_private_name():
 # input and window layers.
 ORACLE_ROOTS = ("_oracle_nf", "_oracle_buchberger", "oracle_gbasis_truncated",
                 "expand_window", "free_oracle_match")
-ENGINE_ONLY = {"_nf_terms", "_Entry", "_LeftEntry", "_search", "_make_finder",
-               "_left_finder", "_criterion", "_window_pairs", "_left_pairs",
-               "_family", "_complete", "_solve"}
+ENGINE_ONLY = {"_nf_terms", "_Entry", "_search", "_Divisors", "_window_pairs",
+               "_left_pairs", "_family", "_complete", "_solve", "_packed",
+               "_interreduce"}
 
 
 def names_reached(sources: dict, roots) -> dict:

@@ -25,7 +25,9 @@ from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.engine import (
     GBConfig,
     _Entry,
-    _LeftEntry,
+    _pack,
+    _packed,
+    _unpack,
     _search,
     normal_form,
     spoly,
@@ -440,44 +442,60 @@ def memo_cases(mode, entry, term):
     entry with a smaller image supersedes.  ``entry(text, index)`` builds
     the mode's basis entry and ``term(m)`` its term for the monomial m of P
     at s-degree 0."""
+    cfg = GBConfig(mode=mode, degree_bound=3)
+    P = _packed(cfg, [parse_poly("x(2)")], lambda P: P)
+
     def lm(text):
-        return parse_poly(text).lm()
+        return P.pack(parse_poly(text).lm())
+
+    def packed_term(text):
+        return _pack(P, term(parse_poly(text).lm()))
 
     entries = []
-    find, _ = _search(entries, GBConfig(mode=mode, degree_bound=3))
-    query = term(lm("x(2)*x(0)"))
+    find, _ = _search(entries, cfg, P)
+    query = packed_term("x(2)*x(0)")
     assert find(query, 0) is None
-    entries.append(entry("x(2) - x(1)", 0))
+    entries.append(entry("x(2) - x(1)", 0, P))
     assert find(query, 0) == (
-        lm("x(0)"), (term(lm("x(1)*x(0)")),), 0, entries[0])
+        lm("x(0)"), (packed_term("x(1)*x(0)"),), 0, entries[0])
     # x(0) < x(2) under lex, so the new entry reduces the query from now on.
-    entries.append(entry("x(0) + 1", 1))
-    assert find(query, 0) == (lm("x(2)"), (term(lm("x(2)")),), 0, entries[1])
+    entries.append(entry("x(0) + 1", 1, P))
+    assert find(query, 0) == (lm("x(2)"), (packed_term("x(2)"),), 0,
+                              entries[1])
 
 
 def test_memo_sees_appended_entries_in_sigma_mode():
-    memo_cases("sigma", lambda text, i: _Entry.of(parse_poly(text), 0, i),
-               lambda m: m)
+    memo_cases("sigma", lambda text, i, P: _Entry.of(parse_poly(text), 0, i,
+                                                     P), lambda m: m)
 
 
 def test_memo_sees_appended_entries_in_left_mode():
-    memo_cases("left", lambda text, i: _LeftEntry.of(
-        SkewElement.of_poly(parse_poly(text)), 0, i),
+    memo_cases("left", lambda text, i, P: _Entry.of(
+        SkewElement.of_poly(parse_poly(text)), 0, i, P),
         lambda m: SkewMonomial(m, 0))
 
 
-def int_form(terms):
-    """(term, coefficient) pairs as the kernel's (M, {term: numerator})."""
+# Two letters at places 0..3: room for every random monomial of these tests.
+WIDE = parse_poly("y(3)")
+
+
+def int_form(terms, P=None):
+    """(term, coefficient) pairs as the kernel's (M, {term: numerator}),
+    the terms packed by P when given."""
     M, nums = common_denominator([c for _, c in terms])
-    return M, dict(zip([t for t, _ in terms], nums))
+    return M, dict(zip([t if P is None else P.pack(t) for t, _ in terms],
+                       nums))
 
 
-def reduced(reduce, f, record):
-    """The sigma-mode normal form of f through a ``_search`` reduce, with
-    field coefficients."""
-    M, out = reduce(*int_form(f.terms), 0, record)
-    return Polynomial([(m, Fraction(c, M)) for m, c in out], f.ordering,
-                      _sorted=True)
+def reduced(reduce, f, record, P):
+    """The sigma-mode normal form of f through a ``_search`` reduce over the
+    packing P, with tuple monomials, field coefficients and a record of
+    tuple cofactors."""
+    steps = []
+    M, out = reduce(*int_form(f.terms, P), 0, steps)
+    record.extend((c, P.unpack(q), u, i) for c, q, u, i in steps)
+    return Polynomial([(P.unpack(m), Fraction(c, M)) for m, c in out],
+                      f.ordering, _sorted=True)
 
 
 def test_memo_follows_a_changed_tail():
@@ -490,22 +508,23 @@ def test_memo_follows_a_changed_tail():
         ordering = (LEX, DEGLEX)[n % 2]
         f, G = random_case(rng, ordering, large_denominators)
         cfg = GBConfig(mode="sigma", degree_bound=4, ordering=ordering)
-        entries = [_Entry.of(g.monic(), 0, i) for i, g in enumerate(G) if g]
-        _, reduce = _search(entries, cfg)
+        P = _packed(cfg, [f, *G, WIDE], lambda P: P)
+        entries = [_Entry.of(g.monic(), 0, i, P) for i, g in enumerate(G)
+                   if g]
+        _, reduce = _search(entries, cfg, P)
         first = []
-        reduced(reduce, f, first)
+        reduced(reduce, f, first, P)
         ent = rng.choice(entries)
-        key = ordering.key
         noise = lifted(random_poly(rng, letters=2, max_place=2, max_deg=2,
                                    terms=4, ordering=ordering),
                        rng, large_denominators)
-        tail = [(m, c) for m, c in noise.terms if key(m) < key(ent.lm)]
-        den, nums = int_form(tail)
+        tail = [(m, c) for m, c in noise.terms if P.pack(m) < ent.lm]
+        den, nums = int_form(tail, P)
         ent.take_tail(den, list(nums.items()))
         G = list(G)
         G[ent.index] = ent.poly
         record = []
-        nf = reduced(reduce, f, record)
+        nf = reduced(reduce, f, record, P)
         want, want_record, _ = reference_nf(f, G, ordering)
         assert nf == want
         assert record == want_record
@@ -524,14 +543,15 @@ def test_term_that_leaves_before_a_rescale_keeps_its_value():
     G = [parse_poly("x(0) + 1/3")]
     f = parse_poly("1/2*y(0) + x(0)")
     cfg = GBConfig(mode="sigma", degree_bound=2)
-    entries = [_Entry.of(G[0], 0, 0)]
+    P = _packed(cfg, [f, *G], lambda P: P)
+    entries = [_Entry.of(G[0], 0, 0, P)]
     assert entries[0].den == 3
-    _, reduce = _search(entries, cfg)
-    M, out = reduce(*int_form(f.terms), 0)
+    _, reduce = _search(entries, cfg, P)
+    M, out = reduce(*int_form(f.terms, P), 0)
     assert M == 6 and [c for _, c in out] == [3, -2]
     want, _, _ = reference_nf(f, G, LEX)
     assert want == parse_poly("1/2*y(0) - 1/3")
-    assert Polynomial([(m, Fraction(c, M)) for m, c in out], LEX,
+    assert Polynomial([(P.unpack(m), Fraction(c, M)) for m, c in out], LEX,
                       _sorted=True) == want
     assert normal_form(f, G, cfg) == want
 
@@ -562,23 +582,29 @@ def check_int_spolys(seed, lift, coeff_type):
         family = ("sigma", "skew", "left")[n % 3]
         sigma = PowerEndo(2) if family == "skew" and n % 2 else SHIFT
         f, g = random_entry_pair(rng, ordering, lift, family)
+        cfg = GBConfig(mode=family, degree_bound=2, ordering=ordering,
+                       sigma=sigma)
+        P = _packed(cfg, [f, g], lambda P: P)
         if family == "left":
             (a, fa), (b, gb) = sorted(
-                [(_LeftEntry.of(h, h.sdeg(), i), h)
+                [(_Entry.of(h, h.sdeg(), i, P), h)
                  for i, h in enumerate((f, g))],
                 key=lambda e: -e[0].sdeg)
             sh = a.sdeg - b.sdeg
             want = spoly(fa, shift_left(sh, gb, sigma))
             ring = SkewElement
         else:
-            a, b = _Entry.of(f, 0, 0), _Entry.of(g, 0, 1)
+            a, b = _Entry.of(f, 0, 0, P), _Entry.of(g, 0, 1, P)
             sh = rng.randint(0, 2)
             want = spoly_poly(f, sigma.poly(g, sh))
             ring = Polynomial
-        l = mono_lcm(a.lm, b.shifted_lm(sigma, sh))
-        D, work = a.spoly(b, sh, l, sigma)
-        got = ring([(t, Fraction(c, D) if coeff_type is Fraction else c)
-                    for t, c in work.items()], want.ordering)
+        l = P.lcm(a.lm, P.sigma(b.lm, sh))
+        assert P.unpack(l) == mono_lcm(a.poly.lm()[0] if family == "left"
+                                       else a.poly.lm(),
+                                       sigma.mono(P.unpack(b.lm), sh))
+        D, work = a.spoly(b, sh, l)
+        got = ring([(_unpack(P, t), Fraction(c, D) if coeff_type is Fraction
+                     else c) for t, c in work.items()], want.ordering)
         assert got == want
         assert all(type(c) is coeff_type for _, c in got.terms)
         nonzero += bool(want)
@@ -606,15 +632,17 @@ def test_entry_poly_rebuilt_from_ints():
         if not g:
             continue
         g = g.monic()
-        ent = _Entry.of(g, 0, 0)
+        cfg = GBConfig(mode="sigma", degree_bound=2, ordering=ordering)
+        P = _packed(cfg, [g, WIDE], lambda P: P)
+        ent = _Entry.of(g, 0, 0, P)
         assert ent.poly == g and ent.poly.terms == g.terms
         tail = [(m, lift(rng, random_coeff(rng)))
                 for m in {random_mono(rng, letters=2, max_place=2, max_deg=3)
                           for _ in range(4)}
-                if ordering.key(m) < ordering.key(ent.lm)]
+                if P.pack(m) < ent.lm]
         tail = [(m, c) for m, c in sorted(
             tail, key=lambda t: ordering.key(t[0]), reverse=True) if c]
-        den, nums = int_form(tail)
+        den, nums = int_form(tail, P)
         k = rng.choice((1, -1, 6, -35)) if lift is large_denominators else 1
         ent.take_tail(den * k, [(m, c * k) for m, c in nums.items()])
         want = Polynomial(g.terms[:1] + tuple(tail), ordering, _sorted=True)
@@ -625,7 +653,7 @@ def test_entry_poly_rebuilt_from_ints():
         h = lifted(random_poly(rng, letters=2, max_place=2, max_deg=3,
                                terms=5, ordering=ordering), rng, lift)
         if h:
-            _, work = int_form(h.terms)
-            made = _Entry(list(work.items()), ordering, 0, 0)
+            _, work = int_form(h.terms, P)
+            made = _Entry(list(work.items()), P, 0, 0)
             assert made.poly == h.monic()
             assert type(made.poly.lc()) is type(h.monic().lc())

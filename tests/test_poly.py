@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.field import GF, QQ
 from skewgb.poly import (
     DEGLEX,
@@ -329,8 +330,7 @@ def rand_exp_mono(rng, letters=3, max_place=5, max_exp=3):
 @pytest.mark.parametrize("ordering", [LEX, DEGLEX])
 def test_packing_round_trips_and_realizes_the_ordering(ordering):
     rng = random.Random(f"pack-{ordering}")
-    codes = [var_code(l, p) for l in range(3) for p in range(6)]
-    P = MonoPacking(codes, ordering, 8)
+    P = MonoPacking(3, 6, ordering, 8)
     monos = [rand_exp_mono(rng) for _ in range(400)]
     for m in monos:
         assert P.unpack(P.pack(m)) == m
@@ -344,8 +344,7 @@ def test_packing_round_trips_and_realizes_the_ordering(ordering):
 @pytest.mark.parametrize("ordering", [LEX, DEGLEX])
 def test_packed_arithmetic_matches_the_tuple_monomials(ordering):
     rng = random.Random(f"packops-{ordering}")
-    codes = [var_code(l, p) for l in range(3) for p in range(6)]
-    P = MonoPacking(codes, ordering, 8)
+    P = MonoPacking(3, 6, ordering, 8)
     G = P.guards
     divisible = 0
     for _ in range(2000):
@@ -367,13 +366,97 @@ def test_packed_arithmetic_matches_the_tuple_monomials(ordering):
 @pytest.mark.parametrize("ordering", [LEX, DEGLEX])
 def test_a_field_that_outgrows_its_width_sets_its_guard(width, ordering):
     x, y = var_code(0, 0), var_code(1, 2)
-    P = MonoPacking([x, y], ordering, width)
+    P = MonoPacking(2, 3, ordering, width)
     top = (1 << (width - 1)) - 1
     full = P.pack(((x, top),))
     assert full & P.guards == 0
     assert P.unpack(full) == ((x, top),)
-    assert (full + P.pack(((x, 1),))) >> (P.shifts[x] + width - 1) & 1
+    assert (full + P.pack(((x, 1),))) >> (P.base_shift + width - 1) & 1
     with pytest.raises(OverflowError):
         P.pack(((x, top + 1),))
     with pytest.raises(OverflowError):  # each field fits, the degree not
         P.lcm(full, P.pack(((y, 1),)))
+
+
+@pytest.mark.parametrize("ordering", [LEX, DEGLEX])
+def test_packed_monomials_agree_with_the_tuple_functions(ordering):
+    # The engine's packing (spare places, a term's s-degree on top) against
+    # the tuple functions: the order, the product, divisibility, lcm,
+    # coprimality (the lcm is the product), the round trip.
+    rng = random.Random(f"packprops-{ordering}")
+    P = MonoPacking(3, 6, ordering, 8, spare=6, skew=True)
+    G = P.guards
+    for _ in range(3000):
+        m, n = rand_exp_mono(rng), rand_exp_mono(rng)
+        if rng.random() < 0.3:
+            n = mono_mul(m, n)
+        pm, pn = P.pack(m), P.pack(n)
+        assert P.unpack(pm) == m and pm & P.over == 0
+        assert (pm > pn) - (pm < pn) == compare(m, n, ordering)
+        assert P.unpack(pm + pn) == mono_mul(m, n)
+        assert P.degree(pm + pn) == mono_degree(m) + mono_degree(n)
+        l = P.lcm(pm, pn)
+        assert P.unpack(l) == mono_lcm(m, n)
+        assert P.degree(l) == mono_degree(mono_lcm(m, n))
+        assert (l == pm + pn) == mono_coprime(m, n)
+        assert (((pn | G) - pm) & G == G) == mono_divides(m, n)
+        # A term of S compares s-degree first and keeps its s-degree.
+        i, j = rng.randint(0, 3), rng.randint(0, 3)
+        tm, tn = pm | i << P.sdeg_shift, pn | j << P.sdeg_shift
+        assert (tm > tn) - (tm < tn) == ((i, pm) > (j, pn)) - ((i, pm) < (j, pn))
+        assert P.unpack(tm) == m and tm & P.over == 0
+
+
+@pytest.mark.parametrize("sigma", [ShiftEndo(), PowerEndo(2), PowerEndo(3)],
+                         ids=repr)
+@pytest.mark.parametrize("ordering", [LEX, DEGLEX])
+def test_packed_sigma_agrees_with_sigma_mono(sigma, ordering):
+    # sigma**u on packed monomials is sigma.mono; an image past the places
+    # in range lands in the spare places, where the mask test sees it and
+    # no divisibility test passes; a power image whose degree outgrows the
+    # field raises instead of carrying into the next field.
+    rng = random.Random(f"packsigma-{sigma}-{ordering}")
+    P = MonoPacking(3, 6, ordering, 8, spare=6, sigma=sigma, skew=True)
+    G = P.guards
+    outside = overflowed = 0
+    for _ in range(2000):
+        m, u = rand_exp_mono(rng), rng.randint(0, 3)
+        img, pm = sigma.mono(m, u), P.pack(m)
+        if mono_degree(img) > 127:
+            with pytest.raises(OverflowError):
+                P.sigma(pm, u)
+            overflowed += 1
+            continue
+        pi = P.sigma(pm, u)
+        assert P.unpack(pi) == img and P.degree(pi) == mono_degree(img)
+        assert P.sigma(pm | 2 << P.sdeg_shift, u) == pi | 2 << P.sdeg_shift
+        if img and img[0][0] >> LETTER_BITS >= 6:
+            assert pi & P.over
+            n = P.pack(rand_exp_mono(rng))
+            assert ((n | G) - pi) & G != G
+            outside += 1
+        else:
+            assert pi == P.pack(img)
+    if isinstance(sigma, ShiftEndo):
+        assert outside > 100
+    elif sigma.e == 3:
+        assert overflowed > 10
+
+
+@pytest.mark.parametrize("ordering", [LEX, DEGLEX])
+def test_an_outgrown_exponent_and_an_outside_place_are_detected(ordering):
+    # One mask test, ``over``, catches both on a product or a shift.
+    P = MonoPacking(2, 3, ordering, 8, spare=3, sigma=ShiftEndo())
+    x0, x2, y2 = var_code(0, 0), var_code(0, 2), var_code(1, 2)
+    big = P.pack(((x0, 100),))
+    assert big & P.over == 0
+    assert (big + P.pack(((x0, 27),))) & P.over == 0
+    assert (big + P.pack(((x0, 28),))) & P.over  # the field's guard
+    assert (big + P.pack(((x2, 28),))) & P.over  # the degree's guard
+    top = P.pack(((y2, 1),))
+    assert P.sigma(top, 0) & P.over == 0
+    assert P.sigma(top, 1) & P.over  # place 3 is outside
+    for bad in (((var_code(0, 3), 1),), ((var_code(2, 0), 1),),
+                ((x0, 128),), ((x0, 64), (x2, 64))):
+        with pytest.raises(OverflowError):
+            P.pack(bad)
