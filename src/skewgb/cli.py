@@ -13,16 +13,18 @@ one generator per line.  ``#`` starts a comment.  Recognized header keys:
     interreduce   true (default) | false
     trace         false (default) | true
 
-Exit codes: 0 success, 1 usage or parse error, 2 mathematical refusal
-(for example an endomorphism the engine cannot certify), 3 certification
-or oracle failure.  A unit ideal exits 0 with the basis ``1`` and one
-``warning:`` line on stderr.
+Exit codes: 0 success, 1 usage, parse or input error (``UsageError``,
+``engine.InputRejected``), 2 mathematical refusal (for example an
+endomorphism the engine cannot certify), 3 certification or oracle failure,
+4 an internal error, printed with its traceback.  A unit ideal exits 0
+with the basis ``1`` and one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -248,6 +250,9 @@ def build_argparser() -> argparse.ArgumentParser:
         prog="skewgb",
         description="Truncated Gröbner bases for difference ideals, the "
         "skew ring K[x][s], and free algebras via letterplace.",
+        epilog="exit codes: 0 success, 1 usage, parse or input error, "
+        "2 mathematical refusal, 3 a requested check failed, "
+        "4 internal error (printed with its traceback)",
     )
     ap.add_argument("path", help="problem file")
     ap.add_argument("--certify", action="store_true",
@@ -286,18 +291,26 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # The engine's warnings (a unit ideal) are reported as one plain line,
-    # not through the warnings module, whose text names the source file.
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            lines, stats, trace, basis = _run_problem(pf, cfg, gens)
+        return _run(args, pf, cfg, gens)
     except engine.EndomorphismRejected as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:
+    except (UsageError, engine.InputRejected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # a fault of the program, not of the input
+        traceback.print_exc()
+        return 4
+
+
+def _run(args, pf: ProblemFile, cfg: engine.GBConfig, gens) -> int:
+    """Solve, print and check a parsed problem; returns the exit status."""
+    # The engine's warnings (a unit ideal) are reported as one plain line,
+    # not through the warnings module, whose text names the source file.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        lines, stats, trace, basis = _run_problem(pf, cfg, gens)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 

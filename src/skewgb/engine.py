@@ -88,6 +88,7 @@ from .skew import SkewElement, SkewMonomial, SkewOrdering
 
 __all__ = [
     "EndomorphismRejected",
+    "InputRejected",
     "WindowExceeded",
     "GBConfig",
     "GBResult",
@@ -110,6 +111,11 @@ MODES = ("free", "free2", "sigma", "skew", "left")
 
 class EndomorphismRejected(ValueError):
     """The engine refuses to run with an unsuitable endomorphism."""
+
+
+class InputRejected(ValueError):
+    """Generators outside what a mode accepts: inhomogeneous ones in skew
+    or free mode, or a constant in free mode."""
 
 
 class WindowExceeded(ValueError):
@@ -348,7 +354,7 @@ def _split(g, cfg: GBConfig):
     if cfg.mode != "skew":
         return g.monic(), 0
     if not g.is_s_homogeneous():
-        raise ValueError("two-sided mode needs s-homogeneous generators")
+        raise InputRejected("two-sided mode needs s-homogeneous generators")
     sdeg, poly = g.parts[0]
     return poly.monic(), sdeg
 

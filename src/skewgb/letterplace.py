@@ -224,12 +224,13 @@ def _validate_input(H):
         if h.is_zero():
             continue
         if not h.is_homogeneous():
-            raise ValueError(
+            raise engine.InputRejected(
                 "free-algebra mode needs homogeneous generators; "
                 "homogenize before calling"
             )
         if h.degree() < 1:
-            raise ValueError("constant generator: the ideal is the whole algebra")
+            raise engine.InputRejected(
+                "constant generator: the ideal is the whole algebra")
         gens.append(h)
     return gens
 

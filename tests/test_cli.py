@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from skewgb import cli, engine
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
@@ -372,6 +374,23 @@ def test_usage_errors(tmp_path):
         p = run_cli(path)
         assert p.returncode == 1, text
         assert fragment in p.stderr, text
+
+
+def test_internal_error_exits_four_with_a_traceback(tmp_path, monkeypatch,
+                                                    capsys):
+    # A ValueError from inside the run is a fault of the program, not of the
+    # input: it must not pass for a usage error (exit 1).
+    def broken(*args, **kwargs):
+        raise ValueError("not divisible")
+
+    monkeypatch.setattr(engine, "_complete", broken)
+    path = tmp_path / "sigma.txt"
+    path.write_text("mode: sigma\ndegree_bound: 3\n\nx(1) - x(0)\n")
+    assert cli.main([str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("ValueError: not divisible")
 
 
 def test_missing_file():
