@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # a fault of the program, not of the input
-        traceback.print_exc()
+        sys.excepthook(*sys.exc_info())  # the traceback
         return 4
 
 
