@@ -249,8 +249,7 @@ class MonoPacking:
         self.base = (1 << top) - 1
         self.exps = ((1 << bits) - 1) << self.base_shift
         self.guards = ((1 << top) - 1) // ((1 << width) - 1) << (width - 1)
-        limit = self.base_shift + places * self.step
-        beyond = (1 << top) - (1 << limit) if skew else -(1 << limit)
+        beyond = (1 << top) - (1 << self.base_shift + places * self.step)
         half = (1 << (width - 1)) - 1  # the degree's value bits
         self.over = self.guards | (beyond & ~(half << self.deg_shift))
         self.sigma = None if sigma is None else sigma.packed(self)
