@@ -404,9 +404,7 @@ class _Divisors:
         self.entries, self.seen, self.packing = entries, 0, P
         self.by_sdeg, self.left = cfg.mode != "sigma", cfg.mode == "left"
         self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
-        self.columns = ([[[] for _ in range(P.places)]
-                         for _ in range(P.letters)]
-                        if isinstance(cfg.sigma, ShiftEndo) else None)
+        self.columns = {} if isinstance(cfg.sigma, ShiftEndo) else None
         self.ones: list = []
 
     def dividing(self, n: int, level, exact: bool = False):
@@ -423,6 +421,8 @@ class _Divisors:
         for ent in entries[self.seen:]:
             if ent.top:
                 p0, a, e0 = ent.top
+                if a not in self.columns:
+                    self.columns[a] = [[] for _ in range(P.places)]
                 self.columns[a][p0].append((e0, ent.lm & P.exps, ent))
             else:
                 self.ones.append(ent)
@@ -436,14 +436,15 @@ class _Divisors:
             by_letter.setdefault(v & LETTER_MASK, []).append(
                 (v >> LETTER_BITS, e))
         for a, vs in by_letter.items():
-            column = self.columns[a]
-            for p, e in vs:
+            column = self.columns.get(a)
+            for p, e in vs if column else ():
                 for p0 in range(p + 1):
-                    if not column[p0]:
+                    bucket = column[p0]
+                    if not bucket:
                         continue
                     u = p - p0
                     su = nv >> u * P.step | guards
-                    for e0, lmv, ent in column[p0]:
+                    for e0, lmv, ent in bucket:
                         if e0 > e or (su - lmv) & guards != guards:
                             continue
                         if level is not None:

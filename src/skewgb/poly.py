@@ -240,8 +240,8 @@ class MonoPacking:
         self.letters, self.places, self.width = letters, places, width
         self.ordering, self.skew = ordering, skew
         self.step = letters * width
-        self.codes = [var_code(k % letters, k // letters)  # field -> code
-                      for k in range((places + spare) * letters)]
+        self.codes = [p << LETTER_BITS | i  # the code of each field
+                      for p in range(places + spare) for i in range(letters)]
         bits = len(self.codes) * width  # the variable fields
         self.base_shift = width if lex else 0  # the bit of field 0
         self.deg_shift = 0 if lex else bits
