@@ -77,9 +77,8 @@ class ShiftEndo(MonomialEndomorphism):
         return tuple((c + step, e) for c, e in m)
 
     def packed(self, P: MonoPacking):
-        """Move the variable fields up u places; the degree stays.  What
-        leaves the range lands in P's spare places, which no valid monomial
-        has, so such an image divides none."""
+        """Move the variable fields up u places, the degree staying; what
+        leaves the range lands in P's spare places and divides nothing."""
         exps, step = P.exps, P.step
 
         def sigma(m: int, u: int) -> int:

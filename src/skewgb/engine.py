@@ -66,6 +66,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from math import gcd, lcm
 
 from .endo import MonomialEndomorphism, ShiftEndo
@@ -369,15 +370,18 @@ def _packed(cfg: GBConfig, elements, run):
     monos = [v.mono if isinstance(v, SkewMonomial) else v
              for g in elements for v in g.monomials()]
     letters, places = MonoPacking.extent(monos)
-    places += cfg.degree_bound
-    width = 8
+    places, width = places + cfg.degree_bound, 8
     while True:
-        P = MonoPacking(letters, places, cfg.ordering, width, spare=places,
-                        sigma=cfg.sigma, skew=cfg.mode == "left")
+        P = _packing(letters, places, cfg.ordering, width, places, cfg.sigma,
+                     cfg.mode == "left")
         try:
             return run(P)
         except OverflowError:
             width, places = 2 * width, 2 * places
+
+
+# One packing per shape, so that small problems pay its set-up once.
+_packing = lru_cache(maxsize=64)(MonoPacking)
 
 
 class _Divisors:
@@ -390,11 +394,10 @@ class _Divisors:
 
     Under the place shift sigma**u(lm) can divide n only where it puts the
     top variable of the lm on a variable of n with the same letter and at
-    least the exponent.  So ``columns[letter][place]`` keeps (exponent,
-    variable fields of the lm, entry) by that variable, ``ones`` the
-    entries whose lm is 1, and only those shifts are tried, each with one
-    mask test of n's variable fields shifted down u places.  Any other
-    endomorphism tries every shift of every entry.
+    least the exponent: ``columns[letter][place]`` keeps (exponent, variable
+    fields of the lm, entry) by that variable, ``ones`` the entries whose
+    lm is 1, and only those shifts get a mask test, of n's variable fields
+    shifted down u places.  Other endomorphisms try every shift.
     """
 
     __slots__ = ("entries", "seen", "columns", "ones", "packing", "by_sdeg",
@@ -418,12 +421,13 @@ class _Divisors:
                     if (ng - sigma(ent.lm, u)) & guards == guards:
                         yield ent, u
             return
-        for ent in entries[self.seen:]:
+        columns = self.columns
+        for ent in entries[self.seen:]:  # those appended since the last call
             if ent.top:
                 p0, a, e0 = ent.top
-                if a not in self.columns:
-                    self.columns[a] = [[] for _ in range(P.places)]
-                self.columns[a][p0].append((e0, ent.lm & P.exps, ent))
+                if a not in columns:
+                    columns[a] = [[] for _ in range(P.places)]
+                columns[a][p0].append((e0, ent.lm & P.exps, ent))
             else:
                 self.ones.append(ent)
         self.seen = len(entries)
@@ -431,27 +435,27 @@ class _Divisors:
             hi = 0 if level is None else level - (ent.sdeg if by_sdeg else -1)
             if hi >= 0:
                 yield ent, hi if exact else 0
-        nv, by_letter = n & P.exps, {}
-        for v, e in P.unpack(n):
-            by_letter.setdefault(v & LETTER_MASK, []).append(
-                (v >> LETTER_BITS, e))
-        for a, vs in by_letter.items():
-            column = self.columns.get(a)
-            for p, e in vs if column else ():
-                for p0 in range(p + 1):
-                    bucket = column[p0]
-                    if not bucket:
+        w, shift, codes = P.width, P.base_shift, P.codes
+        nv = x = n & P.exps
+        while x:  # each variable of n, the largest first
+            k = (x.bit_length() - 1 - shift) // w
+            e = x >> shift + k * w
+            x ^= e << shift + k * w
+            column = columns.get(codes[k] & LETTER_MASK)
+            for p0 in range((codes[k] >> LETTER_BITS) + 1 if column else 0):
+                bucket = column[p0]
+                if not bucket:
+                    continue
+                u = (codes[k] >> LETTER_BITS) - p0
+                su = nv >> u * P.step | guards
+                for e0, lmv, ent in bucket:
+                    if e0 > e or (su - lmv) & guards != guards:
                         continue
-                    u = p - p0
-                    su = nv >> u * P.step | guards
-                    for e0, lmv, ent in bucket:
-                        if e0 > e or (su - lmv) & guards != guards:
+                    if level is not None:
+                        hi = level - (ent.sdeg if by_sdeg else p0)
+                        if u > hi or exact and u != hi:
                             continue
-                        if level is not None:
-                            hi = level - (ent.sdeg if by_sdeg else p0)
-                            if u > hi or exact and u != hi:
-                                continue
-                        yield ent, u
+                    yield ent, u
 
     def smallest(self, m: int, level: int):
         """The reducer search for ``_search``: (entry, shift, shifted lm)

@@ -278,8 +278,8 @@ class MonoPacking:
         p &= self.exps
         while p:  # the top field left is the largest code left
             k = (p.bit_length() - 1 - shift) // w
-            e = p >> shift + k * w
-            p ^= e << shift + k * w
+            e = p >> (o := shift + k * w)
+            p ^= e << o
             out.append((codes[k], e))
         return tuple(out)
 
