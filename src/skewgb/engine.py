@@ -331,9 +331,8 @@ class _Entry:
 
 def _pack(P: MonoPacking, t) -> int:
     """A monomial of P, or of S with its s-degree on top, packed by P."""
-    if isinstance(t, SkewMonomial):
-        return P.pack(t.mono) | t.sdeg << P.sdeg_shift
-    return P.pack(t)
+    return (P.pack(t.mono) | t.sdeg << P.sdeg_shift
+            if isinstance(t, SkewMonomial) else P.pack(t))
 
 
 def _unpack(P: MonoPacking, t: int):
@@ -397,18 +396,19 @@ class _Divisors:
     least the exponent: ``columns[letter][place]`` keeps (exponent, variable
     fields of the lm, entry) by that variable, ``ones`` the entries whose
     lm is 1, and only those shifts get a mask test, of n's variable fields
-    shifted down u places.  Other endomorphisms try every shift.
+    shifted down u places.  Left mode (one shift an entry) and the other
+    endomorphisms try every shift.
     """
 
     __slots__ = ("entries", "seen", "columns", "ones", "packing", "by_sdeg",
                  "left", "product", "chain")
 
     def __init__(self, entries: list, cfg: GBConfig, P: MonoPacking):
-        self.entries, self.seen, self.packing = entries, 0, P
+        self.entries, self.seen, self.packing, self.ones = entries, 0, P, []
         self.by_sdeg, self.left = cfg.mode != "sigma", cfg.mode == "left"
         self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
-        self.columns = {} if isinstance(cfg.sigma, ShiftEndo) else None
-        self.ones: list = []
+        self.columns = ({} if isinstance(cfg.sigma, ShiftEndo)
+                        and not self.left else None)
 
     def dividing(self, n: int, level, exact: bool = False):
         P, by_sdeg, guards = self.packing, self.by_sdeg, self.packing.guards

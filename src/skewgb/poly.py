@@ -250,8 +250,8 @@ class MonoPacking:
         self.exps = ((1 << bits) - 1) << self.base_shift
         self.guards = ((1 << top) - 1) // ((1 << width) - 1) << (width - 1)
         beyond = (1 << top) - (1 << self.base_shift + places * self.step)
-        half = (1 << (width - 1)) - 1  # the degree's value bits
-        self.over = self.guards | (beyond & ~(half << self.deg_shift))
+        self.over = self.guards | (  # all but the degree's value bits
+            beyond & ~(((1 << (width - 1)) - 1) << self.deg_shift))
         self.sigma = None if sigma is None else sigma.packed(self)
 
     @staticmethod
