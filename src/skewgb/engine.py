@@ -366,9 +366,8 @@ def _packed(cfg: GBConfig, elements, run):
     ``OverflowError`` (a monomial outgrew P) starts the run over with twice
     the width and the places; the run is deterministic, so its result does
     not depend on P."""
-    monos = [v.mono if isinstance(v, SkewMonomial) else v
-             for g in elements for v in g.monomials()]
-    letters, places = MonoPacking.extent(monos)
+    letters, places = MonoPacking.extent(v.mono if isinstance(
+        v, SkewMonomial) else v for g in elements for v, _ in g.terms)
     places, width = places + cfg.degree_bound, 8
     while True:
         P = _packing(letters, places, cfg.ordering, width, places, cfg.sigma,
@@ -407,8 +406,7 @@ class _Divisors:
         self.entries, self.seen, self.packing, self.ones = entries, 0, P, []
         self.by_sdeg, self.left = cfg.mode != "sigma", cfg.mode == "left"
         self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
-        self.columns = ({} if isinstance(cfg.sigma, ShiftEndo)
-                        and not self.left else None)
+        self.columns = None if self.left or cfg.sigma != ShiftEndo() else {}
 
     def dividing(self, n: int, level, exact: bool = False):
         P, by_sdeg, guards = self.packing, self.by_sdeg, self.packing.guards

@@ -232,7 +232,7 @@ class MonoPacking:
 
     __slots__ = ("letters", "places", "width", "step", "base_shift",
                  "deg_shift", "sdeg_shift", "exps", "guards", "over", "base",
-                 "codes", "ordering", "sigma", "skew")
+                 "codes", "offsets", "ordering", "sigma", "skew")
 
     def __init__(self, letters: int, places: int, ordering: MonomialOrdering,
                  width: int, spare: int = 0, sigma=None, skew: bool = False):
@@ -244,6 +244,8 @@ class MonoPacking:
                       for p in range(places + spare) for i in range(letters)]
         bits = len(self.codes) * width  # the variable fields
         self.base_shift = width if lex else 0  # the bit of field 0
+        self.offsets = {c: self.base_shift + k * width  # the places in range
+                        for k, c in enumerate(self.codes[:places * letters])}
         self.deg_shift = 0 if lex else bits
         self.sdeg_shift = top = bits + width
         self.base = (1 << top) - 1
@@ -262,20 +264,20 @@ class MonoPacking:
                 max((c >> LETTER_BITS for c in codes), default=0) + 1)
 
     def pack(self, m: Monomial) -> int:
-        w, letters, p, deg = self.width, self.letters, 0, 0
-        for c, e in m:
-            place, letter = c >> LETTER_BITS, c & LETTER_MASK
-            if place >= self.places or letter >= letters:
-                raise OverflowError("monomial outgrows its packing")
-            p += e << self.base_shift + (place * letters + letter) * w
-            deg += e
-        if deg >> (w - 1):  # every exponent is at most the degree
+        offsets, p, deg = self.offsets, 0, 0
+        try:
+            for c, e in m:
+                p += e << offsets[c]
+                deg += e
+        except KeyError:  # a letter or a place out of range
+            raise OverflowError("monomial outgrows its packing") from None
+        if deg >> (self.width - 1):  # every exponent is at most the degree
             raise OverflowError("monomial outgrows its packing")
         return p | deg << self.deg_shift
 
     def unpack(self, p: int) -> Monomial:
-        w, shift, codes, out = self.width, self.base_shift, self.codes, []
-        p &= self.exps
+        w, shift, codes = self.width, self.base_shift, self.codes
+        p, out = p & self.exps, []
         while p:  # the top field left is the largest code left
             k = (p.bit_length() - 1 - shift) // w
             e = p >> (o := shift + k * w)
