@@ -378,7 +378,7 @@ def _packed(cfg: GBConfig, elements, run):
             width, places = 2 * width, 2 * places
 
 
-# One packing per shape, so that small problems pay its set-up once.
+# One packing per shape: small problems and the oracle pay its set-up once.
 _packing = lru_cache(maxsize=64)(MonoPacking)
 
 
@@ -1072,7 +1072,7 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     letters, places = MonoPacking.extent(m for _, ms, _ in rows for m in ms)
     width = 8  # exponents and degrees up to 127
     while True:
-        P = MonoPacking(letters, places, ordering.base, width)
+        P = _packing(letters, places, ordering.base, width)
         levels: dict = {}  # level -> its forms, in listed order
         try:
             # (level, oracle form) in listed order, without repeats
