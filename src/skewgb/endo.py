@@ -21,6 +21,7 @@ from .poly import (
     LETTER_BITS,
     Monomial,
     MonoPacking,
+    Outgrown,
     PLACE_STEP,
     Polynomial,
     mono_pow,
@@ -120,13 +121,13 @@ class PowerEndo(MonomialEndomorphism):
     def packed(self, P: MonoPacking):
         """Multiply the fields and the degree by e**u.  The degree bounds
         every exponent, so an image whose degree outgrows its field raises
-        ``OverflowError`` before a field could carry into the next."""
+        ``poly.Outgrown`` before a field could carry into the next."""
         e = self.e
 
         def sigma(m: int, u: int) -> int:
             k, b = e**u, m & P.base
             if P.degree(b) * k >> (P.width - 1):
-                raise OverflowError("image outgrows its packing")
+                raise Outgrown("image outgrows its packing")
             return b * k | m ^ b
 
         return sigma

@@ -79,6 +79,7 @@ from .poly import (
     MonomialOrdering,
     LEX,
     MonoPacking,
+    Outgrown,
     Polynomial,
     mono_div,
     mono_divides,
@@ -361,20 +362,25 @@ def _split(g, cfg: GBConfig):
 
 def _packed(cfg: GBConfig, elements, run):
     """``run(P)`` under a packing P of the elements' monomials: their
-    letters, their places plus the window (how far a shift moves a leading
-    monomial inside it), as many spare places, fields 8 bits wide.  An
-    ``OverflowError`` (a monomial outgrew P) starts the run over with twice
+    letters, their places plus the reach of a shift, as many spare places,
+    fields 8 bits wide.  The reach is the window d or an element's larger
+    s-degree (left mode lifts a reducer to a term's s-degree), so sigma**u
+    of a monomial in range stays short of the spare places' end, where a
+    term's mask test sees it.  ``Outgrown`` starts the run over with twice
     the width and the places; the run is deterministic, so its result does
     not depend on P."""
-    letters, places = MonoPacking.extent(v.mono if isinstance(
-        v, SkewMonomial) else v for g in elements for v, _ in g.terms)
-    places, width = places + cfg.degree_bound, 8
+    terms = [v for g in elements for v, _ in g.terms]
+    skew = terms and isinstance(terms[0], SkewMonomial)
+    letters, places = MonoPacking.extent(
+        [v.mono for v in terms] if skew else terms)
+    reach = max(v.sdeg for v in terms) if skew else 0
+    places, width = places + max(cfg.degree_bound, reach), 8
     while True:
         P = _packing(letters, places, cfg.ordering, width, places, cfg.sigma,
                      cfg.mode == "left")
         try:
             return run(P)
-        except OverflowError:
+        except Outgrown:
             width, places = 2 * width, 2 * places
 
 
@@ -423,9 +429,8 @@ class _Divisors:
         for ent in entries[self.seen:]:  # those appended since the last call
             if ent.top:
                 p0, a, e0 = ent.top
-                if a not in columns:
-                    columns[a] = [[] for _ in range(P.places)]
-                columns[a][p0].append((e0, ent.lm & P.exps, ent))
+                columns.setdefault(a, {}).setdefault(p0, []).append(
+                    (e0, ent.lm & P.exps, ent))
             else:
                 self.ones.append(ent)
         self.seen = len(entries)
@@ -439,12 +444,11 @@ class _Divisors:
             k = (x.bit_length() - 1 - shift) // w
             e = x >> shift + k * w
             x ^= e << shift + k * w
-            column = columns.get(codes[k] & LETTER_MASK)
-            for p0 in range((codes[k] >> LETTER_BITS) + 1 if column else 0):
-                bucket = column[p0]
-                if not bucket:
+            place = codes[k] >> LETTER_BITS
+            for p0, bucket in columns.get(codes[k] & LETTER_MASK, {}).items():
+                u = place - p0
+                if u < 0:
                     continue
-                u = (codes[k] >> LETTER_BITS) - p0
                 su = nv >> u * P.step | guards
                 for e0, lmv, ent in bucket:
                     if e0 > e or (su - lmv) & guards != guards:
@@ -524,7 +528,7 @@ def _nf_terms(M, work, level, find, over, record=None):
     the dict only; its stale heap entry is skipped when popped (lazy
     deletion), and a term that enters again is pushed again.  Every term
     that does not cancel is popped, and one that has a bit of ``over`` (it
-    outgrew the packing) raises ``OverflowError``.
+    outgrew the packing) raises ``poly.Outgrown``.
     """
     heap = [-t for t in work]
     heapq.heapify(heap)
@@ -537,7 +541,7 @@ def _nf_terms(M, work, level, find, over, record=None):
         if c is None:
             continue
         if t & over:
-            raise OverflowError("monomial outgrows its packing")
+            raise Outgrown("monomial outgrows its packing")
         hit = find(t, level)
         if hit is None:
             out.append((t, c))
@@ -1005,7 +1009,7 @@ def _oracle_nf(work: dict, gens: list, guards: int):
     elements.  Terms are popped from a heap of negated monomials, largest
     first; a step only adds terms below the one it reduces, and a term that
     cancels leaves its heap entry behind, skipped when popped.  A product
-    that outgrew a field sets a guard bit and raises ``OverflowError``."""
+    that outgrew a field sets a guard bit and raises ``poly.Outgrown``."""
     heap = [-t for t in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -1016,7 +1020,7 @@ def _oracle_nf(work: dict, gens: list, guards: int):
         if c is None:
             continue
         if t & guards:
-            raise OverflowError("monomial outgrows its packing")
+            raise Outgrown("monomial outgrows its packing")
         tg = t | guards
         for v, a, tail in gens:
             if (tg - v) & guards == guards:
@@ -1112,7 +1116,7 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
                         levels[lj].append(nf)
                 j += 1
             break
-        except OverflowError:
+        except Outgrown:
             width *= 2
     un = P.unpack
     return [SkewElement(((SkewMonomial(un(v), lvl), one),) + tuple(

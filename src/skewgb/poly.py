@@ -132,7 +132,9 @@ def mono_mul(m: Monomial, n: Monomial) -> Monomial:
 def mono_pow(m: Monomial, k: int) -> Monomial:
     if k < 0:
         raise ValueError("negative exponent")
-    return tuple((c, e * k) for c, e in m) if k else MONO_ONE
+    if k == 0:
+        return MONO_ONE
+    return tuple((c, e * k) for c, e in m)
 
 
 def mono_divides(m: Monomial, n: Monomial) -> bool:
@@ -209,6 +211,11 @@ DEGLEX = MonomialOrdering("deglex")
 ORDERINGS = {"lex": LEX, "deglex": DEGLEX}
 
 
+class Outgrown(OverflowError):
+    """A monomial outgrew its packing, so its run starts over wider; no
+    other ``OverflowError`` (a caller's pair filter's, say) restarts one."""
+
+
 class MonoPacking:
     """Monomials packed into ints, one W-bit field per variable.
 
@@ -226,7 +233,7 @@ class MonoPacking:
     m) & guards == guards``.  A monomial is valid when it has no bit of
     ``over`` (a guard, a spare place, a degree from 2**(W - 1) up); as the
     degree bounds every exponent, the fields of a valid monomial and of a
-    sum of two are exact.  ``pack`` and ``lcm`` raise ``OverflowError`` for
+    sum of two are exact.  ``pack`` and ``lcm`` raise ``Outgrown`` for
     what is not valid.  ``sigma`` is an endomorphism's ``packed`` action.
     """
 
@@ -270,9 +277,9 @@ class MonoPacking:
                 p += e << offsets[c]
                 deg += e
         except KeyError:  # a letter or a place out of range
-            raise OverflowError("monomial outgrows its packing") from None
+            raise Outgrown("monomial outgrows its packing") from None
         if deg >> (self.width - 1):  # every exponent is at most the degree
-            raise OverflowError("monomial outgrows its packing")
+            raise Outgrown("monomial outgrows its packing")
         return p | deg << self.deg_shift
 
     def unpack(self, p: int) -> Monomial:
@@ -296,7 +303,7 @@ class MonoPacking:
         # 2**(width - 1), so this is the degree of x.
         x |= x % ((1 << self.width) - 1) << self.deg_shift
         if x & self.over:
-            raise OverflowError("monomial outgrows its packing")
+            raise Outgrown("monomial outgrows its packing")
         return x
 
 

@@ -214,6 +214,23 @@ x(0)
 # certified: all in-window critical pairs reduce to zero
 """,
     ),
+    # Left mode lifts x(0) to s**10 to test x(1)*s**10, far past the window.
+    "left-above-window": (
+        """\
+mode: left
+degree_bound: 1
+letters: x
+
+x(0)
+x(1)*s^10
+""",
+        """\
+x(0)
+x(1)*s^10
+# pairs=0 product=0 chain=0 zero=0 added=2
+# certified: all in-window critical pairs reduce to zero
+""",
+    ),
     "skew": (
         """\
 mode: skew

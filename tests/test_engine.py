@@ -492,6 +492,35 @@ def test_left_mode_mixed_layers():
         assert member(h, res.basis, cfg)
 
 
+def test_left_mode_lifts_reducers_past_the_window():
+    # Left mode reduces a term of s-degree e by s**u * g for u the s-degree
+    # e less g's, which the window d does not bound.  Lifted to s**10, x(0)
+    # is x(10)*s**10, which does not divide x(1)*s**10; lifted to s**5 it
+    # does not divide x(0)*s**5, and it does divide x(5)*x(3)*s**5.
+    cfg = GBConfig(mode="left", degree_bound=1)
+    g, h = parse_skew("x(0)"), parse_skew("x(1)*s^10")
+    assert interreduce([h, g], cfg) == [g, h]
+    assert left_gbasis([g, h], cfg).basis == [g, h]
+    record = []
+    f = parse_skew("x(0)*s^5")
+    assert normal_form(f, [g], cfg, record) == f
+    assert record == []
+    f = parse_skew("x(5)*x(3)*s^5 + x(1)")
+    assert normal_form(f, [g], cfg, record) == parse_skew("x(1)")
+    assert record == [(1, mono((0, 3, 1)), 5, 0)]
+
+
+def test_overflow_error_of_a_pair_filter_propagates():
+    # Only a monomial that outgrows its packing restarts a run.
+    def veto(lcm, level):
+        raise OverflowError("from the filter")
+
+    cfg = GBConfig(mode="sigma", degree_bound=3)
+    for run in (sigma_gbasis, certify):
+        with pytest.raises(OverflowError, match="from the filter"):
+            run([G1], cfg, veto)
+
+
 def test_trace_lines():
     r = sigma_gbasis(
         [G1], GBConfig(mode="sigma", degree_bound=3, trace=True)
