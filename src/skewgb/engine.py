@@ -496,6 +496,14 @@ class _Divisors:
         return None
 
 
+# How many bits the kernel's denominator M may gain, since the call began or
+# the last content removal, before the kernel divides out the content of M
+# and the pending numerators.  At 2 048 the removal runs 30 times in the 2 410
+# rescales of c41-d4's solve and certify, and never on c41w-d6, where M stays
+# under 950 bits; bounds from 1 024 bits to none time alike on c41-d4.
+_CONTENT_BITS = 2048
+
+
 def _nf_terms(M, work, level, find, over, record=None):
     """Full normal form of the terms ``work``, a {packed term: numerator}
     dict over the denominator M that the kernel consumes, against a finder.
@@ -512,20 +520,28 @@ def _nf_terms(M, work, level, find, over, record=None):
 
     Rationals are reduced fraction-free: a term's value is c / M.  A step by
     an entry whose int-primitive form has leading coefficient a
-    (``_Entry.den``) and tail numerators b takes g = gcd(a, c), scales every
-    pending numerator and M by a // g, and subtracts (c // g) * b from the
-    tail terms, all in int arithmetic.  Whenever M grows, the content shared
-    by M, c and the pending numerators is divided out.  A term leaves the
-    working set over the M of that moment, which later steps may change, so
-    at the end the output numerators are brought over the lcm of those
-    denominators, one multiplication per term whose denominator differs.
-    Over Z/p, a and M are 1 and the same loop runs on the field elements.
+    (``_Entry.den``) and tail numerators b takes g = gcd(a, c) and subtracts
+    (c // g) * b from the tail terms over M * (a // g), all in int
+    arithmetic.  When a // g is not 1, that step rescales: the pending terms
+    are not touched, but start an older generation over the old M, with the
+    factor a // g that brings them over the new one, and the new terms go
+    into a fresh dict.  A term of an older generation is brought over the
+    current M, one multiplication, only when a step updates it or when it
+    is popped and reduced; an irreducible term keeps its generation's
+    denominator, and at the end every output numerator is brought over the
+    lcm of those denominators.  When M has gained ``_CONTENT_BITS`` bits
+    since the call began or the last content removal, every pending term is
+    brought over M and the content they share with M and c is divided out.
+    Without that removal M only grows; with gcd(a, c) taken at each step, it
+    peaks at 3 629 bits over the solve and certify of c41-d4.  A call that
+    never rescales, which is every call over Z/p, where a and M are 1 and
+    the same loop runs on the field elements, keeps one dict.
 
-    Pending coefficients live in the term -> numerator dict, and each term
+    Pending coefficients live in the term -> numerator dicts, and each term
     also sits in a heap of negated terms, so the largest pops first.  A step
     only adds terms strictly below the term it reduces, so the top of the
     heap is always the largest pending term.  A term that cancels leaves
-    the dict only; its stale heap entry is skipped when popped (lazy
+    its dict only; its stale heap entry is skipped when popped (lazy
     deletion), and a term that enters again is pushed again.  Every term
     that does not cancel is popped, and one that has a bit of ``over`` (it
     outgrew the packing) raises ``poly.Outgrown``.
@@ -534,18 +550,28 @@ def _nf_terms(M, work, level, find, over, record=None):
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     out = []
-    dens = []  # (end, M): out[previous end:end] is over M
+    gens = []  # older generations with pending terms: [dict, factor, out]
+    outs = []  # every older generation: (its out, its M)
+    base = M  # content removal measures the growth of M from here
     while heap:
         t = -pop(heap)
         c = work.pop(t, None)
+        gen = None
         if c is None:
-            continue
+            for gen in gens:
+                c = gen[0].pop(t, None)
+                if c is not None:
+                    break
+            else:
+                continue
         if t & over:
             raise Outgrown("monomial outgrows its packing")
         hit = find(t, level)
         if hit is None:
-            out.append((t, c))
+            (out if gen is None else gen[2]).append((t, c))
             continue
+        if gen is not None:
+            c *= gen[1]
         q, products, u, ent = hit
         if record is not None:
             record.append((fraction(c, M), q, u, ent.index))
@@ -555,37 +581,50 @@ def _nf_terms(M, work, level, find, over, record=None):
             a //= g
             c //= g
             if a != 1:
-                # Scale to M * a and divide out the content k of the scaled
-                # working set; gcd(a, c) = 1 makes k the gcd of c, M and the
-                # unscaled numerators.  Without k, M piles up powers of the
-                # same primes: on c41-d4 it reaches ~40 000 bits while the
-                # true denominators stay under ~1 800.
-                k = gcd(c, M, *work.values())
-                if len(out) > (dens[-1][0] if dens else 0):
-                    dens.append((len(out), M))
-                M = M // k * a
-                c //= k
-                work = {tt: cc // k * a for tt, cc in work.items()}
+                gens = [gen for gen in gens if gen[0]]
+                for gen in gens:
+                    gen[1] *= a
+                if work or out:
+                    gens.append([work, a, out])
+                    outs.append((out, M))
+                    work, out = {}, []
+                M *= a
+                if M.bit_length() - base.bit_length() > _CONTENT_BITS:
+                    for pending, f, _ in gens:
+                        work.update({tt: cc * f for tt, cc in pending.items()})
+                    gens = []
+                    k = gcd(c, M, *work.values())
+                    if k != 1:
+                        M //= k
+                        c //= k
+                        work = {tt: cc // k for tt, cc in work.items()}
+                    base = M
         for t2, b in zip(products, ent.nums):
             prev = work.get(t2)
             if prev is None:
-                work[t2] = -c * b
-                push(heap, -t2)
-            else:
-                s = prev - c * b
-                if s:
-                    work[t2] = s
+                for gen in gens:
+                    prev = gen[0].pop(t2, None)
+                    if prev is not None:
+                        prev *= gen[1]
+                        break
                 else:
-                    del work[t2]
-    if dens:
-        dens.append((len(out), M))
-        M = lcm(*[d for _, d in dens])
-        start = 0
-        for end, d in dens:
+                    work[t2] = -c * b
+                    push(heap, -t2)
+                    continue
+            s = prev - c * b
+            if s:
+                work[t2] = s
+            else:
+                work.pop(t2, None)
+    if outs:
+        outs = [(o, d) for o, d in (*outs, (out, M)) if o]
+        if outs:
+            M = lcm(*[d for _, d in outs])
+        out = []
+        for o, d in outs:
             f = M // d
-            if f != 1:
-                out[start:end] = [(t, c * f) for t, c in out[start:end]]
-            start = end
+            out += [(t, c * f) for t, c in o]
+        out.sort(reverse=True)  # terms are distinct: numerators never compare
     return M, out
 
 

@@ -13,14 +13,17 @@ The kernel reduces rationals fraction-free, over one running denominator,
 and Z/p elements as they are; the reference works on the coefficients
 directly.  So the sigma and left differentials also run with large,
 distinct denominators and over Z/p, and both check that the record
-rebuilds f - nf.
+rebuilds f - nf.  All three also run with denominators of about 300 bits
+built from a few large primes, so that most steps rescale the kernel's
+denominator and pending terms are updated across several rescales.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from randgen import random_coeff, random_mono, random_poly
+from skewgb import engine
 from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.engine import (
     GBConfig,
@@ -33,7 +36,7 @@ from skewgb.engine import (
     spoly,
     spoly_poly,
 )
-from skewgb.field import GF, ModInt, common_denominator
+from skewgb.field import GF, ModInt, common_denominator, is_prime
 from skewgb.skew import SkewElement, SkewMonomial, shift_left
 from skewgb.poly import (
     DEGLEX,
@@ -102,6 +105,26 @@ def large_denominators(rng, c):
     """c times a random fraction with numerator and denominator below
     10**12, so denominators are large and nearly always distinct."""
     return c * Fraction(rng.randrange(1, 10**12), rng.randrange(1, 10**12))
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# Eight primes of about 75 bits (``is_prime`` is exact below 2**81).
+LARGE_PRIMES = [_next_prime(random.Random(i).getrandbits(75) | 1 << 74)
+                for i in range(8)]
+
+
+def large_prime_products(rng, c):
+    """c times a fraction whose numerator and denominator are each the
+    product of four primes drawn from ``LARGE_PRIMES``: denominators of
+    about 300 bits that share some factors, so a kernel step by such an
+    entry nearly always rescales and sometimes finds a common factor."""
+    return c * Fraction(prod(rng.choices(LARGE_PRIMES, k=4)),
+                        prod(rng.choices(LARGE_PRIMES, k=4)))
 
 
 def mod_7(rng, c):
@@ -194,6 +217,15 @@ def test_kernel_matches_reference_with_large_denominators():
     # Denominators far past one machine word, nearly all of them distinct.
     dens = {c.denominator for c in recorded}
     assert max(dens).bit_length() > 300 and len(dens) > 1000
+
+
+def test_kernel_matches_reference_across_rescales():
+    steps, reentered, constants, recorded = check_sigma_kernel(
+        20251, large_prime_products, Fraction)
+    assert steps > 1000 and reentered > 0 and constants > 0
+    # A recorded coefficient over a product of several entries' 300-bit
+    # denominators: M grew through several rescales in one call.
+    assert max(c.denominator for c in recorded).bit_length() > 900
 
 
 def test_kernel_matches_reference_over_prime_field():
@@ -297,12 +329,18 @@ def random_skew_case(rng, ordering):
     return SkewElement.of_poly(f, level), G
 
 
-def test_two_sided_kernel_matches_brute_force_reference():
-    rng = random.Random(20241)
+def check_two_sided_kernel(seed, lift):
+    """300 seeded two-sided normal forms against the reference, with every
+    coefficient of the case passed through lift(rng, c) afterwards: the
+    remainder and the record.  Returns (steps, steps with a shift above 0,
+    the coefficients of all records)."""
+    rng = random.Random(seed)
     steps = reduced_above = 0
+    recorded = []
     for n in range(300):
         ordering = (LEX, DEGLEX)[n % 2]
         f, G = random_skew_case(rng, ordering)
+        f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
         if not f:
             continue
         level = f.sdeg()
@@ -319,7 +357,20 @@ def test_two_sided_kernel_matches_brute_force_reference():
         assert record == want_record
         steps += len(record)
         reduced_above += any(u for _, _, u, _ in record)
+        recorded.extend(c for c, _, _, _ in record)
+    return steps, reduced_above, recorded
+
+
+def test_two_sided_kernel_matches_brute_force_reference():
+    steps, reduced_above, _ = check_two_sided_kernel(20241, small_ints)
     assert steps > 500 and reduced_above > 0
+
+
+def test_two_sided_kernel_matches_reference_across_rescales():
+    steps, reduced_above, recorded = check_two_sided_kernel(
+        20252, large_prime_products)
+    assert steps > 500 and reduced_above > 0
+    assert max(c.denominator for c in recorded).bit_length() > 900
 
 
 def reference_left_nf(f, G, ordering):
@@ -402,9 +453,11 @@ def check_left_kernel(seed, lift):
     """300 seeded left normal forms against the reference, with every
     coefficient of the case passed through lift(rng, c) afterwards: the
     remainder, the number of recorded steps and the record's rebuild of
-    f - nf.  Returns (steps, inhomogeneous targets)."""
+    f - nf.  Returns (steps, inhomogeneous targets, the coefficients of all
+    records)."""
     rng = random.Random(seed)
     steps = inhomogeneous = 0
+    recorded = []
     for n in range(300):
         ordering = (LEX, DEGLEX)[n % 2]
         f, G = random_left_case(rng, ordering)
@@ -418,18 +471,26 @@ def check_left_kernel(seed, lift):
         assert nf + rebuilt_left(record, G, ordering) == f
         steps += k
         inhomogeneous += not f.is_s_homogeneous()
-    return steps, inhomogeneous
+        recorded.extend(c for c, _, _, _ in record)
+    return steps, inhomogeneous, recorded
 
 
 def test_left_kernel_matches_brute_force_reference():
-    steps, inhomogeneous = check_left_kernel(20242, small_ints)
+    steps, inhomogeneous, _ = check_left_kernel(20242, small_ints)
     assert steps > 500 and inhomogeneous > 50
 
 
 def test_left_kernel_with_large_denominators_and_over_prime_field():
     for seed, lift in ((20245, large_denominators), (20246, mod_7)):
-        steps, inhomogeneous = check_left_kernel(seed, lift)
+        steps, inhomogeneous, _ = check_left_kernel(seed, lift)
         assert steps > 500 and inhomogeneous > 50
+
+
+def test_left_kernel_matches_reference_across_rescales():
+    steps, inhomogeneous, recorded = check_left_kernel(
+        20253, large_prime_products)
+    assert steps > 500 and inhomogeneous > 50
+    assert max(c.denominator for c in recorded).bit_length() > 900
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +615,55 @@ def test_term_that_leaves_before_a_rescale_keeps_its_value():
     assert Polynomial([(P.unpack(m), Fraction(c, M)) for m, c in out], LEX,
                       _sorted=True) == want
     assert normal_form(f, G, cfg) == want
+
+
+def test_content_removal_keeps_values_across_denominators(monkeypatch):
+    # With the bound at 0 the kernel divides out the content at every
+    # rescale.  y(1) is irreducible and leaves over M = 2, before any
+    # removal.  The step on x(1) (numerator 4) by x(1) + 1/3*x(0) rescales
+    # M to 6, and the removal divides out 2 from c = 4, M = 6 and the
+    # pending y(0) (6), so y(0) leaves over 3 and x(0) enters at -2.  The
+    # step on x(0) by x(0) + 1/5 rescales M to 15, over which 1 leaves with
+    # 2: the output spans the denominators 2, 3 and 15.
+    monkeypatch.setattr(engine, "_CONTENT_BITS", 0)
+    contents = []
+
+    def spy(*args):
+        k = gcd(*args)
+        if len(args) > 2:  # a removal with pending terms; gcd(a, c) has two
+            contents.append(k)
+        return k
+
+    monkeypatch.setattr(engine, "gcd", spy)
+    G = [parse_poly("x(1) + 1/3*x(0)"), parse_poly("x(0) + 1/5")]
+    f = parse_poly("1/2*y(1) + 2*x(1) + y(0)")
+    cfg = GBConfig(mode="sigma", degree_bound=2)
+    P = _packed(cfg, [f, *G], lambda P: P)
+    _, reduce = _search([_Entry.of(g, 0, i, P) for i, g in enumerate(G)],
+                        cfg, P)
+    M, out = reduce(*int_form(f.terms, P), 0)
+    assert contents == [2]
+    assert M == 30 and [c for _, c in out] == [15, 30, 4]
+    want, want_record, _ = reference_nf(f, G, LEX)
+    assert want == parse_poly("1/2*y(1) + y(0) + 2/15")
+    assert Polynomial([(P.unpack(m), Fraction(c, M)) for m, c in out], LEX,
+                      _sorted=True) == want
+    # The same reduction in each mode family, against its reference.
+    record = []
+    assert normal_form(f, G, cfg, record=record) == want
+    assert record == want_record
+    record = []
+    skew = [SkewElement.of_poly(g) for g in G]
+    nf = normal_form(SkewElement.of_poly(f), skew,
+                     GBConfig(mode="skew", degree_bound=2), record=record)
+    assert nf == SkewElement.of_poly(want)
+    assert record == reference_nf(f, G, LEX, shifts=lambda i, m: range(1))[1]
+    record = []
+    nf = normal_form(SkewElement.of_poly(f), skew,
+                     GBConfig(mode="left", degree_bound=2), record=record)
+    assert (nf, len(record)) == reference_left_nf(SkewElement.of_poly(f),
+                                                  skew, LEX)
+    assert nf + rebuilt_left(record, skew, LEX) == SkewElement.of_poly(f)
 
 
 def random_entry_pair(rng, ordering, lift, family):
