@@ -212,20 +212,15 @@ def _parse_generators(pf: ProblemFile, cfg: engine.GBConfig):
 
 def _run_problem(pf: ProblemFile, cfg: engine.GBConfig, gens):
     """Returns (formatted basis lines, stats, trace, artifacts for checks)."""
-    if pf.mode in ("free", "free2"):
-        run = letterplace._free_run if pf.mode == "free" else letterplace._free2_run
-        basis, stats, trace = run(gens, cfg)
-        fmt = textio.format_free
-    else:
-        if pf.mode == "sigma":
-            solve, fmt = engine.sigma_gbasis, textio.format_poly
-        elif pf.mode == "skew":
-            solve, fmt = engine.skew_gbasis, textio.format_skew
-        else:
-            solve, fmt = engine.left_gbasis, textio.format_skew
-        res = solve(gens, cfg)
-        basis, stats, trace = res.basis, res.stats, res.trace
-    return [fmt(f, pf.names) for f in basis], stats, trace, basis
+    solve, fmt = {
+        "sigma": (engine.sigma_gbasis, textio.format_poly),
+        "skew": (engine.skew_gbasis, textio.format_skew),
+        "left": (engine.left_gbasis, textio.format_skew),
+        "free": (letterplace._free_run, textio.format_free),
+        "free2": (letterplace._free2_run, textio.format_free),
+    }[pf.mode]
+    res = solve(gens, cfg)
+    return [fmt(f, pf.names) for f in res.basis], res.stats, res.trace, res.basis
 
 
 def _certify(pf: ProblemFile, cfg: engine.GBConfig, basis):

@@ -391,10 +391,10 @@ _packing = lru_cache(maxsize=64)(MonoPacking)
 class _Divisors:
     """The images of the lms of a growing list of entries that divide a
     monomial, for the reducer search (``smallest``) and the criteria
-    (``criterion``): ``dividing(n, level, exact)`` yields (entry, u) for
-    each sigma**u(lm) that divides the packed n, with u at most ``level``
-    less the entry's s-degree (weight in sigma mode), or exactly that with
-    ``exact``; a level of None sets no bound.
+    (``criterion``): ``dividing(n, level)`` yields (entry, u) for each
+    sigma**u(lm) that divides the packed n, with u at most ``level`` less
+    the entry's s-degree (weight in sigma mode), or in left mode exactly
+    that; a level of None sets no bound.
 
     Under the place shift sigma**u(lm) can divide n only where it puts the
     top variable of the lm on a variable of n with the same letter and at
@@ -414,14 +414,14 @@ class _Divisors:
         self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
         self.columns = None if self.left or cfg.sigma != ShiftEndo() else {}
 
-    def dividing(self, n: int, level, exact: bool = False):
+    def dividing(self, n: int, level):
         P, by_sdeg, guards = self.packing, self.by_sdeg, self.packing.guards
         entries = self.entries
-        if self.columns is None:
-            ng, sigma = n | guards, P.sigma
+        if self.columns is None:  # left or skew mode, by check_sigma
+            ng, sigma, left = n | guards, P.sigma, self.left
             for ent in entries:
-                hi = level - (ent.sdeg if by_sdeg else ent.lmw)
-                for u in range(hi if exact and hi >= 0 else 0, hi + 1):
+                hi = level - ent.sdeg
+                for u in range(hi if left and hi >= 0 else 0, hi + 1):
                     if (ng - sigma(ent.lm, u)) & guards == guards:
                         yield ent, u
             return
@@ -437,7 +437,7 @@ class _Divisors:
         for ent in self.ones:  # every image of 1 is 1
             hi = 0 if level is None else level - (ent.sdeg if by_sdeg else -1)
             if hi >= 0:
-                yield ent, hi if exact else 0
+                yield ent, 0
         w, shift, codes = P.width, P.base_shift, P.codes
         nv = x = n & P.exps
         while x:  # each variable of n, the largest first
@@ -455,7 +455,7 @@ class _Divisors:
                         continue
                     if level is not None:
                         hi = level - (ent.sdeg if by_sdeg else p0)
-                        if u > hi or exact and u != hi:
+                        if u > hi:
                             continue
                     yield ent, u
 
@@ -468,7 +468,7 @@ class _Divisors:
         P, best = self.packing, None
         level = (m >> P.sdeg_shift if self.left else level if self.by_sdeg
                  else None)
-        for ent, u in self.dividing(m, level, self.left):
+        for ent, u in self.dividing(m, level):
             img = P.sigma(ent.lm, u)
             if best is None or img < best[2] or img == best[2] and (
                     ent.index, u) < (best[0].index, best[1]):
@@ -489,19 +489,11 @@ class _Divisors:
         if self.product and l == alm + blm:
             return "product"
         if self.chain:
-            for ent, u in self.dividing(l, level, self.left):
+            for ent, u in self.dividing(l, level):
                 img = P.sigma(ent.lm, u)
                 if P.lcm(alm, img) < l and P.lcm(img, blm) < l:
                     return "chain"
         return None
-
-
-# How many bits the kernel's denominator M may gain, since the call began or
-# the last content removal, before the kernel divides out the content of M
-# and the pending numerators.  At 2 048 the removal runs 30 times in the 2 410
-# rescales of c41-d4's solve and certify, and never on c41w-d6, where M stays
-# under 950 bits; bounds from 1 024 bits to none time alike on c41-d4.
-_CONTENT_BITS = 2048
 
 
 def _nf_terms(M, work, level, find, over, record=None):
@@ -529,13 +521,10 @@ def _nf_terms(M, work, level, find, over, record=None):
     current M, one multiplication, only when a step updates it or when it
     is popped and reduced; an irreducible term keeps its generation's
     denominator, and at the end every output numerator is brought over the
-    lcm of those denominators.  When M has gained ``_CONTENT_BITS`` bits
-    since the call began or the last content removal, every pending term is
-    brought over M and the content they share with M and c is divided out.
-    Without that removal M only grows; with gcd(a, c) taken at each step, it
-    peaks at 3 629 bits over the solve and certify of c41-d4.  A call that
-    never rescales, which is every call over Z/p, where a and M are 1 and
-    the same loop runs on the field elements, keeps one dict.
+    lcm of those denominators.  M only grows; with gcd(a, c) taken at each
+    step, it peaks at 3 629 bits over the solve and certify of c41-d4.  A
+    call that never rescales, which is every call over Z/p, where a and M
+    are 1 and the same loop runs on the field elements, keeps one dict.
 
     Pending coefficients live in the term -> numerator dicts, and each term
     also sits in a heap of negated terms, so the largest pops first.  A step
@@ -552,7 +541,6 @@ def _nf_terms(M, work, level, find, over, record=None):
     out = []
     gens = []  # older generations with pending terms: [dict, factor, out]
     outs = []  # every older generation: (its out, its M)
-    base = M  # content removal measures the growth of M from here
     while heap:
         t = -pop(heap)
         c = work.pop(t, None)
@@ -589,16 +577,6 @@ def _nf_terms(M, work, level, find, over, record=None):
                     outs.append((out, M))
                     work, out = {}, []
                 M *= a
-                if M.bit_length() - base.bit_length() > _CONTENT_BITS:
-                    for pending, f, _ in gens:
-                        work.update({tt: cc * f for tt, cc in pending.items()})
-                    gens = []
-                    k = gcd(c, M, *work.values())
-                    if k != 1:
-                        M //= k
-                        c //= k
-                        work = {tt: cc // k for tt, cc in work.items()}
-                    base = M
         for t2, b in zip(products, ent.nums):
             prev = work.get(t2)
             if prev is None:

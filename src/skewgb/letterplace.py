@@ -260,14 +260,15 @@ def _embedding(cfg: engine.GBConfig):
 
 
 def _free_run(H, cfg: engine.GBConfig):
-    """Completion of the embedded generators under the mode's pair filter."""
+    """Completion of the embedded generators under the mode's pair filter,
+    as a ``GBResult`` whose basis is mapped back to the free algebra."""
     cfg.check_sigma()
     embed, inverse, ecfg, pair_filter = _embedding(cfg)
     gens = [embed(h, cfg.ordering) for h in _validate_input(H)]
     solve = engine.skew_gbasis if ecfg.mode == "skew" else engine.sigma_gbasis
     res = solve(gens, ecfg, pair_filter=pair_filter)
     out = _normalize_output([inverse(p) for p in res.basis])
-    return out, res.stats, res.trace
+    return replace(res, basis=out, mode=cfg.mode)
 
 
 _free2_run = _free_run  # named apart for the CLI and the benchmark's spans
@@ -277,14 +278,14 @@ def free_gbasis(H, cfg: engine.GBConfig) -> list:
     """d-truncated homogeneous Gröbner basis of the two-sided ideal <H>."""
     if cfg.mode != "free":
         raise ValueError("config mode must be 'free'")
-    return _free_run(H, cfg)[0]
+    return _free_run(H, cfg).basis
 
 
 def free_gbasis2(H, cfg: engine.GBConfig) -> list:
     """Same contract as free_gbasis, computed inside S on iota(H)."""
     if cfg.mode != "free2":
         raise ValueError("config mode must be 'free2'")
-    return _free2_run(H, cfg)[0]
+    return _free2_run(H, cfg).basis
 
 
 def certify_free(G, cfg: engine.GBConfig):

@@ -26,7 +26,7 @@ monomials of this module are their input and output.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import add, sub
 from typing import Iterable
 
 from .field import inverse
@@ -103,30 +103,9 @@ def _combine(m: Monomial, n: Monomial, op) -> Monomial:
 
 
 def mono_mul(m: Monomial, n: Monomial) -> Monomial:
-    """Product of two monomials (merge of sorted exponent vectors)."""
-    if not m:
-        return n
-    if not n:
-        return m
-    out = []
-    i = j = 0
-    lm, ln = len(m), len(n)
-    while i < lm and j < ln:
-        cm, em = m[i]
-        cn, en = n[j]
-        if cm > cn:
-            out.append(m[i])
-            i += 1
-        elif cm < cn:
-            out.append(n[j])
-            j += 1
-        else:
-            out.append((cm, em + en))
-            i += 1
-            j += 1
-    out.extend(m[i:])
-    out.extend(n[j:])
-    return tuple(out)
+    """Product of two monomials."""
+    # Most products the parser forms have a factor 1: skip _combine's dicts.
+    return _combine(m, n, add) if m and n else m or n
 
 
 def mono_pow(m: Monomial, k: int) -> Monomial:

@@ -9,7 +9,9 @@ no place argument and multiply noncommutatively.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import groupby
 
 from .endo import MonomialEndomorphism, ShiftEndo
 from .field import QQ
@@ -118,15 +120,7 @@ def format_skew(a: SkewElement, names=None) -> str:
 def _format_word(w, names) -> str:
     if not w:
         return "1"
-    parts = []
-    run, count = w[0], 1
-    for x in w[1:]:
-        if x == run:
-            count += 1
-        else:
-            parts.append((run, count))
-            run, count = x, 1
-    parts.append((run, count))
+    parts = [(x, len(list(run))) for x, run in groupby(w)]
     return "*".join(
         _name(x, names) + (f"^{k}" if k > 1 else "") for x, k in parts
     )
@@ -141,37 +135,20 @@ def format_free(f, names=None) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_SYMBOLS = "+-*/^(),"
+# The search skips whitespace (str.isspace), which no alternative matches;
+# \w is str.isalnum or "_", and digits are ASCII only.
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>\w+)|[-+*/^(),]|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, i = m.lastgroup or m[0], m[0], m.start()
+        if kind == "bad" or kind == "name" and not (
+                tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}", i)
+        toks.append((kind, tok, i))
+    toks.append(("end", "", len(text)))
     return toks
 
 

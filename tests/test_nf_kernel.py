@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import gcd, prod
 
 from randgen import random_coeff, random_mono, random_poly
-from skewgb import engine
 from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.engine import (
     GBConfig,
@@ -617,24 +616,13 @@ def test_term_that_leaves_before_a_rescale_keeps_its_value():
     assert normal_form(f, G, cfg) == want
 
 
-def test_content_removal_keeps_values_across_denominators(monkeypatch):
-    # With the bound at 0 the kernel divides out the content at every
-    # rescale.  y(1) is irreducible and leaves over M = 2, before any
-    # removal.  The step on x(1) (numerator 4) by x(1) + 1/3*x(0) rescales
-    # M to 6, and the removal divides out 2 from c = 4, M = 6 and the
-    # pending y(0) (6), so y(0) leaves over 3 and x(0) enters at -2.  The
-    # step on x(0) by x(0) + 1/5 rescales M to 15, over which 1 leaves with
-    # 2: the output spans the denominators 2, 3 and 15.
-    monkeypatch.setattr(engine, "_CONTENT_BITS", 0)
-    contents = []
-
-    def spy(*args):
-        k = gcd(*args)
-        if len(args) > 2:  # a removal with pending terms; gcd(a, c) has two
-            contents.append(k)
-        return k
-
-    monkeypatch.setattr(engine, "gcd", spy)
+def test_output_spans_several_denominators():
+    # y(1) is irreducible and leaves over M = 2.  The step on x(1)
+    # (numerator 4) by x(1) + 1/3*x(0) rescales M to 6: the pending y(0)
+    # (2) stays in the older generation over 2 and, irreducible, leaves
+    # over 2, while x(0) enters at -4 over 6.  The step on x(0) by
+    # x(0) + 1/5 rescales M to 30, over which 1 leaves with 4: the output
+    # spans the denominators 2 and 30, and is brought over their lcm.
     G = [parse_poly("x(1) + 1/3*x(0)"), parse_poly("x(0) + 1/5")]
     f = parse_poly("1/2*y(1) + 2*x(1) + y(0)")
     cfg = GBConfig(mode="sigma", degree_bound=2)
@@ -642,7 +630,6 @@ def test_content_removal_keeps_values_across_denominators(monkeypatch):
     _, reduce = _search([_Entry.of(g, 0, i, P) for i, g in enumerate(G)],
                         cfg, P)
     M, out = reduce(*int_form(f.terms, P), 0)
-    assert contents == [2]
     assert M == 30 and [c for _, c in out] == [15, 30, 4]
     want, want_record, _ = reference_nf(f, G, LEX)
     assert want == parse_poly("1/2*y(1) + y(0) + 2/15")

@@ -75,6 +75,32 @@ def test_parse_errors_carry_positions():
         assert "at position" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x(²)", "unexpected character '²' (at position 2)"),
+    ("٣*x(0)", "unexpected character '٣' (at position 0)"),
+    ("Ⅻ(1)", "unexpected character 'Ⅻ' (at position 0)"),
+    ("x(0) $", "unexpected character '$' (at position 5)"),
+    ("x٣(0)", "unknown variable 'x٣' (at position 0)"),
+    ("2x(0)", "trailing input 'x' (at position 1)"),
+])
+def test_tokenizer_rejects_with_position(text, message):
+    # Digits are ASCII only; a name starts with a letter or "_" and goes on
+    # over Unicode letters and digits; whitespace is any Unicode space.
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, names=("x", "_"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, same", [
+    ("x(0) + x(1)", "x(0)+x(1)"),
+    ("x(0)\x85- 2　*x(1)", "x(0) - 2*x(1)"),
+    ("_(0)", "1*_(0)"),
+])
+def test_tokenizer_skips_unicode_space(text, same):
+    names = ("x", "_")
+    assert parse_poly(text, names=names) == parse_poly(same, names=names)
+
+
 def test_parse_skew_twists_past_s():
     assert parse_skew("s*x(0)") == parse_skew("x(1)*s")
     assert parse_skew("s^2*x(0)") == parse_skew("x(2)*s^2")
