@@ -96,7 +96,7 @@ def test_tokenizer_rejects_with_position(text, message):
     ("x(0)\x85- 2　*x(1)", "x(0) - 2*x(1)"),
     ("_(0)", "1*_(0)"),
 ])
-def test_tokenizer_skips_unicode_space(text, same):
+def test_tokenizer_parses_edge_inputs(text, same):
     names = ("x", "_")
     assert parse_poly(text, names=names) == parse_poly(same, names=names)
 
