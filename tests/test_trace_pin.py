@@ -9,9 +9,11 @@ reductions see but none of the above; the free-mode and Z/p pins before
 the engine kept its entries and S-polynomials in int form.
 
 The inputs: the two free corpus problems as checked in (sigma backend)
-and as free2 variants (skew backend), c41-d4 over Z/32003, and the first
-200 problems of the benchmark's seeded generator, read from
-``bench/gen.py`` without changing it.
+and as free2 variants (skew backend), c41-d4 over Z/32003, the first 200
+problems of the benchmark's seeded generator, and the first 60 skew and
+left problems of another seed, each over Z/101 and under the power map
+x -> x**2 (the only traffic of the divisor index's scan over every
+shift).  The problems are read from ``bench/gen.py`` without changing it.
 """
 
 import contextlib
@@ -86,3 +88,13 @@ def test_prime_field_corpus_trace_is_pinned(tmp_path):
 def test_generated_problem_traces_are_pinned(tmp_path):
     texts = [text for _, text in islice(gen.stream(1), 200)]
     assert digest(texts, tmp_path) == PINS["gen-seed1-200"]
+
+
+@pytest.mark.parametrize("header, key", [("field: 101", "gf101"),
+                                         ("endo: power 2", "power2")])
+def test_generated_skew_left_variant_traces_are_pinned(header, key, tmp_path):
+    texts = [text.replace("\n\n", f"\n{header}\n\n", 1)
+             for mode, text in islice(gen.stream(7), 150)
+             if mode in ("skew", "left")][:60]
+    assert len(texts) == 60
+    assert digest(texts, tmp_path) == PINS[f"gen-seed7-skew-left-60-{key}"]
