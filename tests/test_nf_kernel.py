@@ -302,11 +302,9 @@ def with_extras(rng, G, ordering, spread):
     return G
 
 
-def random_skew_case(rng, ordering):
-    """s-homogeneous generators (with extras) and an s-homogeneous target at
-    a level from 0 to 3, built from two-sided multiples q s^u g s^v of them
-    (u + v = level - sdeg g) plus noise."""
-    G = with_extras(rng, [
+def random_skew_gens(rng, ordering):
+    """s-homogeneous generators at s-degrees 0 to 2, with extras."""
+    return with_extras(rng, [
         SkewElement.of_poly(
             random_poly(rng, letters=2, max_place=2, max_deg=2, terms=3,
                         ordering=ordering),
@@ -314,7 +312,11 @@ def random_skew_case(rng, ordering):
         )
         for _ in range(rng.randint(1, 3))
     ], ordering, spread=False)
-    level = rng.randint(0, 3)
+
+
+def random_layer(rng, G, level, ordering):
+    """An s-homogeneous target at ``level``, built from two-sided multiples
+    q s^u g s^v of G (u + v = level - sdeg g) plus noise."""
     f = random_poly(rng, letters=2, max_place=3, max_deg=3, terms=3,
                     ordering=ordering)
     for _ in range(rng.randint(1, 4)):
@@ -325,7 +327,32 @@ def random_skew_case(rng, ordering):
         u = rng.randint(0, level - g.sdeg())
         f = f + SHIFT.poly(g.parts[0][1], u).mul_mono(q).scale(
             random_coeff(rng))
-    return SkewElement.of_poly(f, level), G
+    return SkewElement.of_poly(f, level)
+
+
+def random_skew_case(rng, ordering):
+    """s-homogeneous generators and a target at a level from 0 to 3."""
+    G = random_skew_gens(rng, ordering)
+    return random_layer(rng, G, rng.randint(0, 3), ordering), G
+
+
+def two_sided_reference(f, G, ordering):
+    """The two-sided normal form of f and its record by ``reference_nf``,
+    one layer of f at a time, each against the shifts that keep a reducer
+    within the layer's s-degree, concatenated in descending s-degree.
+    Returns (remainder, record, number of layers with a step)."""
+    polys = [g.parts[0][1] if g else Polynomial.zero(ordering) for g in G]
+    sdegs = [g.sdeg() if g else 0 for g in G]
+    nf, record, reduced = SkewElement.zero(ordering), [], 0
+    for level, poly in f.parts:
+        want, want_record, _ = reference_nf(
+            poly, polys, ordering,
+            shifts=lambda i, m: range(level - sdegs[i] + 1),
+        )
+        nf = nf + SkewElement.of_poly(want, level)
+        record += want_record
+        reduced += bool(want_record)
+    return nf, record, reduced
 
 
 def check_two_sided_kernel(seed, lift):
@@ -342,17 +369,11 @@ def check_two_sided_kernel(seed, lift):
         f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
         if not f:
             continue
-        level = f.sdeg()
-        polys = [g.parts[0][1] if g else Polynomial.zero(ordering) for g in G]
-        sdegs = [g.sdeg() if g else 0 for g in G]
         cfg = GBConfig(mode="skew", degree_bound=4, ordering=ordering)
         record = []
         nf = normal_form(f, G, cfg, record=record)
-        want, want_record, _ = reference_nf(
-            f.parts[0][1], polys, ordering,
-            shifts=lambda i, m: range(level - sdegs[i] + 1),
-        )
-        assert nf == SkewElement.of_poly(want, level)
+        want, want_record, _ = two_sided_reference(f, G, ordering)
+        assert nf == want
         assert record == want_record
         steps += len(record)
         reduced_above += any(u for _, _, u, _ in record)
@@ -369,6 +390,46 @@ def test_two_sided_kernel_matches_reference_across_rescales():
     steps, reduced_above, recorded = check_two_sided_kernel(
         20252, large_prime_products)
     assert steps > 500 and reduced_above > 0
+    assert max(c.denominator for c in recorded).bit_length() > 900
+
+
+def check_multilayer_two_sided_kernel(seed, lift):
+    """200 seeded two-sided normal forms of targets spread over two or
+    three s-degrees, against the layer-by-layer reference: the remainder
+    and the record, whose steps run layer by layer, s-degree descending.
+    Returns (steps, targets with steps on more than one layer, the
+    coefficients of all records)."""
+    rng = random.Random(seed)
+    steps = spread = 0
+    recorded = []
+    for n in range(200):
+        ordering = (LEX, DEGLEX)[n % 2]
+        G = random_skew_gens(rng, ordering)
+        f = SkewElement.zero(ordering)
+        for level in sorted(rng.sample(range(4), rng.randint(2, 3))):
+            f = f + random_layer(rng, G, level, ordering)
+        f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
+        cfg = GBConfig(mode="skew", degree_bound=4, ordering=ordering)
+        record = []
+        nf = normal_form(f, G, cfg, record=record)
+        want, want_record, reduced = two_sided_reference(f, G, ordering)
+        assert nf == want
+        assert record == want_record
+        steps += len(record)
+        spread += reduced > 1
+        recorded.extend(c for c, _, _, _ in record)
+    return steps, spread, recorded
+
+
+def test_multilayer_two_sided_kernel_matches_reference():
+    steps, spread, _ = check_multilayer_two_sided_kernel(20254, small_ints)
+    assert steps > 1000 and spread > 100
+
+
+def test_multilayer_two_sided_kernel_matches_reference_across_rescales():
+    steps, spread, recorded = check_multilayer_two_sided_kernel(
+        20255, large_prime_products)
+    assert steps > 1000 and spread > 100
     assert max(c.denominator for c in recorded).bit_length() > 900
 
 
