@@ -148,8 +148,9 @@ def parse_problem(text: str) -> ProblemFile:
         pf.field = _parse_field(header["field"])
     if "letters" in header:
         names = tuple(w.strip() for w in header["letters"].split(","))
-        if not all(names) or len(set(names)) != len(names):
-            raise UsageError("letters must be distinct nonempty names")
+        for name in names:  # each must read as one name in a generator
+            if not textio.is_name(name) or names.count(name) > 1:
+                raise UsageError(f"letter {name!r} is not one distinct name")
         if mode not in ("free", "free2") and "s" in names:
             raise UsageError("'s' is reserved for the skew variable")
         pf.names = names

@@ -28,6 +28,7 @@ __all__ = [
     "parse_poly",
     "parse_skew",
     "parse_free",
+    "is_name",
 ]
 
 DEFAULT_NAMES = ("x", "y", "z", "w")
@@ -150,6 +151,14 @@ def _tokenize(text: str):
         toks.append((kind, tok, i))
     toks.append(("end", "", len(text)))
     return toks
+
+
+def is_name(text: str) -> bool:
+    """True when the parser reads ``text`` as exactly one variable name."""
+    try:
+        return [kind for kind, _, _ in _tokenize(text)] == ["name", "end"]
+    except ParseError:
+        return False
 
 
 class _Parser:

@@ -370,6 +370,15 @@ def test_usage_errors(tmp_path):
         ("mode: sigma\ndegree_bound: 4\nordering: degrevlex\n\nx(0)\n",
          "unknown ordering"),
         ("mode: skew\ndegree_bound: 4\nletters: x,s\n\nx(0)*s\n", "reserved"),
+        # Letters that no generator can name are refused on the header.
+        ("mode: free\ndegree_bound: 2\nletters: x y,z\n\nz\n",
+         "letter 'x y' is not one distinct name"),
+        ("mode: free\ndegree_bound: 2\nletters: 1a,z\n\nz\n",
+         "letter '1a' is not one distinct name"),
+        ("mode: sigma\ndegree_bound: 2\nletters: x(,z\n\nz(0)\n",
+         "letter 'x(' is not one distinct name"),
+        ("mode: sigma\ndegree_bound: 2\nletters: x,x\n\nx(0)\n",
+         "letter 'x' is not one distinct name"),
         ("mode: skew\ndegree_bound: 4\n\nx(0)*s + x(1)\n",
          "error: two-sided mode needs s-homogeneous generators"),
         ("mode: sigma\ndegree_bound: 4\ncriteria: magic\n\nx(0)\n",

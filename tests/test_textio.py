@@ -101,6 +101,21 @@ def test_tokenizer_parses_edge_inputs(text, same):
     assert parse_poly(text, names=names) == parse_poly(same, names=names)
 
 
+@pytest.mark.parametrize("text, one_name", [
+    ("x", True), ("u_1", True), ("_", True), ("é", True), ("x٣", True),
+    ("", False), ("x y", False), ("1a", False), ("x(", False), ("²", False),
+    ("x,y", False),
+])
+def test_is_name_is_what_a_generator_can_name(text, one_name):
+    # A letter is a name exactly when a generator can name its variable.
+    assert textio.is_name(text) is one_name
+    try:
+        named = parse_poly(f"{text}(1)", names=(text,)) == parse_poly("x(1)")
+    except ParseError:
+        named = False
+    assert named is one_name
+
+
 def test_parse_skew_twists_past_s():
     assert parse_skew("s*x(0)") == parse_skew("x(1)*s")
     assert parse_skew("s^2*x(0)") == parse_skew("x(2)*s^2")
