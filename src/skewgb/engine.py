@@ -33,8 +33,8 @@ between left mode and the two-sided modes once, for the completion, the
 reduction and ``certify``.  Every mode reduces through one front end,
 ``_search``, which pairs the reducer search of the mode family (closure
 sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
-``_nf_terms`` and answers each (monomial, level) query once per basis
-state.  The completion ``_complete`` keeps its entries tail-reduced.
+``_nf_terms`` and answers each term's query once per basis state.  The
+completion ``_complete`` keeps its entries tail-reduced.
 
 From one kernel call to the next, coefficients stay in the int form of
 ``field`` (int numerators over one denominator, Z/p elements over 1): in
@@ -43,9 +43,9 @@ the basis entries (``_Entry``), in the S-polynomials they form
 field elements only where a polynomial leaves the engine: ``_Entry.poly``,
 ``normal_form`` and its record and the oracle's returned basis.
 
-Monomials are ints packed by ``poly.MonoPacking`` (``_packed``) in the
-same stretch, from the entries and the kernel's heap to the reducer
-search, the pairs and the criteria, and sigma**u is the endomorphism's
+Terms are ints packed by ``poly.MonoPacking`` (``_packed``), a term of S
+with its s-degree on top, from the entries and the kernel's heap to the
+reducer search, the pairs and the criteria; sigma**u is the endomorphism's
 ``packed`` action.  ``_Entry.of`` packs; ``_Entry.poly``, ``normal_form``
 and its record unpack, and a pair filter sees the lcm unpacked.
 
@@ -228,35 +228,34 @@ class _Entry:
     """A monic basis element in int form over packed monomials.
 
     ``monos`` are its terms packed by ``packing`` (``poly.MonoPacking``),
-    leading one first: monomials of P in sigma/skew mode, of S in left mode
-    (``_pack``), and ``den`` and ``nums`` its tail coefficients over one
-    denominator: the element is lc * monos[0] + sum(nums[i] / den *
-    monos[i + 1]), so den * element has the positive int leading
-    coefficient den and the int tail coefficients nums, and ``take_tail``
-    keeps that form primitive.  Over Z/p, den is 1 and nums are the tail
-    coefficients.  ``lc`` is the field's 1, ``lm`` the packed P-monomial of
-    the leading term, ``sdeg`` that term's s-degree, ``top`` the (place,
-    letter, exponent) of the lm's largest variable (None for 1) and ``lmw``
-    its place (-1 for 1).
+    leading one first: monomials of P in sigma mode, of S with their
+    s-degree in skew and left mode (``_pack``), and ``den`` and ``nums``
+    its tail coefficients over one denominator: the element is lc *
+    monos[0] + sum(nums[i] / den * monos[i + 1]), so den * element has the
+    positive int leading coefficient den and the int tail coefficients
+    nums, and ``take_tail`` keeps that form primitive.  Over Z/p, den is 1
+    and nums are the tail coefficients.  ``lc`` is the field's 1, ``lm``
+    the packed P-monomial of the leading term, ``sdeg`` its s-degree,
+    ``top`` the (place, letter, exponent) of the lm's largest variable
+    (None for 1) and ``lmw`` its place (-1 for 1).
 
-    A shift (in left mode the left s-power multiple) moves monomials only
-    and keeps their order, so the same numbers serve every shifted image:
-    ``images(u)`` gives its tail terms.  ``poly`` unpacks the element on
-    first read, for output.  ``take_tail`` changes ``monos``, ``den``,
-    ``nums`` and ``poly``; ``lm``, ``sdeg``, ``top``, ``lmw`` and ``index``
-    never change.
+    A shift moves monomials only and keeps their order and s-degrees, so
+    the same numbers serve every shifted image: ``images(u)`` gives its
+    tail terms.  ``poly`` unpacks the element on first read, for output.
+    ``take_tail`` changes ``monos``, ``den``, ``nums`` and ``poly``;
+    ``lm``, ``sdeg``, ``top``, ``lmw`` and ``index`` never change.
     """
 
     __slots__ = ("monos", "lc", "den", "nums", "packing", "sdeg", "lm", "top",
                  "lmw", "index", "_poly")
 
-    def __init__(self, terms, packing: MonoPacking, sdeg: int, index: int):
+    def __init__(self, terms, packing: MonoPacking, index: int):
         """The entry of the nonzero element with descending (term,
         numerator) pairs ``terms`` over one denominator, made monic."""
         (lead, c), tail = terms[0], terms[1:]
         self.lc = c * inverse(c)
-        self.packing, self.sdeg, self.index = packing, sdeg, index
-        self.lm = lead & packing.base
+        self.packing, self.index = packing, index
+        self.lm, self.sdeg = lead & packing.base, lead >> packing.sdeg_shift
         self.top = next(((v >> LETTER_BITS, v & LETTER_MASK, e) for v, e
                          in packing.unpack(self.lm)), None)  # the largest
         self.lmw = self.top[0] if self.top else -1
@@ -264,11 +263,11 @@ class _Entry:
         self.take_tail(c, tail)
 
     @classmethod
-    def of(cls, poly, sdeg: int, index: int, packing: MonoPacking):
+    def of(cls, poly, index: int, packing: MonoPacking):
         """The entry of the nonzero element ``poly``."""
         _, nums = common_denominator([c for _, c in poly.terms])
         return cls([(_pack(packing, t), c) for t, c in
-                    zip(poly.monomials(), nums)], packing, sdeg, index)
+                    zip(poly.monomials(), nums)], packing, index)
 
     def take_tail(self, den, tail):
         """Make ``tail``, descending (packed term, numerator) pairs over
@@ -300,21 +299,22 @@ class _Entry:
         return p
 
     def images(self, u: int) -> list:
-        """The tail terms of sigma**u . element, or in left mode of s**u *
-        element, whose terms are (sigma**u(m), e + u)."""
-        P = self.packing
-        sigma, su = P.sigma, u << P.sdeg_shift if P.skew else 0
-        return [sigma(t, u) + su for t in self.monos[1:]]
+        """The tail terms of sigma**u . element, each on its own s-degree."""
+        sigma = self.packing.sigma
+        return [sigma(t, u) for t in self.monos[1:]]
 
     def spoly(self, other: "_Entry", sh: int, l: int):
         """The S-polynomial of this entry and the sh-th shift of ``other``,
-        whose leading monomials have lcm ``l``, for the kernel: (D, {term:
-        numerator}) over the denominator D, the value of ``spoly_poly`` or
-        ``spoly`` on the two elements."""
-        da, db = self.den, other.den
+        whose lms have lcm ``l``, for the kernel: (D, {term: numerator})
+        over the denominator D, the value of ``spoly_poly`` or ``spoly`` on
+        the two elements.  Where terms carry s-degrees, l is lifted to the
+        pair's, which also makes left mode's shift s**sh * other."""
+        P, da, db = self.packing, self.den, other.den
         D = lcm(da, db)
-        qa = l - self.lm
-        qb = l - self.packing.sigma(other.lm, sh)
+        if P.skew:
+            l |= max(self.sdeg, other.sdeg + sh) << P.sdeg_shift
+        qa = l - self.monos[0]
+        qb = l - P.sigma(other.monos[0], sh)
         # A factor of 1 (always, over Z/p) leaves the numerators as they are.
         fa, fb = D // da, D // db
         na = self.nums if fa == 1 else [n * fa for n in self.nums]
@@ -343,41 +343,32 @@ def _unpack(P: MonoPacking, t: int):
 
 
 def _split(g, cfg: GBConfig):
-    """A nonzero basis element as (monic element, s-degree): an element of
-    S in left mode, a polynomial of P in sigma/skew mode.
-
-    Two-sided reduction works one s-degree at a time, so in skew mode an
-    element spread over several s-degrees is refused rather than cut down
-    to its leading component.
-    """
-    if cfg.mode == "left":
-        return g.monic(), g.sdeg()
-    if cfg.mode != "skew":
-        return g.monic(), 0
-    if not g.is_s_homogeneous():
+    """A nonzero basis element, made monic; in skew mode one spread over
+    several s-degrees is refused rather than cut down to its leading
+    component."""
+    if cfg.mode == "skew" and not g.is_s_homogeneous():
         raise InputRejected("two-sided mode needs s-homogeneous generators")
-    sdeg, poly = g.parts[0]
-    return poly.monic(), sdeg
+    return g.monic()
 
 
 def _packed(cfg: GBConfig, elements, run):
-    """``run(P)`` under a packing P of the elements' monomials: their
-    letters, their places plus the reach of a shift, as many spare places,
-    fields 8 bits wide.  The reach is the window d or an element's larger
-    s-degree (left mode lifts a reducer to a term's s-degree), so sigma**u
-    of a monomial in range stays short of the spare places' end, where a
-    term's mask test sees it.  ``Outgrown`` starts the run over with twice
-    the width and the places; the run is deterministic, so its result does
-    not depend on P."""
+    """``run(P)`` under a packing P of the elements' terms: their letters,
+    their places plus the reach of a shift, as many spare places, fields 8
+    bits wide, and the s-degree of a term of S.  The reach is the window d
+    or an element's larger s-degree (left mode lifts a reducer to a term's
+    s-degree), so sigma**u of a monomial in range stays short of the spare
+    places' end, where a term's mask test sees it.  ``Outgrown`` starts the
+    run over with twice the width and the places; the run is
+    deterministic, so its result does not depend on P."""
     terms = [v for g in elements for v, _ in g.terms]
-    skew = terms and isinstance(terms[0], SkewMonomial)
+    skew = bool(terms) and isinstance(terms[0], SkewMonomial)
     letters, places = MonoPacking.extent(
         [v.mono for v in terms] if skew else terms)
     reach = max(v.sdeg for v in terms) if skew else 0
     places, width = places + max(cfg.degree_bound, reach), 8
     while True:
         P = _packing(letters, places, cfg.ordering, width, places, cfg.sigma,
-                     cfg.mode == "left")
+                     skew)
         try:
             return run(P)
         except Outgrown:
@@ -459,15 +450,14 @@ class _Divisors:
                             continue
                     yield ent, u
 
-    def smallest(self, m: int, level: int):
+    def smallest(self, m: int):
         """The reducer search for ``_search``: (entry, shift, shifted lm)
         with the smallest (shifted lm, entry index, shift) among the images
         that divide the term m, or None.  Every shift counts in sigma mode;
-        in skew mode the shift may not push the reducer past ``level``; in
-        left mode the image is the s-power multiple on m's s-degree."""
+        in skew mode the shift may not push the reducer past m's s-degree;
+        in left mode the image is the s-power multiple on m's s-degree."""
         P, best = self.packing, None
-        level = (m >> P.sdeg_shift if self.left else level if self.by_sdeg
-                 else None)
+        level = m >> P.sdeg_shift if self.by_sdeg else None
         for ent, u in self.dividing(m, level):
             img = P.sigma(ent.lm, u)
             if best is None or img < best[2] or img == best[2] and (
@@ -496,19 +486,19 @@ class _Divisors:
         return None
 
 
-def _nf_terms(M, work, level, find, over, record=None):
+def _nf_terms(M, work, find, over, record=None):
     """Full normal form of the terms ``work``, a {packed term: numerator}
     dict over the denominator M that the kernel consumes, against a finder.
 
     Returns (M, out): the irreducible terms in descending order as (term,
-    numerator) pairs over one final denominator M.  ``find(term, level)``
-    gives None for an irreducible term, else (cofactor, products, shift,
-    entry): ``products`` are the entry's shifted tail monomials times the
-    cofactor, paired in order with the tail numerators ``ent.nums``.  When
-    ``record`` is a list, every reduction step appends (coeff, cofactor,
-    shift, entry index), reconstructing the subtracted combination exactly;
-    its coefficients are field elements (``field.fraction(c, M)``) and its
-    cofactors packed.
+    numerator) pairs over one final denominator M.  ``find(term)`` gives
+    None for an irreducible term, else (cofactor, products, shift, entry):
+    ``products`` are the entry's shifted tail terms times the cofactor, on
+    the term's s-degree, paired in order with the tail numerators
+    ``ent.nums``.  When ``record`` is a list, every reduction step appends
+    (coeff, cofactor, shift, entry index), reconstructing the subtracted
+    combination exactly; its coefficients are field elements
+    (``field.fraction(c, M)``) and its cofactors packed.
 
     Rationals are reduced fraction-free: a term's value is c / M.  A step by
     an entry whose int-primitive form has leading coefficient a
@@ -554,7 +544,7 @@ def _nf_terms(M, work, level, find, over, record=None):
                 continue
         if t & over:
             raise Outgrown("monomial outgrows its packing")
-        hit = find(t, level)
+        hit = find(t)
         if hit is None:
             (out if gen is None else gen[2]).append((t, c))
             continue
@@ -651,17 +641,16 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
 
 
 def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
-    """Run pair completion in any mode on monic (element, s-degree) seeds,
-    through the parts of the mode family (``_family``), over the packing P.
+    """Run pair completion in any mode on monic seeds, through the parts of
+    the mode family (``_family``), over the packing P.
 
-    A pair reduces at its stratum in skew and left mode, at 0 in sigma mode
-    (where every s-degree is 0).  ``pair_filter(lcm, level)`` may veto
-    structurally irrelevant pairs (the letterplace membership filters).
-    Returns (entries, stats, trace); the trace is a list of lines when
-    ``cfg.trace`` is set, else None.
+    A pair's S-polynomial lies on its stratum in skew and left mode
+    (``_Entry.spoly``), on s-degree 0 in sigma mode.  ``pair_filter(lcm,
+    level)`` may veto structurally irrelevant pairs (the letterplace
+    membership filters).  Returns (entries, stats, trace); the trace is a
+    list of lines when ``cfg.trace`` is set, else None.
     """
     pairs, shift = _family(cfg)
-    left, by_sdeg = cfg.mode == "left", cfg.mode != "sigma"
 
     entries: list[_Entry] = []
     stats = PairStats()
@@ -685,20 +674,20 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
             stats.considered += 1
         # Reduce again each older tail that an image of the new lm divides.
         # Such an image lies on the new s-degree or above, and no term it
-        # divides is below the new lm (with its s-degree in left mode), so
-        # a tail below either is not searched.
+        # divides is below the new leading term, so a tail below either is
+        # not searched.
         hits = _Divisors([ent], cfg, P).smallest
         lead = ent.monos[0]
         for old in entries[:-1]:
             if old.sdeg < ent.sdeg or len(old.monos) == 1 or old.monos[1] < lead:
                 continue
-            if any(hits(m, old.sdeg) for m in old.monos[1:]):
-                old.take_tail(*reduce(old.den, old.tail(), old.sdeg))
+            if any(hits(m) for m in old.monos[1:]):
+                old.take_tail(*reduce(old.den, old.tail()))
         return ent
 
-    for poly, sdeg in seeds:  # unlike a normal form, a seed's tail may reduce
-        ent = add_element(_Entry.of(poly, sdeg, len(entries), P))
-        ent.take_tail(*reduce(ent.den, ent.tail(), sdeg))
+    for g in seeds:  # unlike a normal form, a seed's tail may reduce
+        ent = add_element(_Entry.of(g, len(entries), P))
+        ent.take_tail(*reduce(ent.den, ent.tail()))
 
     while heap:
         stratum, _, l, _, a, b, sh = heapq.heappop(heap)
@@ -710,8 +699,7 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
                 stats.chain_skipped += 1
             note(a, b, sh, stratum, f"skip:{crit}")
             continue
-        level = stratum if by_sdeg else 0
-        _, nf = reduce(*entries[a].spoly(entries[b], sh, l), level)
+        _, nf = reduce(*entries[a].spoly(entries[b], sh, l))
         if not nf:
             stats.reduced_to_zero += 1
             note(a, b, sh, stratum, "-> 0")
@@ -720,20 +708,11 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
         if cfg.mode == "sigma" and lead == 0:
             note(a, b, sh, stratum, "-> 1")
             warnings.warn("basis contains a constant: unit ideal")
-            return [_Entry(nf, P, 0, 0)], stats, trace
-        # a left element may lead below the pair's s-degree
-        ent = add_element(_Entry(nf, P, lead >> P.sdeg_shift if left else level,
-                                 len(entries)))
+            return [_Entry(nf, P, 0)], stats, trace
+        ent = add_element(_Entry(nf, P, len(entries)))
         note(a, b, sh, stratum, f"-> g{ent.index + 1}")
 
     return entries, stats, trace
-
-
-def _element(ent: _Entry, cfg: GBConfig):
-    """The basis element of an entry, shaped like the mode's input: a
-    polynomial of P in sigma mode, an element of S otherwise."""
-    g = ent.poly
-    return SkewElement.of_poly(g, ent.sdeg) if cfg.mode == "skew" else g
 
 
 def _solve(H, cfg: GBConfig, mode: str, pair_filter=None) -> GBResult:
@@ -746,20 +725,20 @@ def _solve(H, cfg: GBConfig, mode: str, pair_filter=None) -> GBResult:
     seeds = {}
     for h in H:
         if h:
-            poly, sdeg = _split(h, cfg)
-            if mode == "sigma" and poly.lm() == MONO_ONE:
+            g = _split(h, cfg)
+            if mode == "sigma" and g.lm() == MONO_ONE:
                 warnings.warn("constant generator: unit ideal")
-                return GBResult([poly], mode, cfg.degree_bound, PairStats(),
+                return GBResult([g], mode, cfg.degree_bound, PairStats(),
                                 None)
-            seeds[poly, sdeg] = None  # an ordered set: a repeat is dropped
+            seeds[g] = None  # an ordered set: a repeat is dropped
 
     def run(P):
         entries, stats, trace = _complete(seeds, cfg, P, pair_filter)
         if cfg.interreduce:
             entries = _interreduce(entries, cfg, P)
-        return [_element(e, cfg) for e in entries], stats, trace
+        return [e.poly for e in entries], stats, trace
 
-    basis, stats, trace = _packed(cfg, [g for g, _ in seeds], run)
+    basis, stats, trace = _packed(cfg, list(seeds), run)
     return GBResult(basis, mode, cfg.degree_bound, stats, trace)
 
 
@@ -816,54 +795,53 @@ def left_gbasis(H, cfg: GBConfig) -> GBResult:
 def _entries(G, cfg: GBConfig, P: MonoPacking):
     """Entries over P for the nonzero elements of G (``_split``), indexed by
     their position in G."""
-    return [_Entry.of(*_split(g, cfg), i, P) for i, g in enumerate(G) if g]
+    return [_Entry.of(_split(g, cfg), i, P) for i, g in enumerate(G) if g]
 
 
 def _search(entries, cfg: GBConfig, P: MonoPacking):
     """The reducer search of the mode family over ``entries``, and the
     reduction through it; both see entries appended later.
 
-    Returns (find, reduce).  ``find(m, level)`` gives the ``_nf_terms``
-    hit, (cofactor, products, shift, entry), or None.  The search is a pure
-    function of (m, level) and the entries' lms, which only grow by append,
-    so a memo keyed by (m, level) keeps each answer with its products and is
-    cleared whenever the number of entries has changed since it was filled;
-    a hit is also cleared when its entry takes a new tail (``take_tail``),
-    and rebuilt from that tail.  ``reduce(M, work, level, record=None)``
-    gives the ``_nf_terms`` normal form, in int form, of the {term:
-    numerator} dict ``work`` over M against the family's closure: terms of
-    P at one level in sigma/skew mode, terms of S in left mode, whose search
-    reads the level off each term.  The cofactor is the term's P-monomial
-    less the image, and the products are the entry's ``images`` plus the
-    cofactor, the product ``_Entry.spoly`` uses too.
+    Returns (find, reduce).  ``find(m)`` gives the ``_nf_terms`` hit,
+    (cofactor, products, shift, entry), or None.  The search is a pure
+    function of the term m, whose s-degree is its level, and the entries'
+    lms, which only grow by append, so a memo keyed by m keeps each answer
+    with its products and is cleared whenever the number of entries has
+    changed since it was filled; a hit is also cleared when its entry takes
+    a new tail (``take_tail``), and rebuilt from that tail.  ``reduce(M,
+    work, record=None)`` gives the ``_nf_terms`` normal form, in int form,
+    of the {term: numerator} dict ``work`` over M against the family's
+    closure.  The cofactor is the term less the image of the entry's
+    leading term, s-degree included, and the products are the entry's
+    ``images`` plus the cofactor, the product ``_Entry.spoly`` uses too.
     """
     search = _Divisors(entries, cfg, P).smallest
-    base, over = P.base, P.over
+    sigma, over = P.sigma, P.over
     memo = {}
     filled = 0
 
-    def find(m, level):
+    def find(m):
         nonlocal filled
         if len(entries) != filled:
             memo.clear()
             filled = len(entries)
-        hit, nums = memo.get((m, level), (memo, None))  # memo: a new query
+        hit, nums = memo.get(m, (memo, None))  # memo: a new query
         if hit is memo:
-            hit = search(m, level)
+            hit = search(m)
             if hit is not None:
-                ent, u, img = hit
-                hit = (m & base) - img, None, u, ent
+                ent, u, _ = hit
+                hit = m - sigma(ent.monos[0], u), None, u, ent
         elif hit is None or hit[3].nums is nums:
             return hit
         if hit is not None:  # new, or stale: its entry took a new tail since
             q, _, u, ent = hit
             hit, nums = (q, tuple([q + t for t in ent.images(u)]), u,
                          ent), ent.nums
-        memo[m, level] = hit, nums
+        memo[m] = hit, nums
         return hit
 
-    def reduce(M, work, level, record=None):
-        return _nf_terms(M, work, level, find, over, record)
+    def reduce(M, work, record=None):
+        return _nf_terms(M, work, find, over, record)
 
     return find, reduce
 
@@ -875,7 +853,7 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     sigma-power images; in skew/left modes they are skew elements and the
     closure carries the matching s-power decorations.  When ``record`` is a
     list, it receives the division steps (see ``_nf_terms``) in every mode,
-    with tuple cofactors.
+    with tuple cofactors of P.
     """
     cfg.check_sigma()
     G = list(G)
@@ -883,19 +861,10 @@ def normal_form(f, G, cfg: GBConfig, record=None):
     def run(P):
         steps = None if record is None else []
         _, reduce = _search(_entries(G, cfg, P), cfg, P)
-
-        def nf_of(terms, level):
-            M, nums = common_denominator([c for _, c in terms])
-            M, out = reduce(M, {_pack(P, t): c for (t, _), c in
-                                zip(terms, nums)}, level, steps)
-            return [(_unpack(P, t), fraction(c, M)) for t, c in out]
-
-        if cfg.mode == "skew":
-            # two-sided: reduce each s-homogeneous layer at its own level
-            nf = [(SkewMonomial(m, level), c) for level, poly in f.parts
-                  for m, c in nf_of(poly.terms, level)]
-        else:
-            nf = nf_of(f.terms, 0)
+        M, nums = common_denominator([c for _, c in f.terms])
+        M, out = reduce(M, {_pack(P, t): c for t, c in
+                            zip(f.monomials(), nums)}, steps)
+        nf = [(_unpack(P, t), fraction(c, M)) for t, c in out]
         return nf, steps and [(c, P.unpack(q), u, i) for c, q, u, i in steps]
 
     nf, steps = _packed(cfg, [*G, f], run)
@@ -910,13 +879,13 @@ def _interreduce(entries, cfg: GBConfig, P: MonoPacking):
     """The entries that ``interreduce`` keeps, their tails reduced."""
     kept: list = []
     find, reduce = _search(kept, cfg, P)
-    for ent in sorted(entries, key=lambda e: (e.sdeg, e.lm)):
-        if find(ent.monos[0], ent.sdeg) is None:
+    for ent in sorted(entries, key=lambda e: e.monos[0]):
+        if find(ent.monos[0]) is None:
             ent.index = len(kept)
             kept.append(ent)
     # Every tail reduces against the kept elements as given, before any
     # of them takes its new tail.
-    tails = [reduce(ent.den, ent.tail(), ent.sdeg) for ent in kept]
+    tails = [reduce(ent.den, ent.tail()) for ent in kept]
     for ent, tail in zip(kept, tails):
         ent.take_tail(*tail)
     return kept
@@ -933,8 +902,7 @@ def interreduce(basis, cfg: GBConfig):
     cfg.check_sigma()
     basis = list(basis)
     return _packed(cfg, basis, lambda P: [
-        _element(e, cfg) for e in _interreduce(_entries(basis, cfg, P), cfg, P)
-    ])
+        e.poly for e in _interreduce(_entries(basis, cfg, P), cfg, P)])
 
 
 def member(f, basis, cfg: GBConfig) -> bool:
@@ -986,7 +954,7 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
             for a, b, sh, level, l in pairs(entries, t, cfg, P, pair_filter):
                 if criterion(a, b, sh, l, level):
                     continue
-                if reduce(*entries[a].spoly(entries[b], sh, l), level)[1]:
+                if reduce(*entries[a].spoly(entries[b], sh, l))[1]:
                     if cfg.product_enabled() or cfg.chain_criterion:
                         return certify(basis, replace(
                             cfg, product_criterion=False, chain_criterion=False
@@ -1161,7 +1129,8 @@ def expand_window(H, cfg: GBConfig):
     out = []
     for h in H:
         if h:
-            poly, w = (h, h.weight()) if cfg.mode == "sigma" else _split(h, cfg)
+            w, poly = ((h.weight(), h) if cfg.mode == "sigma"
+                       else _split(h, cfg).parts[0])
             for i, levels in _window_slots(w, cfg):
                 img = cfg.sigma.poly(poly, i)
                 out.extend(SkewElement.of_poly(img, lvl) for lvl in levels)

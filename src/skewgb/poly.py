@@ -216,15 +216,14 @@ class MonoPacking:
     what is not valid.  ``sigma`` is an endomorphism's ``packed`` action.
     """
 
-    __slots__ = ("letters", "places", "width", "step", "base_shift",
-                 "deg_shift", "sdeg_shift", "exps", "guards", "over", "base",
-                 "codes", "offsets", "ordering", "sigma", "skew")
+    __slots__ = ("width", "step", "base_shift", "deg_shift", "sdeg_shift",
+                 "exps", "guards", "over", "base", "codes", "offsets",
+                 "ordering", "sigma", "skew")
 
     def __init__(self, letters: int, places: int, ordering: MonomialOrdering,
                  width: int, spare: int = 0, sigma=None, skew: bool = False):
         lex = ordering.kind == "lex"
-        self.letters, self.places, self.width = letters, places, width
-        self.ordering, self.skew = ordering, skew
+        self.width, self.ordering, self.skew = width, ordering, skew
         self.step = letters * width
         self.codes = [p << LETTER_BITS | i  # the code of each field
                       for p in range(places + spare) for i in range(letters)]

@@ -270,14 +270,14 @@ def completed_tails(monkeypatch, solve, gens, cfg):
 
 def unreduced_tail_terms(entries, cfg, P):
     """(tail terms that the one-entry search of some entry finds, tail
-    terms checked); each entry's tail is searched at its own level, its
-    s-degree (0 in sigma mode)."""
+    terms checked); each tail term is searched on its own s-degree, which
+    the packed term carries (0 in sigma mode)."""
     finders = [engine._Divisors([other], cfg, P).smallest
                for other in entries]
     found = checked = 0
     for ent in entries:
         for m in ent.monos[1:]:
-            found += any(hits(m, ent.sdeg) for hits in finders)
+            found += any(hits(m) for hits in finders)
             checked += 1
     return found, checked
 

@@ -5,9 +5,10 @@ working set and tries every (entry, shift) pair, picking the smallest
 (key of the shifted leading monomial, entry index, shift).  That selection
 rule is what keeps bases, traces and pair counts byte-identical, so the
 kernel must reproduce both the remainder and every recorded step.  The
-same holds in the skew ring: two-sided normal forms of s-homogeneous
-elements (shifts capped by the level) and left normal forms of elements
-spread over several s-degrees (one shift per entry and term).
+same holds in the skew ring: two-sided normal forms of elements on one
+s-degree or spread over several, checked layer by layer (shifts capped by
+the layer's s-degree), and left normal forms of elements spread over
+several s-degrees (one shift per entry and term).
 
 The kernel reduces rationals fraction-free, over one running denominator,
 and Z/p elements as they are; the reference works on the coefficients
@@ -575,24 +576,24 @@ def memo_cases(mode, entry, term):
     entries = []
     find, _ = _search(entries, cfg, P)
     query = packed_term("x(2)*x(0)")
-    assert find(query, 0) is None
+    assert find(query) is None
     entries.append(entry("x(2) - x(1)", 0, P))
-    assert find(query, 0) == (
+    assert find(query) == (
         lm("x(0)"), (packed_term("x(1)*x(0)"),), 0, entries[0])
     # x(0) < x(2) under lex, so the new entry reduces the query from now on.
     entries.append(entry("x(0) + 1", 1, P))
-    assert find(query, 0) == (lm("x(2)"), (packed_term("x(2)"),), 0,
+    assert find(query) == (lm("x(2)"), (packed_term("x(2)"),), 0,
                               entries[1])
 
 
 def test_memo_sees_appended_entries_in_sigma_mode():
-    memo_cases("sigma", lambda text, i, P: _Entry.of(parse_poly(text), 0, i,
+    memo_cases("sigma", lambda text, i, P: _Entry.of(parse_poly(text), i,
                                                      P), lambda m: m)
 
 
 def test_memo_sees_appended_entries_in_left_mode():
     memo_cases("left", lambda text, i, P: _Entry.of(
-        SkewElement.of_poly(parse_poly(text)), 0, i, P),
+        SkewElement.of_poly(parse_poly(text)), i, P),
         lambda m: SkewMonomial(m, 0))
 
 
@@ -613,7 +614,7 @@ def reduced(reduce, f, record, P):
     packing P, with tuple monomials, field coefficients and a record of
     tuple cofactors."""
     steps = []
-    M, out = reduce(*int_form(f.terms, P), 0, steps)
+    M, out = reduce(*int_form(f.terms, P), steps)
     record.extend((c, P.unpack(q), u, i) for c, q, u, i in steps)
     return Polynomial([(P.unpack(m), Fraction(c, M)) for m, c in out],
                       f.ordering, _sorted=True)
@@ -630,7 +631,7 @@ def test_memo_follows_a_changed_tail():
         f, G = random_case(rng, ordering, large_denominators)
         cfg = GBConfig(mode="sigma", degree_bound=4, ordering=ordering)
         P = _packed(cfg, [f, *G, WIDE], lambda P: P)
-        entries = [_Entry.of(g.monic(), 0, i, P) for i, g in enumerate(G)
+        entries = [_Entry.of(g.monic(), i, P) for i, g in enumerate(G)
                    if g]
         _, reduce = _search(entries, cfg, P)
         first = []
@@ -665,10 +666,10 @@ def test_term_that_leaves_before_a_rescale_keeps_its_value():
     f = parse_poly("1/2*y(0) + x(0)")
     cfg = GBConfig(mode="sigma", degree_bound=2)
     P = _packed(cfg, [f, *G], lambda P: P)
-    entries = [_Entry.of(G[0], 0, 0, P)]
+    entries = [_Entry.of(G[0], 0, P)]
     assert entries[0].den == 3
     _, reduce = _search(entries, cfg, P)
-    M, out = reduce(*int_form(f.terms, P), 0)
+    M, out = reduce(*int_form(f.terms, P))
     assert M == 6 and [c for _, c in out] == [3, -2]
     want, _, _ = reference_nf(f, G, LEX)
     assert want == parse_poly("1/2*y(0) - 1/3")
@@ -688,9 +689,9 @@ def test_output_spans_several_denominators():
     f = parse_poly("1/2*y(1) + 2*x(1) + y(0)")
     cfg = GBConfig(mode="sigma", degree_bound=2)
     P = _packed(cfg, [f, *G], lambda P: P)
-    _, reduce = _search([_Entry.of(g, 0, i, P) for i, g in enumerate(G)],
+    _, reduce = _search([_Entry.of(g, i, P) for i, g in enumerate(G)],
                         cfg, P)
-    M, out = reduce(*int_form(f.terms, P), 0)
+    M, out = reduce(*int_form(f.terms, P))
     assert M == 30 and [c for _, c in out] == [15, 30, 4]
     want, want_record, _ = reference_nf(f, G, LEX)
     assert want == parse_poly("1/2*y(1) + y(0) + 2/15")
@@ -745,14 +746,14 @@ def check_int_spolys(seed, lift, coeff_type):
         P = _packed(cfg, [f, g], lambda P: P)
         if family == "left":
             (a, fa), (b, gb) = sorted(
-                [(_Entry.of(h, h.sdeg(), i, P), h)
+                [(_Entry.of(h, i, P), h)
                  for i, h in enumerate((f, g))],
                 key=lambda e: -e[0].sdeg)
             sh = a.sdeg - b.sdeg
             want = spoly(fa, shift_left(sh, gb, sigma))
             ring = SkewElement
         else:
-            a, b = _Entry.of(f, 0, 0, P), _Entry.of(g, 0, 1, P)
+            a, b = _Entry.of(f, 0, P), _Entry.of(g, 1, P)
             sh = rng.randint(0, 2)
             want = spoly_poly(f, sigma.poly(g, sh))
             ring = Polynomial
@@ -792,7 +793,7 @@ def test_entry_poly_rebuilt_from_ints():
         g = g.monic()
         cfg = GBConfig(mode="sigma", degree_bound=2, ordering=ordering)
         P = _packed(cfg, [g, WIDE], lambda P: P)
-        ent = _Entry.of(g, 0, 0, P)
+        ent = _Entry.of(g, 0, P)
         assert ent.poly == g and ent.poly.terms == g.terms
         tail = [(m, lift(rng, random_coeff(rng)))
                 for m in {random_mono(rng, letters=2, max_place=2, max_deg=3)
@@ -812,6 +813,6 @@ def test_entry_poly_rebuilt_from_ints():
                                terms=5, ordering=ordering), rng, lift)
         if h:
             _, work = int_form(h.terms, P)
-            made = _Entry(list(work.items()), P, 0, 0)
+            made = _Entry(list(work.items()), P, 0)
             assert made.poly == h.monic()
             assert type(made.poly.lc()) is type(h.monic().lc())
