@@ -331,12 +331,6 @@ def random_layer(rng, G, level, ordering):
     return SkewElement.of_poly(f, level)
 
 
-def random_skew_case(rng, ordering):
-    """s-homogeneous generators and a target at a level from 0 to 3."""
-    G = random_skew_gens(rng, ordering)
-    return random_layer(rng, G, rng.randint(0, 3), ordering), G
-
-
 def two_sided_reference(f, G, ordering):
     """The two-sided normal form of f and its record by ``reference_nf``,
     one layer of f at a time, each against the shifts that keep a reducer
@@ -356,60 +350,27 @@ def two_sided_reference(f, G, ordering):
     return nf, record, reduced
 
 
-def check_two_sided_kernel(seed, lift):
-    """300 seeded two-sided normal forms against the reference, with every
-    coefficient of the case passed through lift(rng, c) afterwards: the
-    remainder and the record.  Returns (steps, steps with a shift above 0,
-    the coefficients of all records)."""
+def check_two_sided_kernel(seed, lift, spread=False):
+    """300 seeded two-sided normal forms against the layer-by-layer
+    reference, with every coefficient of the case passed through lift(rng,
+    c) afterwards: the remainder and the record.  A target lies on one
+    s-degree from 0 to 3, or with ``spread`` on two or three of them.
+    Returns (steps, steps with a shift above 0, targets with steps on more
+    than one s-degree, the coefficients of all records)."""
     rng = random.Random(seed)
-    steps = reduced_above = 0
+    steps = reduced_above = multilayer = 0
     recorded = []
     for n in range(300):
         ordering = (LEX, DEGLEX)[n % 2]
-        f, G = random_skew_case(rng, ordering)
+        G = random_skew_gens(rng, ordering)
+        levels = (rng.sample(range(4), rng.randint(2, 3)) if spread
+                  else [rng.randint(0, 3)])
+        f = SkewElement.zero(ordering)
+        for level in levels:
+            f = f + random_layer(rng, G, level, ordering)
         f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
         if not f:
             continue
-        cfg = GBConfig(mode="skew", degree_bound=4, ordering=ordering)
-        record = []
-        nf = normal_form(f, G, cfg, record=record)
-        want, want_record, _ = two_sided_reference(f, G, ordering)
-        assert nf == want
-        assert record == want_record
-        steps += len(record)
-        reduced_above += any(u for _, _, u, _ in record)
-        recorded.extend(c for c, _, _, _ in record)
-    return steps, reduced_above, recorded
-
-
-def test_two_sided_kernel_matches_brute_force_reference():
-    steps, reduced_above, _ = check_two_sided_kernel(20241, small_ints)
-    assert steps > 500 and reduced_above > 0
-
-
-def test_two_sided_kernel_matches_reference_across_rescales():
-    steps, reduced_above, recorded = check_two_sided_kernel(
-        20252, large_prime_products)
-    assert steps > 500 and reduced_above > 0
-    assert max(c.denominator for c in recorded).bit_length() > 900
-
-
-def check_multilayer_two_sided_kernel(seed, lift):
-    """200 seeded two-sided normal forms of targets spread over two or
-    three s-degrees, against the layer-by-layer reference: the remainder
-    and the record, whose steps run layer by layer, s-degree descending.
-    Returns (steps, targets with steps on more than one layer, the
-    coefficients of all records)."""
-    rng = random.Random(seed)
-    steps = spread = 0
-    recorded = []
-    for n in range(200):
-        ordering = (LEX, DEGLEX)[n % 2]
-        G = random_skew_gens(rng, ordering)
-        f = SkewElement.zero(ordering)
-        for level in sorted(rng.sample(range(4), rng.randint(2, 3))):
-            f = f + random_layer(rng, G, level, ordering)
-        f, G = lifted(f, rng, lift), [lifted(g, rng, lift) for g in G]
         cfg = GBConfig(mode="skew", degree_bound=4, ordering=ordering)
         record = []
         nf = normal_form(f, G, cfg, record=record)
@@ -417,20 +378,31 @@ def check_multilayer_two_sided_kernel(seed, lift):
         assert nf == want
         assert record == want_record
         steps += len(record)
-        spread += reduced > 1
+        reduced_above += any(u for _, _, u, _ in record)
+        multilayer += reduced > 1
         recorded.extend(c for c, _, _, _ in record)
-    return steps, spread, recorded
+    return steps, reduced_above, multilayer, recorded
 
 
-def test_multilayer_two_sided_kernel_matches_reference():
-    steps, spread, _ = check_multilayer_two_sided_kernel(20254, small_ints)
-    assert steps > 1000 and spread > 100
+def test_two_sided_kernel_matches_brute_force_reference():
+    steps, reduced_above, _, _ = check_two_sided_kernel(20241, small_ints)
+    assert steps > 500 and reduced_above > 0
 
 
-def test_multilayer_two_sided_kernel_matches_reference_across_rescales():
-    steps, spread, recorded = check_multilayer_two_sided_kernel(
-        20255, large_prime_products)
-    assert steps > 1000 and spread > 100
+def test_two_sided_kernel_matches_reference_across_rescales():
+    steps, reduced_above, _, recorded = check_two_sided_kernel(
+        20252, large_prime_products)
+    assert steps > 500 and reduced_above > 0
+    assert max(c.denominator for c in recorded).bit_length() > 900
+
+
+def test_two_sided_kernel_matches_reference_over_several_s_degrees():
+    # One kernel call reduces every s-degree of the target; its record
+    # must run layer by layer, s-degree descending.
+    for seed, lift in ((20254, small_ints), (20255, large_prime_products)):
+        steps, reduced_above, multilayer, recorded = check_two_sided_kernel(
+            seed, lift, spread=True)
+        assert steps > 1500 and reduced_above > 0 and multilayer > 150
     assert max(c.denominator for c in recorded).bit_length() > 900
 
 
