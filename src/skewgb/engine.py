@@ -979,12 +979,15 @@ def _oracle_form(terms):
     return terms[0][0], a, tuple(zip([t for t, _ in terms[1:]], nums))
 
 
-def _oracle_nf(work: dict, gens: list, guards: int):
+def _oracle_nf(work: dict, gens: list, seen: dict, guards: int):
     """Plain module normal form of the {packed monomial: numerator} dict
     ``work`` on one level against ``gens``, that level's oracle generators:
     the first listed whose lm divides reduces, by the mask test over the
-    packing's ``guards``.  Returns the nonzero result as an oracle generator
-    (``_oracle_form``), or None.
+    packing's ``guards``.  ``seen`` is the level's first-divisor memo: i at
+    a monomial means none of the first i generators divides it, so the scan
+    resumes there and stores where it stopped; the list only grows by
+    append, so the first listed divisor stays the one found.  Returns the
+    nonzero result as an oracle generator (``_oracle_form``), or None.
 
     Over Q this is pseudo-reduction in int arithmetic: a term c reduced by a
     generator with leading coefficient a takes k = gcd(a, c), scales every
@@ -1007,12 +1010,16 @@ def _oracle_nf(work: dict, gens: list, guards: int):
         if t & guards:
             raise Outgrown("monomial outgrows its packing")
         tg = t | guards
-        for v, a, tail in gens:
+        i = seen.get(t, 0)
+        for i in range(i, len(gens)):
+            v, a, tail = gens[i]
             if (tg - v) & guards == guards:
                 break
         else:
+            seen[t] = len(gens)
             out.append((t, c))
             continue
+        seen[t] = i
         if a != 1:
             k = gcd(a, c)
             a //= k
@@ -1048,8 +1055,9 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
     ``_oracle_nf`` pseudo-reduces it.  Each result is a scalar multiple of
     the one field arithmetic gives, so the same pairs reduce to zero.  A
     generator is kept as its level of S, where its pairs and reducers lie,
-    and its form over packed monomials; a field that overflows starts the
-    run over at twice the width.  Generators become monic only on return.
+    and its form over packed monomials; each level has a first-divisor memo
+    for ``_oracle_nf``.  A field that overflows starts the run over at twice
+    the width, with new memos.  Generators become monic only on return.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -1070,6 +1078,7 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
                 for lvl, ms, nums in rows))
             for lvl, f in G:
                 levels.setdefault(lvl, []).append(f)
+            seen = {lvl: {} for lvl in levels}  # first-divisor memos
             # A new generator's pairs queue behind all others, so the FIFO
             # order is (i, j) by j, then i, over the growing G: no pair list.
             j = 1
@@ -1095,7 +1104,7 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
                             del work[t]
                     if not work:
                         continue
-                    nf = _oracle_nf(work, levels[lj], P.guards)
+                    nf = _oracle_nf(work, levels[lj], seen[lj], P.guards)
                     if nf is not None:
                         G.append((lj, nf))
                         levels[lj].append(nf)

@@ -3,13 +3,20 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from skewgb import cli, engine
+from randgen import (
+    random_free_homogeneous,
+    random_skew_homogeneous,
+    random_weighted_poly,
+)
+from skewgb import cli, engine, textio
+from skewgb.poly import ORDERINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -417,6 +424,84 @@ def test_internal_error_exits_four_with_a_traceback(tmp_path, monkeypatch,
     assert out == ""
     assert err.startswith("Traceback (most recent call last):")
     assert err.rstrip().endswith("ValueError: not divisible")
+
+
+# Header values a mutation draws from: valid ones, refused ones and odd
+# spellings that still parse (a Unicode digit, an underscore, padding).
+MUTATIONS = {
+    "mode": ("sigma", "skew", "left", "free", "free2", "Sigma", "", "skeww"),
+    "field": ("Q", "QQ", "q", "2", "3", "7", "101", "32003", "2147483647",
+              "0", "1", "4", "-7", "F", "1e3", "\u0667"),
+    "degree_bound": ("1", "2", "3", "4", " 2 ", "+2", "\u0663", "0", "-1",
+                     "x", "2.5", ""),
+    "endo": ("shift", "power 2", "power 3", "power 1", "power 0",
+             "power x", "twist"),
+    "letters": ("x,y", "y,x", "x", "a,b", "x,s", "x,x", "x y"),
+    "criteria": ("all", "none", "product", "chain", "bogus"),
+    "interreduce": ("true", "false", "maybe"),
+    "trace": ("true", "1"),
+    "colour": ("red",),
+}
+# Generator lines swapped in: zero, constants, overflowing exponents and
+# places, s in every mode, and lines that do not parse.
+ODD_GENERATORS = ("0", "1", "3/4", "x(0) - x(0)", "x(0)^200", "x(200)",
+                  "y(1)^130*x(0)", "2/3*x(1)", "1/0", "s", "x(0)*s^2",
+                  "x(1)*s - s*x(0)", "x", "x*y", "x(0", "x(-1)", "x(1)^-1")
+
+
+def mutated_problem(rng):
+    """A small random problem file (``randgen``, as the property tests draw
+    them) with up to two header keys mutated, added or dropped and maybe one
+    generator line swapped, and a random choice of the check flags."""
+    mode = rng.choice(engine.MODES)
+    ordering_name = rng.choice(sorted(ORDERINGS))
+    ordering = ORDERINGS[ordering_name]
+    # Lex skew quadrics can run for minutes (ROADMAP, known gap 2).
+    fixed = 1 if ordering_name == "lex" else None
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        if mode == "sigma":
+            f = random_weighted_poly(rng, 2, 2, 2, 2, ordering, fixed)
+            gens.append(textio.format_poly(f, textio.DEFAULT_NAMES))
+        elif mode in ("skew", "left"):
+            f = random_skew_homogeneous(rng, 2, 1, 2, 2, 1, ordering, fixed)
+            gens.append(textio.format_skew(f, textio.DEFAULT_NAMES))
+        else:
+            f = random_free_homogeneous(rng, 2, 2, 2)
+            gens.append(textio.format_free(f, textio.DEFAULT_NAMES))
+    header = {"mode": mode, "degree_bound": str(rng.randint(1, 3)),
+              "ordering": ordering_name}
+    for _ in range(rng.randint(0, 2)):
+        key = rng.choice(sorted(MUTATIONS) + ["drop"])
+        if key == "drop":
+            header.pop(rng.choice(sorted(header)), None)
+        else:
+            header[key] = rng.choice(MUTATIONS[key])
+    if rng.random() < 0.3:
+        gens[rng.randrange(len(gens))] = rng.choice(ODD_GENERATORS)
+    flags = [f for f in ("--stats", "--trace", "--certify", "--oracle")
+             if rng.random() < 0.4]
+    text = "".join(f"{k}: {v}\n" for k, v in header.items())
+    return text + "\n" + "\n".join(gens) + "\n", flags
+
+
+def test_exit_codes_past_parsing(tmp_path, capsys):
+    # Solving, refusals and the checks keep the exit-code contract: each
+    # run ends in 0, 1, 2 or 3 (3: a check failed, as on the oracle's
+    # known window mismatch), never in an internal error (4) or a
+    # traceback.
+    rng = random.Random(23)
+    path = tmp_path / "problem.txt"
+    seen = set()
+    for _ in range(500):
+        text, flags = mutated_problem(rng)
+        path.write_text(text, encoding="utf-8")
+        code = cli.main([str(path), *flags])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (text, flags, err)
+        assert "Traceback" not in out + err, (text, flags)
+        seen.add(code)
+    assert seen >= {0, 1, 2}
 
 
 def test_missing_file():

@@ -23,9 +23,17 @@ from skewgb.engine import (
     expand_window,
     spoly,
 )
-from skewgb.field import GF
+from skewgb.field import GF, common_denominator
 from skewgb.letterplace import iota_prime
-from skewgb.poly import DEGLEX, LEX, mono_div, mono_divides, mono_lcm, mono_mul
+from skewgb.poly import (
+    DEGLEX,
+    LEX,
+    MonoPacking,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 from skewgb.skew import SkewElement, SkewMonomial
 from skewgb.textio import parse_poly
 
@@ -211,3 +219,81 @@ def test_oracle_starts_over_when_an_overflowed_term_is_popped(
     assert ref[1] == reduced
     # The calls of the run that overflowed count too.
     assert len(calls) == aborted + reduced
+
+
+def oracle_form(P, f: SkewElement):
+    """f over the packing P as an oracle generator (``_oracle_form``)."""
+    nums = common_denominator([c for _, c in f.terms])[1]
+    return engine._oracle_form([(P.pack(v.mono), c)
+                                for (v, _), c in zip(f.terms, nums)])
+
+
+def first_divisor_case(texts):
+    """Packing, elements and oracle forms of the polynomials ``texts`` on
+    level 0, over letter x at places 0..2."""
+    elements = [SkewElement.of_poly(parse_poly(t)) for t in texts]
+    P = MonoPacking(1, 3, LEX, 8)
+    return P, elements, [oracle_form(P, f) for f in elements]
+
+
+def oracle_nf(P, f: SkewElement, gens: list, seen: dict):
+    """``_oracle_nf`` of f against the oracle forms gens, through the
+    first-divisor memo seen."""
+    lm, a, tail = oracle_form(P, f)
+    return engine._oracle_nf(dict(((lm, a),) + tail), gens, seen, P.guards)
+
+
+def test_memo_resumes_at_a_generator_appended_later():
+    # x(1)*x(0) is irreducible by x(2)^2, and the memo records that one
+    # generator was scanned.  Once x(1) - x(0) is appended, the scan
+    # resumes there and reduces the term to x(0)^2.
+    P, (g1, g2), (f1, f2) = first_divisor_case(("x(2)^2 - x(0)^2",
+                                                 "x(1) - x(0)"))
+    t = SkewElement.of_poly(parse_poly("x(1)*x(0)"))
+    gens, seen = [f1], {}
+    assert oracle_nf(P, t, gens, seen) == oracle_form(P, t)
+    assert seen == {P.pack(t.lm().mono): 1}
+    gens.append(f2)
+    got = oracle_nf(P, t, gens, seen)
+    assert got == oracle_form(P, reference_nf(t, [g1, g2]))
+    assert got == oracle_form(P, SkewElement.of_poly(parse_poly("x(0)^2")))
+    assert seen[P.pack(t.lm().mono)] == 1
+
+
+def test_memo_keeps_the_first_listed_divisor():
+    # Both x(2) - x(0) and x(2)*x(1) - x(1)^2 divide x(2)*x(1), and their
+    # reductions differ.  The first listed one reduces, also when the memo
+    # has seen the term while neither was listed yet.
+    P, elements, forms = first_divisor_case(("x(1)^3 - x(0)^3",
+                                             "x(2) - x(0)",
+                                             "x(2)*x(1) - x(1)^2"))
+    t = SkewElement.of_poly(parse_poly("x(2)*x(1) + x(1)*x(0)"))
+    seen = {}
+    assert oracle_nf(P, t, forms[:1], seen) == oracle_form(P, t)
+    want = oracle_form(P, SkewElement.of_poly(parse_poly("2*x(1)*x(0)")))
+    for k in (2, 3, 3):
+        got = oracle_nf(P, t, forms[:k], seen)
+        assert got == oracle_form(P, reference_nf(t, elements[:k])) == want
+    assert seen[P.pack(t.lm().mono)] == 1  # where the scan stopped
+
+
+def test_memo_starts_empty_after_a_restart(monkeypatch):
+    # The second reduced pair pops x(0)^201, past the first width: the run
+    # starts over wider, and each level's memo starts over with it.
+    gens = [SkewElement.of_poly(parse_poly(t))
+            for t in ("x(1)^2 - x(0)^100", "x(1)*x(0) + 3*x(0)^2")]
+    calls = []
+    nf = engine._oracle_nf
+
+    def recorded(work, level_gens, seen, guards):
+        calls.append((guards, dict(seen)))
+        return nf(work, level_gens, seen, guards)
+
+    monkeypatch.setattr(engine, "_oracle_nf", recorded)
+    got = engine._oracle_buchberger(gens)
+    assert got == reference_buchberger(gens)[0]
+    widths = [guards for guards, _ in calls]
+    restart = widths.index(widths[-1])
+    assert 0 < restart < len(calls)
+    assert calls[0][1] == {} and calls[restart][1] == {}
+    assert calls[restart - 1][1]  # the dropped memo held entries
