@@ -427,7 +427,7 @@ def test_internal_error_exits_four_with_a_traceback(tmp_path, monkeypatch,
 
 
 # Header values a mutation draws from: valid ones, refused ones and odd
-# spellings that still parse (a Unicode digit, an underscore, padding).
+# spellings that still parse (a Unicode digit, a plus sign, padding).
 MUTATIONS = {
     "mode": ("sigma", "skew", "left", "free", "free2", "Sigma", "", "skeww"),
     "field": ("Q", "QQ", "q", "2", "3", "7", "101", "32003", "2147483647",
