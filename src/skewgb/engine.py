@@ -1180,8 +1180,15 @@ def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
 
 def _mutually_divisible_leveled(A: set, B: set) -> bool:
     """Each monomial of S in A is divided by one of B on its level, and
-    the other way round; sigma-mode monomials all sit on level 0."""
-    return all(
-        any(x.sdeg == y.sdeg and mono_divides(x.mono, y.mono) for x in X)
-        for X, Y in ((B, A), (A, B)) for y in Y
-    )
+    the other way round; sigma-mode monomials all sit on level 0.  Each
+    side is grouped by level once, and a monomial that the other side holds
+    as it is needs no scan."""
+    for X, Y in ((B, A), (A, B)):
+        levels = {}
+        for x in X:
+            levels.setdefault(x.sdeg, []).append(x.mono)
+        if not all(y in X or any(mono_divides(m, y.mono)
+                                 for m in levels.get(y.sdeg, ()))
+                   for y in Y):
+            return False
+    return True

@@ -32,7 +32,6 @@ from .poly import (
     LEX,
     Polynomial,
     Terms,
-    mono_divides,
     top_place,
 )
 from .skew import SkewElement, SkewMonomial, SkewOrdering
@@ -296,11 +295,6 @@ def certify_free(G, cfg: engine.GBConfig):
     return engine.certify(basis, ecfg, pair_filter=pair_filter)
 
 
-def _is_subword(u: Word, w: Word) -> bool:
-    lu = len(u)
-    return any(w[i : i + lu] == u for i in range(len(w) - lu + 1))
-
-
 def free_oracle_match(
     G, H, cfg: engine.GBConfig, compare_bound: int | None = None
 ) -> bool:
@@ -310,9 +304,16 @@ def free_oracle_match(
     bare commutative Buchberger; a word of length <= d is covered by G iff
     some leading word is a contiguous subword, and covered by the oracle
     iff some oracle leading monomial divides the word's placing.
-    """
-    from itertools import product as iproduct
 
+    The words are walked depth first, each with its placing as an int of
+    one bit per (place, letter).  A word is covered iff its prefix one
+    letter shorter is, or a new suffix is a leading word, or an oracle lm
+    whose top place is the word's length divides the placing.  An lm that
+    can divide no placing (an exponent above 1, two letters on one place,
+    a place-0 variable, a letter outside the alphabet) is dropped.  Every
+    extension of a word that both sides cover is covered by both, so the
+    walk does not descend below it.
+    """
     d = cfg.degree_bound if compare_bound is None else compare_bound
     letters = set()
     for f in list(G) + list(H):
@@ -326,13 +327,26 @@ def free_oracle_match(
     oracle = engine.oracle_gbasis_truncated(
         [iota_prime(h, cfg.ordering) for h in H], ecfg, degree_cap=d
     )
-    B = [b.lm() for b in oracle.basis if b]
-    lms = [g.lm() for g in G]
-    for length in range(1, d + 1):
-        for w in iproduct(range(n), repeat=length):
-            main_hit = any(_is_subword(u, w) for u in lms)
-            placed = iota_prime_word(w)
-            oracle_hit = any(mono_divides(b, placed) for b in B)
-            if main_hit != oracle_hit:
+    masks = {}  # top place (0 for the lm 1) -> the lms' placing bits
+    for lm in (b.lm() for b in oracle.basis if b):
+        places = {c >> LETTER_BITS for c, _ in lm}
+        if len(places) == len(lm) and 0 not in places and all(
+            e == 1 and c & LETTER_MASK < n for c, e in lm
+        ):
+            masks.setdefault(top_place(lm) or 0, []).append(sum(
+                1 << (c >> LETTER_BITS) * n + (c & LETTER_MASK) for c, _ in lm
+            ))
+    lead = {g.lm() for g in G}
+    stack = [((), 0, () in lead, 0 in masks)] if d > 0 else []
+    while stack:
+        w, placing, main, orc = stack.pop()
+        k = len(w) + 1
+        new = masks.get(k, ())
+        for a in range(n):
+            u, p = w + (a,), placing | 1 << k * n + a
+            main_hit = main or any(u[i:] in lead for i in range(k))
+            if main_hit != (orc or any(p & m == m for m in new)):
                 return False
+            if not main_hit and k < d:
+                stack.append((u, p, False, False))
     return True

@@ -2,9 +2,12 @@
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
+from randgen import random_free_homogeneous
+from skewgb import engine
 from skewgb.endo import ShiftEndo
 from skewgb.engine import GBConfig
 from skewgb.field import QQ
@@ -27,7 +30,7 @@ from skewgb.letterplace import (
     word_of_mono,
     xi,
 )
-from skewgb.poly import mono
+from skewgb.poly import LEX, Polynomial, mono, mono_divides
 from skewgb.skew import SkewMonomial, skew_mul
 from skewgb.textio import parse_free, parse_poly, parse_skew
 
@@ -238,6 +241,118 @@ def test_two_generator_completion():
     assert free_oracle_match(G, H, cfg)
     assert certify_free(G, cfg)[0]
     assert certify_free(G, replace(cfg, mode="free2"))[0]
+
+
+def test_oracle_comparison_rejects_a_wrong_basis():
+    H = [parse_free("x*y - y^2"), parse_free("x^2")]
+    cfg = GBConfig(mode="free", degree_bound=4)
+    G = free_gbasis(H, cfg)
+    # Without y x y, the words of length 3 and 4 that hold it are covered
+    # by the oracle alone.
+    assert not free_oracle_match(G[:2], H, cfg)
+    # A spurious shorter leading word covers y, which the oracle does not.
+    assert not free_oracle_match(G + [fp([((1,), 1)])], H, cfg)
+    assert not free_oracle_match([], H, cfg)
+    # Below the degree of the dropped element the two sides still agree.
+    assert free_oracle_match(G[:2], H, cfg, compare_bound=2)
+    assert not free_oracle_match(G[:2], H, cfg, compare_bound=3)
+
+
+def reference_oracle_match(G, H, cfg, compare_bound=None):
+    """The exhaustive comparison that ``free_oracle_match`` replaced: every
+    word up to the bound, tested against every leading word as a contiguous
+    subword and against every oracle lm as a divisor of its placing."""
+    d = cfg.degree_bound if compare_bound is None else compare_bound
+    letters = set()
+    for f in list(G) + list(H):
+        letters |= f.letters()
+    n = max(letters) + 1 if letters else 1
+    ecfg = GBConfig(
+        mode="sigma", degree_bound=d, ordering=cfg.ordering, sigma=cfg.sigma
+    )
+    oracle = engine.oracle_gbasis_truncated(
+        [iota_prime(h, cfg.ordering) for h in H], ecfg, degree_cap=d
+    )
+    B = [b.lm() for b in oracle.basis if b]
+    lms = [g.lm() for g in G]
+    for length in range(1, d + 1):
+        for w in product(range(n), repeat=length):
+            main_hit = any(
+                w[i:i + len(u)] == u for u in lms
+                for i in range(length - len(u) + 1)
+            )
+            placed = iota_prime_word(w)
+            if main_hit != any(mono_divides(b, placed) for b in B):
+                return False
+    return True
+
+
+def perturbed_bases(G, H):
+    """The basis, then bases with one element dropped, one element kept,
+    a generator appended and none at all."""
+    out = [G, []]
+    for i in range(len(G)):
+        out += [G[:i] + G[i + 1:], [G[i]]]
+    return out + [G + [h] for h in H]
+
+
+def test_oracle_comparison_matches_the_exhaustive_loop():
+    rng = random.Random(84)
+    checks = false = 0
+    for _ in range(25):
+        H = [random_free_homogeneous(rng, letters=rng.randint(1, 3))
+             for _ in range(rng.randint(1, 2))]
+        d = rng.randint(2, 4)
+        cfg = GBConfig(mode="free", degree_bound=d)
+        G = free_gbasis(H, cfg)
+        for basis in perturbed_bases(G, H):
+            for bound in range(1, d + 1):
+                got = free_oracle_match(basis, H, cfg, compare_bound=bound)
+                assert got == reference_oracle_match(basis, H, cfg, bound)
+                checks += 1
+                false += not got
+    assert checks > 300 and false > checks // 4
+
+
+def test_oracle_comparison_matches_the_exhaustive_loop_on_odd_lms(
+    monkeypatch
+):
+    # The oracle's lms come from V-monomials, but the comparison must not
+    # lean on that: an lm with an exponent 2, two letters on one place, a
+    # place-0 variable or a letter outside the words' alphabet divides no
+    # placing, and the lm 1 divides every one.
+    H = [parse_free("x*y - y^2")]
+    G = free_gbasis(H, GBConfig(mode="free", degree_bound=3))
+    odd = [mono((0, 1, 2)), mono((0, 1, 1), (1, 1, 1)), mono((1, 0, 1)),
+           mono((2, 1, 1)), mono((2, 1, 1), (0, 2, 1)), mono((0, 2, 2)),
+           mono()]
+
+    def oracle_of(lms):
+        def fake(H, cfg, degree_cap=None):
+            basis = [Polynomial([(m, QQ.one)], LEX) for m in lms]
+            return engine.GBResult(basis, "sigma", cfg.degree_bound,
+                                   engine.PairStats())
+        return fake
+
+    empty_word = fp([((), 1)])
+    lms_sets = [[m] for m in odd] + [odd[:-1], [mono((0, 1, 1))] + odd[:-1]]
+    for lms in lms_sets:
+        monkeypatch.setattr(engine, "oracle_gbasis_truncated", oracle_of(lms))
+        for basis in ([], G, [empty_word], G + [empty_word]):
+            for bound in (1, 2, 3):
+                assert free_oracle_match(basis, H, GBConfig(
+                    mode="free", degree_bound=3), compare_bound=bound
+                ) == reference_oracle_match(basis, H, GBConfig(
+                    mode="free", degree_bound=3), bound), (lms, basis, bound)
+    # The empty word covers every word, as the lm 1 does.
+    monkeypatch.setattr(engine, "oracle_gbasis_truncated", oracle_of([mono()]))
+    cfg = GBConfig(mode="free", degree_bound=3)
+    assert free_oracle_match([empty_word], H, cfg)
+    assert not free_oracle_match(G, H, cfg)
+    # A letter past the alphabet must not alias the next place's letter 0.
+    monkeypatch.setattr(engine, "oracle_gbasis_truncated",
+                        oracle_of([mono((2, 1, 1))]))
+    assert free_oracle_match([], H, cfg)
 
 
 def test_both_routes_agree():

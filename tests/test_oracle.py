@@ -14,6 +14,7 @@ import pytest
 
 from randgen import (
     random_free_homogeneous,
+    random_mono,
     random_skew_homogeneous,
     random_weighted_poly,
 )
@@ -297,3 +298,39 @@ def test_memo_starts_empty_after_a_restart(monkeypatch):
     assert 0 < restart < len(calls)
     assert calls[0][1] == {} and calls[restart][1] == {}
     assert calls[restart - 1][1]  # the dropped memo held entries
+
+
+def reference_mutually_divisible(A, B):
+    """The all-pairs comparison that the level index replaced."""
+    return all(
+        any(x.sdeg == y.sdeg and mono_divides(x.mono, y.mono) for x in X)
+        for X, Y in ((B, A), (A, B)) for y in Y
+    )
+
+
+def test_leveled_divisibility_matches_all_pairs():
+    rng = random.Random(85)
+
+    def side():
+        return {SkewMonomial(random_mono(rng, 2, 2, 2), rng.randrange(3))
+                for _ in range(rng.randint(0, 5))}
+
+    verdicts = []
+    for _ in range(1500):
+        A, B = side(), side()
+        if rng.random() < 0.3 and A:
+            B |= set(rng.sample(sorted(A), rng.randint(1, len(A))))
+        got = engine._mutually_divisible_leveled(A, B)
+        assert got == reference_mutually_divisible(A, B), (A, B)
+        verdicts.append(got)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+    # The same monomial on another level is no divisor, either way round.
+    m = parse_poly("x(1)*x(0)").lm()
+    for A, B in (({SkewMonomial(m, 0)}, {SkewMonomial(m, 1)}),
+                 ({SkewMonomial(m, 0), SkewMonomial(m, 1)},
+                  {SkewMonomial(m, 1)})):
+        assert not engine._mutually_divisible_leveled(A, B)
+        assert not engine._mutually_divisible_leveled(B, A)
+        assert not reference_mutually_divisible(A, B)
+    assert engine._mutually_divisible_leveled(
+        {SkewMonomial(m, 2)}, {SkewMonomial(m, 2)})
