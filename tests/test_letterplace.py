@@ -288,8 +288,8 @@ def reference_oracle_match(G, H, cfg, compare_bound=None):
 
 
 def perturbed_bases(G, H):
-    """The basis, then bases with one element dropped, one element kept,
-    a generator appended and none at all."""
+    """The basis, no basis, the basis with one element dropped, each
+    element alone, and the basis with a generator appended."""
     out = [G, []]
     for i in range(len(G)):
         out += [G[:i] + G[i + 1:], [G[i]]]
@@ -322,7 +322,8 @@ def test_oracle_comparison_matches_the_exhaustive_loop_on_odd_lms(
     # place-0 variable or a letter outside the words' alphabet divides no
     # placing, and the lm 1 divides every one.
     H = [parse_free("x*y - y^2")]
-    G = free_gbasis(H, GBConfig(mode="free", degree_bound=3))
+    cfg = GBConfig(mode="free", degree_bound=3)
+    G = free_gbasis(H, cfg)
     odd = [mono((0, 1, 2)), mono((0, 1, 1), (1, 1, 1)), mono((1, 0, 1)),
            mono((2, 1, 1)), mono((2, 1, 1), (0, 2, 1)), mono((0, 2, 2)),
            mono()]
@@ -340,13 +341,11 @@ def test_oracle_comparison_matches_the_exhaustive_loop_on_odd_lms(
         monkeypatch.setattr(engine, "oracle_gbasis_truncated", oracle_of(lms))
         for basis in ([], G, [empty_word], G + [empty_word]):
             for bound in (1, 2, 3):
-                assert free_oracle_match(basis, H, GBConfig(
-                    mode="free", degree_bound=3), compare_bound=bound
-                ) == reference_oracle_match(basis, H, GBConfig(
-                    mode="free", degree_bound=3), bound), (lms, basis, bound)
+                assert free_oracle_match(basis, H, cfg, bound) == \
+                    reference_oracle_match(basis, H, cfg, bound), \
+                    (lms, basis, bound)
     # The empty word covers every word, as the lm 1 does.
     monkeypatch.setattr(engine, "oracle_gbasis_truncated", oracle_of([mono()]))
-    cfg = GBConfig(mode="free", degree_bound=3)
     assert free_oracle_match([empty_word], H, cfg)
     assert not free_oracle_match(G, H, cfg)
     # A letter past the alphabet must not alias the next place's letter 0.
