@@ -7,9 +7,9 @@ Three computations run on one completion loop and an oracle checks them:
 * ``skew_gbasis``  — two-sided bases of s-homogeneous ideals of S, truncated
   by s-degree;
 * ``left_gbasis``  — left-module bases in S, no homogeneity assumption;
-* ``oracle_gbasis_truncated`` — a commutative (module) Buchberger run on the
-  fully expanded, finite window of shifted generators, to cross-check the
-  main algorithms' leading-monomial ideals inside the window;
+* ``oracle_gbasis_truncated`` — a commutative Buchberger run in P, once per
+  level of S, on the fully expanded, finite window of shifted generators, to
+  cross-check the main algorithms' leading-monomial ideals inside the window;
   ``lm_window_match`` maps the main basis's lms through the same rule.  Its
   algorithm stays deliberately naive: no shifts, no criteria, FIFO pairs and
   the first listed generator whose lm divides.  Only its arithmetic is
@@ -237,17 +237,18 @@ class _Entry:
     and nums are the tail coefficients.  ``lc`` is the field's 1, ``lm``
     the packed P-monomial of the leading term, ``sdeg`` its s-degree,
     ``top`` the (place, letter, exponent) of the lm's largest variable
-    (None for 1) and ``lmw`` its place (-1 for 1).
+    (None for 1) and ``w`` its window weight: the s-degree when the
+    packing holds terms of S, else the top's place (-1 for 1).
 
     A shift moves monomials only and keeps their order and s-degrees, so
     the same numbers serve every shifted image: ``images(u)`` gives its
     tail terms.  ``poly`` unpacks the element on first read, for output.
     ``take_tail`` changes ``monos``, ``den``, ``nums`` and ``poly``;
-    ``lm``, ``sdeg``, ``top``, ``lmw`` and ``index`` never change.
+    ``lm``, ``sdeg``, ``top``, ``w`` and ``index`` never change.
     """
 
     __slots__ = ("monos", "lc", "den", "nums", "packing", "sdeg", "lm", "top",
-                 "lmw", "index", "_poly")
+                 "w", "index", "_poly")
 
     def __init__(self, terms, packing: MonoPacking, index: int):
         """The entry of the nonzero element with descending (term,
@@ -258,7 +259,7 @@ class _Entry:
         self.lm, self.sdeg = lead & packing.base, lead >> packing.sdeg_shift
         self.top = next(((v >> LETTER_BITS, v & LETTER_MASK, e) for v, e
                          in packing.unpack(self.lm)), None)  # the largest
-        self.lmw = self.top[0] if self.top else -1
+        self.w = self.sdeg if packing.skew else self.top[0] if self.top else -1
         self.monos = (lead,)
         self.take_tail(c, tail)
 
@@ -384,8 +385,8 @@ class _Divisors:
     monomial, for the reducer search (``smallest``) and the criteria
     (``criterion``): ``dividing(n, level)`` yields (entry, u) for each
     sigma**u(lm) that divides the packed n, with u at most ``level`` less
-    the entry's s-degree (weight in sigma mode), or in left mode exactly
-    that; a level of None sets no bound.
+    the entry's window weight (``_Entry.w``), or in left mode exactly that;
+    a level of None sets no bound.
 
     Under the place shift sigma**u(lm) can divide n only where it puts the
     top variable of the lm on a variable of n with the same letter and at
@@ -396,18 +397,17 @@ class _Divisors:
     endomorphisms try every shift.
     """
 
-    __slots__ = ("entries", "seen", "columns", "ones", "packing", "by_sdeg",
-                 "left", "product", "chain")
+    __slots__ = ("entries", "seen", "columns", "ones", "packing", "left",
+                 "product", "chain")
 
     def __init__(self, entries: list, cfg: GBConfig, P: MonoPacking):
         self.entries, self.seen, self.packing, self.ones = entries, 0, P, []
-        self.by_sdeg, self.left = cfg.mode != "sigma", cfg.mode == "left"
+        self.left = cfg.mode == "left"
         self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
         self.columns = None if self.left or cfg.sigma != ShiftEndo() else {}
 
     def dividing(self, n: int, level):
-        P, by_sdeg, guards = self.packing, self.by_sdeg, self.packing.guards
-        entries = self.entries
+        P, entries, guards = self.packing, self.entries, self.packing.guards
         if self.columns is None:  # left or skew mode, by check_sigma
             ng, sigma, left = n | guards, P.sigma, self.left
             for ent in entries:
@@ -426,17 +426,12 @@ class _Divisors:
                 self.ones.append(ent)
         self.seen = len(entries)
         for ent in self.ones:  # every image of 1 is 1
-            hi = 0 if level is None else level - (ent.sdeg if by_sdeg else -1)
-            if hi >= 0:
+            if level is None or level >= ent.w:
                 yield ent, 0
-        w, shift, codes = P.width, P.base_shift, P.codes
-        nv = x = n & P.exps
-        while x:  # each variable of n, the largest first
-            k = (x.bit_length() - 1 - shift) // w
-            e = x >> shift + k * w
-            x ^= e << shift + k * w
-            place = codes[k] >> LETTER_BITS
-            for p0, bucket in columns.get(codes[k] & LETTER_MASK, {}).items():
+        nv = n & P.exps
+        for code, e in P.unpack(n):  # each variable of n, the largest first
+            place = code >> LETTER_BITS
+            for p0, bucket in columns.get(code & LETTER_MASK, {}).items():
                 u = place - p0
                 if u < 0:
                     continue
@@ -444,11 +439,8 @@ class _Divisors:
                 for e0, lmv, ent in bucket:
                     if e0 > e or (su - lmv) & guards != guards:
                         continue
-                    if level is not None:
-                        hi = level - (ent.sdeg if by_sdeg else p0)
-                        if u > hi:
-                            continue
-                    yield ent, u
+                    if level is None or u <= level - ent.w:
+                        yield ent, u
 
     def smallest(self, m: int):
         """The reducer search for ``_search``: (entry, shift, shifted lm)
@@ -457,7 +449,7 @@ class _Divisors:
         in skew mode the shift may not push the reducer past m's s-degree;
         in left mode the image is the s-power multiple on m's s-degree."""
         P, best = self.packing, None
-        level = m >> P.sdeg_shift if self.by_sdeg else None
+        level = m >> P.sdeg_shift if P.skew else None
         for ent, u in self.dividing(m, level):
             img = P.sigma(ent.lm, u)
             if best is None or img < best[2] or img == best[2] and (
@@ -472,8 +464,8 @@ class _Divisors:
         coprime iff their packed product is their lcm.  The chain criterion
         (Gebauer–Möller) asks for an image of an entry's lm that divides l
         with both its lcms below l; the images are sigma**u for u up to the
-        level less the entry's s-degree (weight in sigma mode), or in left
-        mode the one s-power multiple on that level."""
+        level less the entry's window weight, or in left mode the one
+        s-power multiple on that level."""
         P, entries = self.packing, self.entries
         alm, blm = entries[a].lm, P.sigma(entries[b].lm, sh)
         if self.product and l == alm + blm:
@@ -616,21 +608,20 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
     each j < t first (j, t) from shift 0, then (t, j) from shift 1, and last
     (t, t) from shift 1.  Over t = 0, 1, ... this is every ordered pair once
     up to sign: shift 0 of (a, b) equals that of (b, a), and of (a, a) it is
-    zero.  With w the s-degree in skew mode and the weight of the leading
-    monomial in sigma mode, a pair lies in stratum max(w(a), w(b) + shift),
-    and the shifts run exactly up to stratum d.  That is one rule for both
-    modes, because the letterplace correspondence maps the weight of an
-    ideal of P onto the s-degree of its image in S.  ``pair_filter(lcm,
-    stratum)``, when given, vetoes pairs the caller knows to be irrelevant;
-    it sees the lcm unpacked.
+    zero.  With w the entries' window weight (``_Entry.w``: the s-degree in
+    skew mode, the weight of the leading monomial in sigma mode), a pair
+    lies in stratum max(w(a), w(b) + shift), and the shifts run exactly up
+    to stratum d.  That is one rule for both modes, because the letterplace
+    correspondence maps the weight of an ideal of P onto the s-degree of its
+    image in S.  ``pair_filter(lcm, stratum)``, when given, vetoes pairs the
+    caller knows to be irrelevant; it sees the lcm unpacked.
     """
-    skew_mode = cfg.mode == "skew"
     sigma, plcm = P.sigma, P.lcm
     d = cfg.degree_bound
     for j in range(t + 1):
         for a, b, sh0 in ((t, t, 1),) if j == t else ((j, t, 0), (t, j, 1)):
             ea, eb = entries[a], entries[b]
-            wa, wb = (ea.sdeg, eb.sdeg) if skew_mode else (ea.lmw, eb.lmw)
+            wa, wb = ea.w, eb.w
             if wa > d:
                 continue
             for sh in range(sh0, d - wb + 1):
@@ -980,14 +971,14 @@ def _oracle_form(terms):
 
 
 def _oracle_nf(work: dict, gens: list, seen: dict, guards: int):
-    """Plain module normal form of the {packed monomial: numerator} dict
-    ``work`` on one level against ``gens``, that level's oracle generators:
-    the first listed whose lm divides reduces, by the mask test over the
-    packing's ``guards``.  ``seen`` is the level's first-divisor memo: i at
-    a monomial means none of the first i generators divides it, so the scan
-    resumes there and stores where it stopped; the list only grows by
-    append, so the first listed divisor stays the one found.  Returns the
-    nonzero result as an oracle generator (``_oracle_form``), or None.
+    """Plain normal form of the {packed monomial: numerator} dict ``work``
+    against ``gens``, the oracle generators: the first listed whose lm
+    divides reduces, by the mask test over the packing's ``guards``.
+    ``seen`` is the run's first-divisor memo: i at a monomial means none of
+    the first i generators divides it, so the scan resumes there and stores
+    where it stopped; the list only grows by append, so the first listed
+    divisor stays the one found.  Returns the nonzero result as an oracle
+    generator (``_oracle_form``), or None.
 
     Over Q this is pseudo-reduction in int arithmetic: a term c reduced by a
     generator with leading coefficient a takes k = gcd(a, c), scales every
@@ -1043,51 +1034,44 @@ def _oracle_nf(work: dict, gens: list, seen: dict, guards: int):
     return _oracle_form(out) if out else None
 
 
-def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
-    """Textbook module Buchberger: no shifts, no criteria, FIFO pairs.
+def _oracle_buchberger(gens: list[Polynomial], degree_cap=None):
+    """Textbook Buchberger in P: no shifts, no criteria, FIFO pairs.
 
     degree_cap skips pairs whose lcm exceeds that total degree, which is
     exact for the capped part of the lm-ideal when the input is homogeneous.
 
     It runs in integer form (``_oracle_form``: primitive over Q, monic over
-    Z/p): the S-polynomial of generators with leading coefficients a_i, a_j
-    is (a_j / g) q_i f_i - (a_i / g) q_j f_j for g = gcd(a_i, a_j), and
-    ``_oracle_nf`` pseudo-reduces it.  Each result is a scalar multiple of
-    the one field arithmetic gives, so the same pairs reduce to zero.  A
-    generator is kept as its level of S, where its pairs and reducers lie,
-    and its form over packed monomials; each level has a first-divisor memo
-    for ``_oracle_nf``.  A field that overflows starts the run over at twice
-    the width, with new memos.  Generators become monic only on return.
+    Z/p) on packed monomials: the S-polynomial of generators with leading
+    coefficients a_i, a_j is (a_j / g) q_i f_i - (a_i / g) q_j f_j for g =
+    gcd(a_i, a_j), and ``_oracle_nf`` pseudo-reduces it through one
+    first-divisor memo.  Each result is a scalar multiple of the one field
+    arithmetic gives, so the same pairs reduce to zero.  A field that
+    overflows starts the run over at twice the width, with a new memo.
+    Generators become monic only on return.
     """
     gens = [g for g in gens if g]
     if not gens:
         return []
     lc, ordering = gens[0].lc(), gens[0].ordering
     one = lc * inverse(lc)  # the field's 1
-    rows = [(g.terms[0][0].sdeg, [v.mono for v, _ in g.terms],
-             common_denominator([c for _, c in g.terms])[1]) for g in gens]
-    letters, places = MonoPacking.extent(m for _, ms, _ in rows for m in ms)
+    rows = [(g.monomials(), common_denominator([c for _, c in g.terms])[1])
+            for g in gens]
+    letters, places = MonoPacking.extent(m for ms, _ in rows for m in ms)
     width = 8  # exponents and degrees up to 127
     while True:
-        P = _packing(letters, places, ordering.base, width)
-        levels: dict = {}  # level -> its forms, in listed order
+        P = _packing(letters, places, ordering, width)
         try:
-            # (level, oracle form) in listed order, without repeats
-            G = list(dict.fromkeys(
-                (lvl, _oracle_form(list(zip(map(P.pack, ms), nums))))
-                for lvl, ms, nums in rows))
-            for lvl, f in G:
-                levels.setdefault(lvl, []).append(f)
-            seen = {lvl: {} for lvl in levels}  # first-divisor memos
+            G = list(dict.fromkeys(  # the forms in listed order, no repeats
+                _oracle_form(list(zip(map(P.pack, ms), nums)))
+                for ms, nums in rows))
+            seen = {}  # the first-divisor memo
             # A new generator's pairs queue behind all others, so the FIFO
             # order is (i, j) by j, then i, over the growing G: no pair list.
             j = 1
             while j < len(G):
-                lj, (vj, aj, tj) = G[j]
+                vj, aj, tj = G[j]
                 for i in range(j):
-                    li, (vi, ai, ti) = G[i]
-                    if li != lj:
-                        continue
+                    vi, ai, ti = G[i]
                     l = P.lcm(vi, vj)
                     if degree_cap is not None and P.degree(l) > degree_cap:
                         continue
@@ -1104,18 +1088,17 @@ def _oracle_buchberger(gens: list[SkewElement], degree_cap=None):
                             del work[t]
                     if not work:
                         continue
-                    nf = _oracle_nf(work, levels[lj], seen[lj], P.guards)
+                    nf = _oracle_nf(work, G, seen, P.guards)
                     if nf is not None:
-                        G.append((lj, nf))
-                        levels[lj].append(nf)
+                        G.append(nf)
                 j += 1
             break
         except Outgrown:
             width *= 2
     un = P.unpack
-    return [SkewElement(((SkewMonomial(un(v), lvl), one),) + tuple(
-        (SkewMonomial(un(t), lvl), fraction(b, a)) for t, b in tail
-    ), ordering, _sorted=True) for lvl, (v, a, tail) in G]
+    return [Polynomial(((un(v), one),) + tuple(
+        (un(t), fraction(b, a)) for t, b in tail
+    ), ordering, _sorted=True) for v, a, tail in G]
 
 
 def _window_slots(w, cfg: GBConfig):
@@ -1130,31 +1113,38 @@ def _window_slots(w, cfg: GBConfig):
     raise ValueError("lm window comparison supports sigma and skew modes")
 
 
-def expand_window(H, cfg: GBConfig):
-    """The oracle's generators, as elements of S: under ``_window_slots``,
-    the shift images of weight within d of each nonzero h of H on level 0
-    (sigma mode), or its s**i . h . s**j images of total s-degree within d,
-    where h is s-homogeneous (skew mode, ``_split``)."""
-    out = []
+def expand_window(H, cfg: GBConfig) -> dict:
+    """The oracle's generators by level of S, {level: [polynomial of P]},
+    each level's in the order listed: under ``_window_slots``, the shift
+    images of weight within d of each nonzero h of H, all on level 0 (sigma
+    mode), or the images sigma**i(h) that stand for s**i . h . s**j, of
+    total s-degree within d, on their levels, where h is s-homogeneous
+    (skew mode, ``_split``)."""
+    out = {}
     for h in H:
         if h:
             w, poly = ((h.weight(), h) if cfg.mode == "sigma"
                        else _split(h, cfg).parts[0])
             for i, levels in _window_slots(w, cfg):
                 img = cfg.sigma.poly(poly, i)
-                out.extend(SkewElement.of_poly(img, lvl) for lvl in levels)
+                for lvl in levels:
+                    out.setdefault(lvl, []).append(img)
     return out
 
 
 def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
     """Independent cross-check: expand the shifted generators inside the
-    window and run a bare commutative (module) Buchberger over them."""
+    window and run a bare commutative Buchberger in P on each level of S
+    (``_oracle_buchberger``).  A graded ideal of S meets each level s**i in
+    an ideal of P times s**i, so the levels are independent.  In skew mode
+    the basis holds elements of S grouped by level, lowest first, each
+    level's in the order of its run."""
     cfg.check_sigma()
     if cfg.mode not in ("sigma", "skew"):
         raise ValueError("oracle supports sigma and skew modes")
-    G = _oracle_buchberger(expand_window(H, cfg), degree_cap)  # nonzero, monic
-    if cfg.mode == "sigma":
-        G = [g.parts[0][1] for g in G]
+    G = [g if cfg.mode == "sigma" else SkewElement.of_poly(g, lvl)
+         for lvl, gens in sorted(expand_window(H, cfg).items())
+         for g in _oracle_buchberger(gens, degree_cap)]  # nonzero, monic
     return GBResult(G, cfg.mode, cfg.degree_bound, PairStats(), None)
 
 

@@ -211,4 +211,4 @@ def test_criterion_8_invariant_suites():
 
     dt = sum(run_once(suite) for suite in SUITES)
     assert dt < 30.0
-    print(f"ACCEPT 8: PASS ({dt:.3f}s; 6 suites x 10^4 cases)")
+    print(f"ACCEPT 8: PASS ({dt:.3f}s; {len(SUITES)} suites)")

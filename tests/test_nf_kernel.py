@@ -535,9 +535,13 @@ def memo_cases(mode, entry, term):
     that an appended entry turns into a hit, and a hit that an appended
     entry with a smaller image supersedes.  ``entry(text, index)`` builds
     the mode's basis entry and ``term(m)`` its term for the monomial m of P
-    at s-degree 0."""
+    at s-degree 0.  The packing is made from an element of the mode, as
+    every entry point makes it: a term of S carries its s-degree in left
+    mode."""
     cfg = GBConfig(mode=mode, degree_bound=3)
-    P = _packed(cfg, [parse_poly("x(2)")], lambda P: P)
+    x2 = parse_poly("x(2)")
+    P = _packed(cfg, [SkewElement.of_poly(x2) if mode == "left" else x2],
+                lambda P: P)
 
     def lm(text):
         return P.pack(parse_poly(text).lm())

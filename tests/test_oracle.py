@@ -1,11 +1,13 @@
 """The oracle Buchberger against a field-arithmetic reference.
 
 ``_oracle_buchberger`` and ``_oracle_nf`` run in integer form with a heap,
-on packed monomials.  The reference below is the textbook version in field
-arithmetic and tuple monomials that they replaced: monic generators,
-``spoly``, and the largest pending term taken by a scan.  Both must give
-the same generators, element by element and in order, and reduce the same
-pairs."""
+on packed monomials, in P.  The reference below is the textbook module
+version over S in field arithmetic and tuple monomials that they replaced:
+monic generators, ``spoly``, and the largest pending term taken by a scan.
+Run on generators of several levels in any interleaving, the reference's
+generators of each level must be those of the oracle's run on that level,
+element by element and in order, and the runs together must reduce the
+same pairs."""
 
 import random
 from fractions import Fraction
@@ -109,6 +111,35 @@ def reference_buchberger(gens: list[SkewElement], degree_cap=None):
     return G, reduced
 
 
+def lifted(polys, level=0):
+    """Polynomials of P as elements of S on one level."""
+    return [SkewElement.of_poly(f, level) for f in polys]
+
+
+def interleaved(rng, levels: dict):
+    """The polynomials of ``levels``, {level: [polynomial]}, as elements of
+    S on their levels, merged at random with each level's order kept."""
+    queues = [lifted(fs, lvl) for lvl, fs in levels.items()]
+    out = []
+    while queues:
+        queue = rng.choice(queues)
+        out.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    return out
+
+
+def oracle_by_level(gens: list, cap=None):
+    """``_oracle_buchberger`` on each level of the nonzero elements of S
+    gens, lifted back onto their levels, lowest level first."""
+    levels = {}
+    for g in gens:
+        for lvl, f in g.parts:  # one part: the generators are on one level
+            levels.setdefault(lvl, []).append(f)
+    return [h for lvl in sorted(levels)
+            for h in lifted(engine._oracle_buchberger(levels[lvl], cap), lvl)]
+
+
 def recoef(f, rng, field):
     """f with each coefficient c replaced: over Q by c times a random
     fraction (so leading coefficients are non-units and tails fractional),
@@ -122,9 +153,9 @@ def recoef(f, rng, field):
 
 
 def random_input(rng, kind, field):
-    """Window-expanded generators of a random problem, and its degree cap;
-    a scaled copy of the first one checks deduplication on scalar
-    classes."""
+    """Window-expanded generators of a random problem as elements of S,
+    their levels interleaved, and its degree cap; a scaled copy of the
+    first one checks deduplication on scalar classes."""
     ordering = rng.choice((LEX, DEGLEX))
     fixed = rng.randint(1, 2) if ordering is LEX else None
     n = rng.randint(1, 2)
@@ -134,19 +165,17 @@ def random_input(rng, kind, field):
         H = [random_weighted_poly(rng, letters=2, max_weight=2, max_deg=2,
                                   terms=3, ordering=ordering,
                                   fixed_degree=fixed) for _ in range(n)]
-        gens = expand_window(H, cfg)
     elif kind == "skew":
         cfg = GBConfig(mode="skew", degree_bound=3, ordering=ordering)
         H = [random_skew_homogeneous(rng, letters=2, max_place=1, max_deg=2,
                                      terms=2, max_sdeg=1, ordering=ordering,
                                      fixed_degree=fixed) for _ in range(n)]
-        gens = expand_window(H, cfg)
     else:
         cap = 3
         cfg = GBConfig(mode="sigma", degree_bound=cap, ordering=ordering)
         H = [iota_prime(random_free_homogeneous(rng, 2, max_deg=2, terms=3),
                         ordering) for _ in range(n)]
-        gens = expand_window(H, cfg)
+    gens = interleaved(rng, expand_window(H, cfg))
     gens = [recoef(g, rng, field) for g in gens]
     gens.append(gens[0].scale(GF(7).of(3) if field == "Z/7" else
                               Fraction(-5, 3)))
@@ -176,8 +205,10 @@ def test_oracle_matches_field_reference(kind, field, monkeypatch):
         gens, cap = random_input(rng, kind, field)
         ref, reduced = reference_buchberger(gens, cap)
         calls.clear()
-        got = engine._oracle_buchberger(gens, cap)
-        assert repr([g.terms for g in got]) == repr([g.terms for g in ref])
+        got = oracle_by_level(gens, cap)
+        # A stable sort keeps each level's subsequence in order.
+        want = sorted(ref, key=lambda g: g.lm().sdeg)
+        assert repr([g.terms for g in got]) == repr([g.terms for g in want])
         assert len(calls) == reduced
         grew += len(ref) > len(gens) - 1
     assert grew >= 5  # the S-polynomials added generators
@@ -190,11 +221,11 @@ def test_oracle_scales_terms_that_left_before_a_non_unit_step():
     # coefficient 2 is prime to the pending coefficients, so the term that
     # left must be scaled with the rest: the normal form is
     # x(2)*x(0)^2 - 1/4*x(0)^4.
-    gens = [SkewElement.of_poly(parse_poly(t))
+    gens = [parse_poly(t)
             for t in ("2*x(1)^2 + x(0)^2", "2*x(2)*x(1) + x(1)^3")]
     got = engine._oracle_buchberger(gens)
-    assert got[2] == SkewElement.of_poly(parse_poly("x(2)*x(0)^2 - 1/4*x(0)^4"))
-    assert got == reference_buchberger(gens)[0]
+    assert got[2] == parse_poly("x(2)*x(0)^2 - 1/4*x(0)^4")
+    assert lifted(got) == reference_buchberger(lifted(gens))[0]
 
 
 @pytest.mark.parametrize("texts, aborted, reduced", [
@@ -212,10 +243,10 @@ def test_oracle_scales_terms_that_left_before_a_non_unit_step():
 ])
 def test_oracle_starts_over_when_an_overflowed_term_is_popped(
         texts, aborted, reduced, monkeypatch):
-    gens = [SkewElement.of_poly(parse_poly(t)) for t in texts]
+    gens = [parse_poly(t) for t in texts]
     calls = reduced_pairs(monkeypatch)
-    got = engine._oracle_buchberger(gens)
-    ref = reference_buchberger(gens)
+    got = lifted(engine._oracle_buchberger(gens))
+    ref = reference_buchberger(lifted(gens))
     assert repr([g.terms for g in got]) == repr([g.terms for g in ref[0]])
     assert ref[1] == reduced
     # The calls of the run that overflowed count too.
@@ -280,19 +311,19 @@ def test_memo_keeps_the_first_listed_divisor():
 
 def test_memo_starts_empty_after_a_restart(monkeypatch):
     # The second reduced pair pops x(0)^201, past the first width: the run
-    # starts over wider, and each level's memo starts over with it.
-    gens = [SkewElement.of_poly(parse_poly(t))
+    # starts over wider, and the memo starts over with it.
+    gens = [parse_poly(t)
             for t in ("x(1)^2 - x(0)^100", "x(1)*x(0) + 3*x(0)^2")]
     calls = []
     nf = engine._oracle_nf
 
-    def recorded(work, level_gens, seen, guards):
+    def recorded(work, oracle_gens, seen, guards):
         calls.append((guards, dict(seen)))
-        return nf(work, level_gens, seen, guards)
+        return nf(work, oracle_gens, seen, guards)
 
     monkeypatch.setattr(engine, "_oracle_nf", recorded)
     got = engine._oracle_buchberger(gens)
-    assert got == reference_buchberger(gens)[0]
+    assert lifted(got) == reference_buchberger(lifted(gens))[0]
     widths = [guards for guards, _ in calls]
     restart = widths.index(widths[-1])
     assert 0 < restart < len(calls)

@@ -1,17 +1,29 @@
-"""Bulk randomized invariant suites: 10^4 cases per algebraic law.
+"""Bulk randomized invariant suites: 10^4 cases per algebraic law, and a
+few hundred solved inputs for the graded correspondence.
 
 The suites are plain functions listed in ``SUITES``. Each ``test_``
 function and acceptance criterion 8 run them through ``run_once``, so a
 suite that already passed in this process is not run a second time, and
-criterion 8 bounds the summed run time of the six suites.
+criterion 8 bounds the summed run time of the suites.
 """
 
 import random
 import time
+import warnings
+from dataclasses import replace
 
-from randgen import skew_of_parts
+from randgen import random_weighted_poly, skew_of_parts
 from skewgb.endo import ShiftEndo
-from skewgb.engine import spoly, spoly_poly
+from skewgb.engine import (
+    GBConfig,
+    interreduce,
+    lm_window_match,
+    oracle_gbasis_truncated,
+    sigma_gbasis,
+    skew_gbasis,
+    spoly,
+    spoly_poly,
+)
 from skewgb.field import QQ
 from skewgb.letterplace import (
     FreePolynomial,
@@ -20,6 +32,7 @@ from skewgb.letterplace import (
     iota_prime,
     iota_prime_inv,
     iota_word,
+    pi,
     word_of_mono,
 )
 from skewgb.poly import (
@@ -189,6 +202,50 @@ def weight_lemmas_bulk():
             assert below_zero((f * g).weight()) == max(wf, wg)
 
 
+def graded_correspondence_bulk():
+    """The paper's correspondence between graded difference ideals of P and
+    two-sided ideals of S: a weight-homogeneous h lifts to h * s**w, w its
+    weight, and the truncated two-sided basis of the lifts, projected by
+    ``pi`` and interreduced, is the difference ideal's truncated basis.
+
+    The two routes share the kernel and ``_window_pairs``, but not the
+    entries' window weights (lm top place against s-degree), the reducer
+    searches or the criteria.  On graded input the two weights agree, so a
+    change that moves both routes' window alike cannot show in their
+    comparison: the sigma basis is also checked against the oracle, which
+    shares no window code, and its weights against d.
+
+    The paper covers only graded ideals, so inhomogeneous inputs are left
+    out.  Lifted the same way, some of them give two different bases, and
+    which route is right there is not settled: at d = 2 under lex, sigma
+    mode reaches the unit ideal from 2*x(2)*x(0) + 3, 3*x(1)^2 - 2, where
+    the skew route gives x(0)^2 - 27/8, x(2) + 4/9*x(0); and from
+    x(2)*y(0) + 4*x(2), x(2)*x(1) + 5*x(1)*x(0) sigma mode holds 5
+    elements, among them y(1)*x(1)*x(0) + 4*x(1)*x(0), and the skew route
+    3."""
+    rng = random.Random(87)
+    several = 0
+    for i in range(200):
+        ordering = LEX if i % 2 else DEGLEX
+        cfg = GBConfig(mode="sigma", degree_bound=rng.randint(2, 4),
+                       ordering=ordering)
+        H = [random_weighted_poly(rng, letters=rng.randint(1, 2),
+                                  max_weight=2, max_deg=2, ordering=ordering)
+             for _ in range(rng.randint(1, 2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a unit ideal warns on its way
+            res = sigma_gbasis(H, cfg)
+            lifted = skew_gbasis([SkewElement.of_poly(h, h.weight())
+                                  for h in H], replace(cfg, mode="skew"))
+            got = interreduce([pi(a) for a in lifted.basis], cfg)
+        assert got == res.basis, (H, cfg.degree_bound, ordering.kind)
+        assert lm_window_match(res, oracle_gbasis_truncated(H, cfg), cfg)
+        assert all(below_zero(g.weight()) <= cfg.degree_bound
+                   for g in res.basis)
+        several += len(res.basis) > 1
+    assert several > 50
+
+
 SUITES = [
     ordering_axioms_bulk,
     gcd_lcm_shift_compat_bulk,
@@ -196,6 +253,7 @@ SUITES = [
     spoly_identities_bulk,
     iota_homomorphism_bulk,
     weight_lemmas_bulk,
+    graded_correspondence_bulk,
 ]
 
 _SECONDS = {}
@@ -232,3 +290,7 @@ def test_iota_homomorphism_bulk():
 
 def test_weight_lemmas_bulk():
     run_once(weight_lemmas_bulk)
+
+
+def test_graded_correspondence_bulk():
+    run_once(graded_correspondence_bulk)
