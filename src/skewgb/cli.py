@@ -233,11 +233,7 @@ def _certify(pf: ProblemFile, cfg: engine.GBConfig, basis):
 def _oracle_check(pf: ProblemFile, cfg: engine.GBConfig, gens, basis) -> bool:
     if pf.mode in ("free", "free2"):
         return letterplace.free_oracle_match(basis, gens, cfg)
-    oracle = engine.oracle_gbasis_truncated(gens, cfg)
-    main = engine.GBResult(
-        basis, cfg.mode, cfg.degree_bound, engine.PairStats(), None
-    )
-    return engine.lm_window_match(main, oracle, cfg)
+    return engine.lm_window_match(basis, gens, cfg)
 
 
 def build_argparser() -> argparse.ArgumentParser:

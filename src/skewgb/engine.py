@@ -10,14 +10,17 @@ Three computations run on one completion loop and an oracle checks them:
 * ``oracle_gbasis_truncated`` — a commutative Buchberger run in P, once per
   level of S, on the fully expanded, finite window of shifted generators, to
   cross-check the main algorithms' leading-monomial ideals inside the window;
-  ``lm_window_match`` maps the main basis's lms through the same rule.  Its
-  algorithm stays deliberately naive: no shifts, no criteria, FIFO pairs and
-  the first listed generator whose lm divides.  Only its arithmetic is
-  tuned: generators in integer form (primitive over Q, monic over Z/p) on
-  packed monomials (``poly.MonoPacking``), integer S-polynomials, and a
-  pseudo-reducing normal form that pops terms from a heap.  It shares the
-  coefficient and monomial layers with the main algorithms, and none of
-  their pair enumeration, criteria, reducer search, kernel or completion.
+  ``lm_window_match`` maps the main basis's lms through the same rule and
+  compares them with the lms of the same runs (``_oracle_lms``), so the
+  check builds none of the oracle's polynomials.  Its algorithm stays
+  deliberately naive: no shifts, no criteria, FIFO pairs and the first
+  listed generator whose lm divides.  Only its arithmetic is tuned: one
+  packing (``poly.MonoPacking``) per check, under which each input is
+  packed once in integer form (primitive over Q, monic over Z/p) and
+  shifted packed, integer S-polynomials, and a pseudo-reducing normal form
+  that pops terms from a heap.  It shares the coefficient and monomial
+  layers with the main algorithms, and none of their pair enumeration,
+  criteria, reducer search, kernel or completion.
 
 Critical pairs carry a shift decoration: the pair (a, b, k) stands for
 spoly(a, sigma**k . b) with the appropriate s-power bookkeeping in skew
@@ -41,7 +44,8 @@ From one kernel call to the next, coefficients stay in the int form of
 the basis entries (``_Entry``), in the S-polynomials they form
 (``_Entry.spoly``) and in the kernel's results.  ``field.fraction`` makes
 field elements only where a polynomial leaves the engine: ``_Entry.poly``,
-``normal_form`` and its record and the oracle's returned basis.
+``normal_form`` and its record and ``oracle_gbasis_truncated``'s basis
+(``_oracle_polys``); the oracle checks read leading monomials only.
 
 Terms are ints packed by ``poly.MonoPacking`` (``_packed``), a term of S
 with its s-degree on top, from the entries and the kernel's heap to the
@@ -1034,138 +1038,183 @@ def _oracle_nf(work: dict, gens: list, seen: dict, guards: int):
     return _oracle_form(out) if out else None
 
 
-def _oracle_buchberger(gens: list[Polynomial], degree_cap=None):
-    """Textbook Buchberger in P: no shifts, no criteria, FIFO pairs.
+def _oracle_buchberger(gens: list, P: MonoPacking, degree_cap=None) -> list:
+    """Textbook Buchberger in P on the oracle generators ``gens``
+    (``_oracle_form``, packed by P): no shifts, no criteria, FIFO pairs.
+    Returns the run's generators, the distinct inputs first, in listed
+    order.
 
     degree_cap skips pairs whose lcm exceeds that total degree, which is
     exact for the capped part of the lm-ideal when the input is homogeneous.
 
-    It runs in integer form (``_oracle_form``: primitive over Q, monic over
-    Z/p) on packed monomials: the S-polynomial of generators with leading
-    coefficients a_i, a_j is (a_j / g) q_i f_i - (a_i / g) q_j f_j for g =
-    gcd(a_i, a_j), and ``_oracle_nf`` pseudo-reduces it through one
-    first-divisor memo.  Each result is a scalar multiple of the one field
-    arithmetic gives, so the same pairs reduce to zero.  A field that
-    overflows starts the run over at twice the width, with a new memo.
-    Generators become monic only on return.
+    The S-polynomial of generators with leading coefficients a_i, a_j is
+    (a_j / g) q_i f_i - (a_i / g) q_j f_j for g = gcd(a_i, a_j), and
+    ``_oracle_nf`` pseudo-reduces it through one first-divisor memo.  Each
+    result is a scalar multiple of the one field arithmetic gives, so the
+    same pairs reduce to zero.  A field that overflows raises
+    ``poly.Outgrown``.
     """
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    lc, ordering = gens[0].lc(), gens[0].ordering
-    one = lc * inverse(lc)  # the field's 1
-    rows = [(g.monomials(), common_denominator([c for _, c in g.terms])[1])
-            for g in gens]
-    letters, places = MonoPacking.extent(m for ms, _ in rows for m in ms)
+    G = list(dict.fromkeys(gens))  # listed order, no repeats
+    seen = {}  # the first-divisor memo
+    # A new generator's pairs queue behind all others, so the FIFO order is
+    # (i, j) by j, then i, over the growing G: no pair list.
+    j = 1
+    while j < len(G):
+        vj, aj, tj = G[j]
+        for i in range(j):
+            vi, ai, ti = G[i]
+            l = P.lcm(vi, vj)
+            if degree_cap is not None and P.degree(l) > degree_cap:
+                continue
+            qi, qj = l - vi, l - vj
+            g = gcd(ai, aj)
+            fi, fj = aj // g, ai // g
+            work = {qi + mm: b * fi if fi != 1 else b for mm, b in ti}
+            for mm, b in tj:
+                t = qj + mm
+                s = work.get(t, 0) - (b * fj if fj != 1 else b)
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+            if not work:
+                continue
+            nf = _oracle_nf(work, G, seen, P.guards)
+            if nf is not None:
+                G.append(nf)
+        j += 1
+    return G
+
+
+def _oracle_runs(rows, ordering: MonomialOrdering, sigma, degree_cap=None):
+    """The oracle's run (``_oracle_buchberger``) on each level of S, all
+    under one packing P: (P, {level: the run's generators}), lowest level
+    first.
+
+    ``rows`` are (p, slots) for nonzero polynomials p of P, with slots as
+    ``_window_slots`` gives them: the run on level l takes sigma**i(p) for
+    each slot (i, levels) with l in levels, in the order of the rows.  Each
+    p is put in int form once (``field.common_denominator``); under P its
+    form (``_oracle_form``) is packed once and its images are made by P's
+    ``sigma`` action, each one shared by the levels it sits on.  P holds the
+    rows' letters, and their places plus the largest shift.
+    ``poly.Outgrown`` (an image or a term that outgrew a field) starts every
+    run over at twice the width; the runs are deterministic, so their
+    results do not depend on P.
+    """
+    rows = [(p.monomials(), common_denominator([c for _, c in p.terms])[1],
+             slots) for p, slots in rows]
+    letters, places = MonoPacking.extent(m for ms, _, _ in rows for m in ms)
+    places += max((slots[-1][0] for _, _, slots in rows), default=0)
     width = 8  # exponents and degrees up to 127
     while True:
-        P = _packing(letters, places, ordering, width)
+        P = _packing(letters, places, ordering, width, 0, sigma)
         try:
-            G = list(dict.fromkeys(  # the forms in listed order, no repeats
-                _oracle_form(list(zip(map(P.pack, ms), nums)))
-                for ms, nums in rows))
-            seen = {}  # the first-divisor memo
-            # A new generator's pairs queue behind all others, so the FIFO
-            # order is (i, j) by j, then i, over the growing G: no pair list.
-            j = 1
-            while j < len(G):
-                vj, aj, tj = G[j]
-                for i in range(j):
-                    vi, ai, ti = G[i]
-                    l = P.lcm(vi, vj)
-                    if degree_cap is not None and P.degree(l) > degree_cap:
-                        continue
-                    qi, qj = l - vi, l - vj
-                    g = gcd(ai, aj)
-                    fi, fj = aj // g, ai // g
-                    work = {qi + mm: b * fi if fi != 1 else b for mm, b in ti}
-                    for mm, b in tj:
-                        t = qj + mm
-                        s = work.get(t, 0) - (b * fj if fj != 1 else b)
-                        if s:
-                            work[t] = s
-                        else:
-                            del work[t]
-                    if not work:
-                        continue
-                    nf = _oracle_nf(work, G, seen, P.guards)
-                    if nf is not None:
-                        G.append(nf)
-                j += 1
-            break
+            levels = {}
+            for monos, nums, slots in rows:
+                form = lm, a, tail = _oracle_form(
+                    list(zip(map(P.pack, monos), nums)))
+                for i, lvls in slots:
+                    img = form if i == 0 else (P.sigma(lm, i), a, tuple(
+                        (P.sigma(t, i), b) for t, b in tail))
+                    for lvl in lvls:
+                        levels.setdefault(lvl, []).append(img)
+            return P, {lvl: _oracle_buchberger(levels[lvl], P, degree_cap)
+                       for lvl in sorted(levels)}
         except Outgrown:
             width *= 2
-    un = P.unpack
+
+
+def _oracle_polys(P: MonoPacking, G: list, lc) -> list:
+    """The oracle generators G, packed by P, as monic polynomials of P; lc
+    is a nonzero coefficient of the field, for the field's 1."""
+    one, un = lc * inverse(lc), P.unpack
     return [Polynomial(((un(v), one),) + tuple(
         (un(t), fraction(b, a)) for t, b in tail
-    ), ordering, _sorted=True) for v, a, tail in G]
+    ), P.ordering, _sorted=True) for v, a, tail in G]
 
 
 def _window_slots(w, cfg: GBConfig):
     """The window rule: each shift i, with the levels of S its sigma**i
     image sits on, for what has weight (sigma mode) or s-degree (skew mode)
-    w.  A constant (w None) has its one image."""
+    w.  A constant (w None) has its one image.  ``expand_window`` refuses
+    the other modes for every caller."""
     d = cfg.degree_bound
     if cfg.mode == "sigma":
         return [(i, (0,)) for i in range(1 if w is None else d - w + 1)]
-    if cfg.mode == "skew":
-        return [(i, range(w + i, d + 1)) for i in range(d - w + 1)]
-    raise ValueError("lm window comparison supports sigma and skew modes")
+    return [(i, range(w + i, d + 1)) for i in range(d - w + 1)]
 
 
-def expand_window(H, cfg: GBConfig) -> dict:
-    """The oracle's generators by level of S, {level: [polynomial of P]},
-    each level's in the order listed: under ``_window_slots``, the shift
-    images of weight within d of each nonzero h of H, all on level 0 (sigma
-    mode), or the images sigma**i(h) that stand for s**i . h . s**j, of
-    total s-degree within d, on their levels, where h is s-homogeneous
-    (skew mode, ``_split``)."""
-    out = {}
+def expand_window(H, cfg: GBConfig) -> list:
+    """The oracle's input, for ``_oracle_runs``: (p, slots) for each
+    nonzero h of H with an image in the window, in the order of H, with
+    the slots of ``_window_slots``.  In sigma mode p is h, its shifts of
+    weight within d all on level 0; in skew mode p is the polynomial of P
+    of the s-homogeneous h (``_split``), and its image sigma**i(p) stands
+    for s**i . h . s**j, of total s-degree within d, on its levels.  The
+    oracle refuses an unsuitable endomorphism and the other modes."""
+    cfg.check_sigma()
+    if cfg.mode not in ("sigma", "skew"):
+        raise ValueError("oracle supports sigma and skew modes")
+    rows = []
     for h in H:
         if h:
-            w, poly = ((h.weight(), h) if cfg.mode == "sigma"
-                       else _split(h, cfg).parts[0])
-            for i, levels in _window_slots(w, cfg):
-                img = cfg.sigma.poly(poly, i)
-                for lvl in levels:
-                    out.setdefault(lvl, []).append(img)
-    return out
+            w, p = ((h.weight(), h) if cfg.mode == "sigma"
+                    else _split(h, cfg).parts[0])
+            if slots := _window_slots(w, cfg):
+                rows.append((p, slots))
+    return rows
 
 
 def oracle_gbasis_truncated(H, cfg: GBConfig, degree_cap=None) -> GBResult:
     """Independent cross-check: expand the shifted generators inside the
-    window and run a bare commutative Buchberger in P on each level of S
-    (``_oracle_buchberger``).  A graded ideal of S meets each level s**i in
-    an ideal of P times s**i, so the levels are independent.  In skew mode
-    the basis holds elements of S grouped by level, lowest first, each
-    level's in the order of its run."""
-    cfg.check_sigma()
-    if cfg.mode not in ("sigma", "skew"):
-        raise ValueError("oracle supports sigma and skew modes")
+    window (``expand_window``) and run a bare commutative Buchberger in P
+    on each level of S (``_oracle_runs``).  A graded ideal of S meets each
+    level s**i in an ideal of P times s**i, so the levels are independent.
+    The runs' generators come back as monic polynomials of P, in skew mode
+    as elements of S grouped by level, lowest first, each level's in the
+    order of its run.  The checks read the lms of the same runs
+    (``_oracle_lms``) and build none of these."""
+    rows = expand_window(H, cfg)
+    P, runs = _oracle_runs(rows, cfg.ordering, cfg.sigma, degree_cap)
     G = [g if cfg.mode == "sigma" else SkewElement.of_poly(g, lvl)
-         for lvl, gens in sorted(expand_window(H, cfg).items())
-         for g in _oracle_buchberger(gens, degree_cap)]  # nonzero, monic
+         for lvl, run in runs.items()
+         for g in _oracle_polys(P, run, rows[0][0].lc())]
     return GBResult(G, cfg.mode, cfg.degree_bound, PairStats(), None)
 
 
-def lm_window_match(main: GBResult, oracle: GBResult, cfg: GBConfig) -> bool:
-    """Window-restricted equality of leading-monomial ideals.
+def _oracle_lms(H, cfg: GBConfig, degree_cap=None) -> dict:
+    """The lms of ``oracle_gbasis_truncated``'s basis by level, {level:
+    [monomial of P]}, unpacked from its runs."""
+    P, runs = _oracle_runs(expand_window(H, cfg), cfg.ordering, cfg.sigma,
+                           degree_cap)
+    return {lvl: [P.unpack(v) for v, _, _ in run]
+            for lvl, run in runs.items()}
+
+
+def lm_window_match(basis, H, cfg: GBConfig) -> bool:
+    """Window-restricted equality of the leading-monomial ideals of the
+    main ``basis`` and of the oracle's on the generators H.
 
     Each lm of the main basis is mapped through the window rule that expands
     the oracle's generators, from its s-degree or, in sigma mode, its top
-    place.  The two sides generate the same truncated lm-ideal iff each
-    side's generators are divisible by the other's.
+    place; the oracle's lms (``_oracle_lms``) sit on their levels.  The two
+    sides generate the same truncated lm-ideal iff each side's generators
+    are divisible by the other's.
     """
+    B = {SkewMonomial(m, lvl)
+         for lvl, lms in _oracle_lms(H, cfg).items() for m in lms}
+
     def lm(g):
         return SkewMonomial(g.lm(), 0) if cfg.mode == "sigma" else g.lm()
 
     A = set()
-    for v in (lm(g) for g in main.basis if g):
+    for v in (lm(g) for g in basis if g):
         w = top_place(v.mono) if cfg.mode == "sigma" else v.sdeg
         for i, levels in _window_slots(w, cfg):
             m = cfg.sigma.mono(v.mono, i)
             A.update(SkewMonomial(m, lvl) for lvl in levels)
-    return _mutually_divisible_leveled(A, {lm(b) for b in oracle.basis if b})
+    return _mutually_divisible_leveled(A, B)
 
 
 def _mutually_divisible_leveled(A: set, B: set) -> bool:

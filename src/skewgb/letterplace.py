@@ -298,12 +298,15 @@ def certify_free(G, cfg: engine.GBConfig):
 def free_oracle_match(
     G, H, cfg: engine.GBConfig, compare_bound: int | None = None
 ) -> bool:
-    """Compare the word lm-ideal of G with the commutative oracle's.
+    """Compare the word lm-ideal of G with the commutative oracle's, for
+    the words up to ``compare_bound`` (default: the degree bound d, which
+    it may not exceed, as G holds no element above d).
 
     The oracle expands iota'(H) through the in-window shifts and runs the
-    bare commutative Buchberger; a word of length <= d is covered by G iff
-    some leading word is a contiguous subword, and covered by the oracle
-    iff some oracle leading monomial divides the word's placing.
+    bare commutative Buchberger, whose leading monomials it reads
+    (``engine._oracle_lms``); a word is covered by G iff some leading word
+    is a contiguous subword, and covered by the oracle iff some oracle
+    leading monomial divides the word's placing.
 
     The words are walked depth first, each with its placing as an int of
     one bit per (place, letter).  A word is covered iff its prefix one
@@ -315,6 +318,9 @@ def free_oracle_match(
     walk does not descend below it.
     """
     d = cfg.degree_bound if compare_bound is None else compare_bound
+    if not 1 <= d <= cfg.degree_bound:
+        raise ValueError(f"compare bound {d} lies outside the window "
+                         f"1..{cfg.degree_bound}")
     letters = set()
     for f in list(G) + list(H):
         letters |= f.letters()
@@ -324,11 +330,11 @@ def free_oracle_match(
     )
     # The generators are homogeneous, so capping the oracle's pairs at the
     # window degree is exact for the compared part of the lm-ideal.
-    oracle = engine.oracle_gbasis_truncated(
+    lms = engine._oracle_lms(
         [iota_prime(h, cfg.ordering) for h in H], ecfg, degree_cap=d
-    )
+    ).get(0, ())
     masks = {}  # top place (0 for the lm 1) -> the lms' placing bits
-    for lm in (b.lm() for b in oracle.basis if b):
+    for lm in lms:
         places = {c >> LETTER_BITS for c, _ in lm}
         if len(places) == len(lm) and 0 not in places and all(
             e == 1 and c & LETTER_MASK < n for c, e in lm
@@ -337,7 +343,7 @@ def free_oracle_match(
                 1 << (c >> LETTER_BITS) * n + (c & LETTER_MASK) for c, _ in lm
             ))
     lead = {g.lm() for g in G}
-    stack = [((), 0, () in lead, 0 in masks)] if d > 0 else []
+    stack = [((), 0, () in lead, 0 in masks)]
     while stack:
         w, placing, main, orc = stack.pop()
         k = len(w) + 1

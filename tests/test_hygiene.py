@@ -127,8 +127,9 @@ def test_no_package_module_defines_an_unread_private_name():
 # normal-form kernel or completion.
 # The oracle may read ``_split`` and ``_window_slots``, which belong to the
 # input and window layers.
-ORACLE_ROOTS = ("_oracle_nf", "_oracle_buchberger", "oracle_gbasis_truncated",
-                "expand_window", "free_oracle_match")
+ORACLE_ROOTS = ("_oracle_nf", "_oracle_buchberger", "_oracle_runs",
+                "_oracle_polys", "_oracle_lms", "oracle_gbasis_truncated",
+                "expand_window", "lm_window_match", "free_oracle_match")
 ENGINE_ONLY = {"_nf_terms", "_Entry", "_search", "_Divisors", "_window_pairs",
                "_left_pairs", "_family", "_complete", "_solve", "_packed",
                "_interreduce"}

@@ -30,7 +30,7 @@ from skewgb.letterplace import (
     word_of_mono,
     xi,
 )
-from skewgb.poly import LEX, Polynomial, mono, mono_divides
+from skewgb.poly import mono, mono_divides
 from skewgb.skew import SkewMonomial, skew_mul
 from skewgb.textio import parse_free, parse_poly, parse_skew
 
@@ -258,22 +258,24 @@ def test_oracle_comparison_rejects_a_wrong_basis():
     assert not free_oracle_match(G[:2], H, cfg, compare_bound=3)
 
 
-def reference_oracle_match(G, H, cfg, compare_bound=None):
+def reference_oracle_match(G, H, cfg, compare_bound=None, B=None):
     """The exhaustive comparison that ``free_oracle_match`` replaced: every
     word up to the bound, tested against every leading word as a contiguous
-    subword and against every oracle lm as a divisor of its placing."""
+    subword and against every oracle lm as a divisor of its placing.  The
+    oracle lms are B, or else those of ``oracle_gbasis_truncated``'s
+    basis."""
     d = cfg.degree_bound if compare_bound is None else compare_bound
     letters = set()
     for f in list(G) + list(H):
         letters |= f.letters()
     n = max(letters) + 1 if letters else 1
-    ecfg = GBConfig(
-        mode="sigma", degree_bound=d, ordering=cfg.ordering, sigma=cfg.sigma
-    )
-    oracle = engine.oracle_gbasis_truncated(
-        [iota_prime(h, cfg.ordering) for h in H], ecfg, degree_cap=d
-    )
-    B = [b.lm() for b in oracle.basis if b]
+    if B is None:
+        ecfg = GBConfig(mode="sigma", degree_bound=d, ordering=cfg.ordering,
+                        sigma=cfg.sigma)
+        oracle = engine.oracle_gbasis_truncated(
+            [iota_prime(h, cfg.ordering) for h in H], ecfg, degree_cap=d
+        )
+        B = [b.lm() for b in oracle.basis if b]
     lms = [g.lm() for g in G]
     for length in range(1, d + 1):
         for w in product(range(n), repeat=length):
@@ -330,28 +332,39 @@ def test_oracle_comparison_matches_the_exhaustive_loop_on_odd_lms(
 
     def oracle_of(lms):
         def fake(H, cfg, degree_cap=None):
-            basis = [Polynomial([(m, QQ.one)], LEX) for m in lms]
-            return engine.GBResult(basis, "sigma", cfg.degree_bound,
-                                   engine.PairStats())
+            return {0: list(lms)}
         return fake
 
     empty_word = fp([((), 1)])
     lms_sets = [[m] for m in odd] + [odd[:-1], [mono((0, 1, 1))] + odd[:-1]]
     for lms in lms_sets:
-        monkeypatch.setattr(engine, "oracle_gbasis_truncated", oracle_of(lms))
+        monkeypatch.setattr(engine, "_oracle_lms", oracle_of(lms))
         for basis in ([], G, [empty_word], G + [empty_word]):
             for bound in (1, 2, 3):
                 assert free_oracle_match(basis, H, cfg, bound) == \
-                    reference_oracle_match(basis, H, cfg, bound), \
+                    reference_oracle_match(basis, H, cfg, bound, lms), \
                     (lms, basis, bound)
     # The empty word covers every word, as the lm 1 does.
-    monkeypatch.setattr(engine, "oracle_gbasis_truncated", oracle_of([mono()]))
+    monkeypatch.setattr(engine, "_oracle_lms", oracle_of([mono()]))
     assert free_oracle_match([empty_word], H, cfg)
     assert not free_oracle_match(G, H, cfg)
     # A letter past the alphabet must not alias the next place's letter 0.
-    monkeypatch.setattr(engine, "oracle_gbasis_truncated",
-                        oracle_of([mono((2, 1, 1))]))
+    monkeypatch.setattr(engine, "_oracle_lms", oracle_of([mono((2, 1, 1))]))
     assert free_oracle_match([], H, cfg)
+
+
+def test_oracle_comparison_refuses_a_bound_outside_the_window():
+    # Past the degree bound the basis was never computed: solved at
+    # degree_bound 2, this basis lacks y x y, so at bound 3 it would read
+    # "differ" although it is the 2-truncated basis.
+    H = [parse_free("x*y - y^2"), parse_free("x^2")]
+    cfg = GBConfig(mode="free", degree_bound=2)
+    G = free_gbasis(H, cfg)
+    assert free_oracle_match(G, H, cfg, compare_bound=2)
+    assert free_oracle_match(G, H, cfg, compare_bound=1)
+    for bound in (0, -1, 3, 7):
+        with pytest.raises(ValueError, match=f"compare bound {bound} "):
+            free_oracle_match(G, H, cfg, compare_bound=bound)
 
 
 def test_both_routes_agree():

@@ -7,7 +7,8 @@ monic generators, ``spoly``, and the largest pending term taken by a scan.
 Run on generators of several levels in any interleaving, the reference's
 generators of each level must be those of the oracle's run on that level,
 element by element and in order, and the runs together must reduce the
-same pairs."""
+same pairs.  The oracle's window, whose images it shifts packed, is checked
+against the same images shifted on tuple monomials."""
 
 import random
 from fractions import Fraction
@@ -24,8 +25,10 @@ from skewgb import engine
 from skewgb.engine import (
     GBConfig,
     expand_window,
+    oracle_gbasis_truncated,
     spoly,
 )
+from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.field import GF, common_denominator
 from skewgb.letterplace import iota_prime
 from skewgb.poly import (
@@ -38,7 +41,7 @@ from skewgb.poly import (
     mono_mul,
 )
 from skewgb.skew import SkewElement, SkewMonomial
-from skewgb.textio import parse_poly
+from skewgb.textio import parse_poly, parse_skew
 
 
 def reference_nf(f: SkewElement, gens: list[SkewElement]):
@@ -129,15 +132,37 @@ def interleaved(rng, levels: dict):
     return out
 
 
+def oracle_buchberger(gens: list, cap=None):
+    """The oracle's run on the polynomials gens of P, on one level with no
+    shift, as monic polynomials: the distinct nonzero inputs first."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    P, runs = engine._oracle_runs([(g, ((0, (0,)),)) for g in gens],
+                                  gens[0].ordering, None, cap)
+    return engine._oracle_polys(P, runs[0], gens[0].lc())
+
+
 def oracle_by_level(gens: list, cap=None):
-    """``_oracle_buchberger`` on each level of the nonzero elements of S
+    """``oracle_buchberger`` on each level of the nonzero elements of S
     gens, lifted back onto their levels, lowest level first."""
     levels = {}
     for g in gens:
         for lvl, f in g.parts:  # one part: the generators are on one level
             levels.setdefault(lvl, []).append(f)
     return [h for lvl in sorted(levels)
-            for h in lifted(engine._oracle_buchberger(levels[lvl], cap), lvl)]
+            for h in lifted(oracle_buchberger(levels[lvl], cap), lvl)]
+
+
+def window(H, cfg):
+    """The oracle's generators by level, {level: [polynomial of P]}: the
+    images of ``expand_window``'s rows, shifted on tuple monomials."""
+    levels = {}
+    for p, slots in expand_window(H, cfg):
+        for i, lvls in slots:
+            for lvl in lvls:
+                levels.setdefault(lvl, []).append(cfg.sigma.poly(p, i))
+    return levels
 
 
 def recoef(f, rng, field):
@@ -175,7 +200,7 @@ def random_input(rng, kind, field):
         cfg = GBConfig(mode="sigma", degree_bound=cap, ordering=ordering)
         H = [iota_prime(random_free_homogeneous(rng, 2, max_deg=2, terms=3),
                         ordering) for _ in range(n)]
-    gens = interleaved(rng, expand_window(H, cfg))
+    gens = interleaved(rng, window(H, cfg))
     gens = [recoef(g, rng, field) for g in gens]
     gens.append(gens[0].scale(GF(7).of(3) if field == "Z/7" else
                               Fraction(-5, 3)))
@@ -214,6 +239,63 @@ def test_oracle_matches_field_reference(kind, field, monkeypatch):
     assert grew >= 5  # the S-polynomials added generators
 
 
+def oracle_by_window(H, cfg):
+    """``oracle_buchberger`` on each level of the tuple-shifted window of
+    H, lowest level first, in skew mode lifted onto the levels."""
+    levels = window(H, cfg)
+    return {lvl: [g if cfg.mode == "sigma" else SkewElement.of_poly(g, lvl)
+                  for g in oracle_buchberger(levels[lvl])]
+            for lvl in sorted(levels)}
+
+
+@pytest.mark.parametrize("kind", ["sigma", "skew", "skew-power"])
+def test_window_runs_share_one_packing(kind):
+    # The oracle packs each input once, shifts it packed and runs every
+    # level under one packing.  Its bases must be those of the same runs on
+    # the tuple-shifted window, one level and one packing at a time, and
+    # the lms that the checks read must be theirs.
+    rng = random.Random(kind)
+    sigma = PowerEndo(2) if kind == "skew-power" else ShiftEndo()
+    for _ in range(40):
+        ordering = rng.choice((LEX, DEGLEX))
+        fixed = rng.randint(1, 2) if ordering is LEX else None
+        n = rng.randint(1, 2)
+        if kind == "sigma":
+            cfg = GBConfig(mode="sigma", degree_bound=rng.randint(2, 4),
+                           ordering=ordering)
+            H = [random_weighted_poly(rng, letters=2, max_weight=2, max_deg=2,
+                                      terms=3, ordering=ordering,
+                                      fixed_degree=fixed) for _ in range(n)]
+        else:
+            cfg = GBConfig(mode="skew", degree_bound=3, ordering=ordering,
+                           sigma=sigma)
+            H = [random_skew_homogeneous(rng, letters=2, max_place=1,
+                                         max_deg=2, terms=2, max_sdeg=1,
+                                         ordering=ordering,
+                                         fixed_degree=fixed)
+                 for _ in range(n)]
+        want = oracle_by_window(H, cfg)
+        got = oracle_gbasis_truncated(H, cfg).basis
+        assert repr([g.terms for g in got]) == \
+            repr([g.terms for run in want.values() for g in run])
+        lms = {lvl: [g.lm() if cfg.mode == "sigma" else g.lm().mono
+                     for g in run] for lvl, run in want.items()}
+        assert engine._oracle_lms(H, cfg) == lms
+
+
+def test_an_image_past_the_first_width_widens_every_level():
+    # Under x -> x**2 the image sigma**4(x(0)^9) = x(0)^144 outgrows the
+    # first width; every level runs again under the wider packing.
+    cfg = GBConfig(mode="skew", degree_bound=5, sigma=PowerEndo(2))
+    H = [parse_skew("(x(1)^9 - 2*x(0)^9)*s"), parse_skew("x(1)*x(0)*s^2")]
+    want = oracle_by_window(H, cfg)
+    assert sorted(want) == [1, 2, 3, 4, 5]
+    got = oracle_gbasis_truncated(H, cfg).basis
+    assert repr([g.terms for g in got]) == \
+        repr([g.terms for run in want.values() for g in run])
+    assert max(v.mono[0][1] for g in got for v, _ in g.terms) >= 144
+
+
 def test_oracle_scales_terms_that_left_before_a_non_unit_step():
     # The S-polynomial of a = 2*x(1)^2 + x(0)^2 and b = 2*x(2)*x(1) + x(1)^3
     # is x(2)*x(0)^2 - x(1)^4.  Its lead x(2)*x(0)^2 is irreducible and
@@ -223,7 +305,7 @@ def test_oracle_scales_terms_that_left_before_a_non_unit_step():
     # x(2)*x(0)^2 - 1/4*x(0)^4.
     gens = [parse_poly(t)
             for t in ("2*x(1)^2 + x(0)^2", "2*x(2)*x(1) + x(1)^3")]
-    got = engine._oracle_buchberger(gens)
+    got = oracle_buchberger(gens)
     assert got[2] == parse_poly("x(2)*x(0)^2 - 1/4*x(0)^4")
     assert lifted(got) == reference_buchberger(lifted(gens))[0]
 
@@ -245,7 +327,7 @@ def test_oracle_starts_over_when_an_overflowed_term_is_popped(
         texts, aborted, reduced, monkeypatch):
     gens = [parse_poly(t) for t in texts]
     calls = reduced_pairs(monkeypatch)
-    got = lifted(engine._oracle_buchberger(gens))
+    got = lifted(oracle_buchberger(gens))
     ref = reference_buchberger(lifted(gens))
     assert repr([g.terms for g in got]) == repr([g.terms for g in ref[0]])
     assert ref[1] == reduced
@@ -322,7 +404,7 @@ def test_memo_starts_empty_after_a_restart(monkeypatch):
         return nf(work, oracle_gens, seen, guards)
 
     monkeypatch.setattr(engine, "_oracle_nf", recorded)
-    got = engine._oracle_buchberger(gens)
+    got = oracle_buchberger(gens)
     assert lifted(got) == reference_buchberger(lifted(gens))[0]
     widths = [guards for guards, _ in calls]
     restart = widths.index(widths[-1])
