@@ -36,7 +36,8 @@ between left mode and the two-sided modes once, for the completion, the
 reduction and ``certify``.  Every mode reduces through one front end,
 ``_search``, which pairs the reducer search of the mode family (closure
 sigma**i(g) * s**j, or s**u * g in left mode) with the one kernel
-``_nf_terms`` and answers each term's query once per basis state.  The
+``_nf_terms`` and keeps each term's answer for the whole run, searching
+only the entries appended since when the term comes again.  The
 completion ``_complete`` keeps its entries tail-reduced.
 
 From one kernel call to the next, coefficients stay in the int form of
@@ -50,8 +51,11 @@ field elements only where a polynomial leaves the engine: ``_Entry.poly``,
 Terms are ints packed by ``poly.MonoPacking`` (``_packed``), a term of S
 with its s-degree on top, from the entries and the kernel's heap to the
 reducer search, the pairs and the criteria; sigma**u is the endomorphism's
-``packed`` action.  ``_Entry.of`` packs; ``_Entry.poly``, ``normal_form``
-and its record unpack, and a pair filter sees the lcm unpacked.
+``packed`` action, and each entry makes sigma**u of its lm once
+(``_Entry.shifted``).  ``_Entry.of`` packs; ``_Entry.poly``,
+``normal_form`` and its record unpack.  A pair filter with a ``packed``
+form, as the letterplace filters have, tests the packed lcm; any other
+callable is handed the lcm unpacked (``_lcm_filter``).
 
 Criteria: one ``_Divisors.criterion`` serves the completion and
 ``certify``.  The product criterion holds only in ideal modes (difference
@@ -246,13 +250,16 @@ class _Entry:
 
     A shift moves monomials only and keeps their order and s-degrees, so
     the same numbers serve every shifted image: ``images(u)`` gives its
-    tail terms.  ``poly`` unpacks the element on first read, for output.
+    tail terms and ``shifted(u)`` sigma**u(lm), which the pairs, the
+    criteria, the reducer search and ``spoly`` read; ``lms`` keeps those
+    made so far.  ``poly`` unpacks the element on first read, for output.
     ``take_tail`` changes ``monos``, ``den``, ``nums`` and ``poly``;
-    ``lm``, ``sdeg``, ``top``, ``w`` and ``index`` never change.
+    ``lm``, ``sdeg``, ``top``, ``w`` and ``index`` never change, and
+    ``lms`` only grows.
     """
 
     __slots__ = ("monos", "lc", "den", "nums", "packing", "sdeg", "lm", "top",
-                 "w", "index", "_poly")
+                 "w", "index", "lms", "_poly")
 
     def __init__(self, terms, packing: MonoPacking, index: int):
         """The entry of the nonzero element with descending (term,
@@ -261,8 +268,10 @@ class _Entry:
         self.lc = c * inverse(c)
         self.packing, self.index = packing, index
         self.lm, self.sdeg = lead & packing.base, lead >> packing.sdeg_shift
-        self.top = next(((v >> LETTER_BITS, v & LETTER_MASK, e) for v, e
-                         in packing.unpack(self.lm)), None)  # the largest
+        self.lms = [self.lm]
+        top = packing.top(self.lm)
+        self.top = top and (top[0] >> LETTER_BITS, top[0] & LETTER_MASK,
+                            top[1])
         self.w = self.sdeg if packing.skew else self.top[0] if self.top else -1
         self.monos = (lead,)
         self.take_tail(c, tail)
@@ -303,6 +312,15 @@ class _Entry:
                 if P.skew else Polynomial(terms, P.ordering, _sorted=True))
         return p
 
+    def shifted(self, u: int) -> int:
+        """sigma**u(lm), the P-part only, made once per u: ``lms`` holds
+        the images for u = 0, 1, ... made so far.  The image of the leading
+        term of S adds the s-degree bits, ``sdeg << P.sdeg_shift``."""
+        lms = self.lms
+        while len(lms) <= u:
+            lms.append(self.packing.sigma(self.lm, len(lms)))
+        return lms[u]
+
     def images(self, u: int) -> list:
         """The tail terms of sigma**u . element, each on its own s-degree."""
         sigma = self.packing.sigma
@@ -319,7 +337,7 @@ class _Entry:
         if P.skew:
             l |= max(self.sdeg, other.sdeg + sh) << P.sdeg_shift
         qa = l - self.monos[0]
-        qb = l - P.sigma(other.monos[0], sh)
+        qb = l - (other.shifted(sh) | other.sdeg << P.sdeg_shift)
         # A factor of 1 (always, over Z/p) leaves the numerators as they are.
         fa, fb = D // da, D // db
         na = self.nums if fa == 1 else [n * fa for n in self.nums]
@@ -387,18 +405,21 @@ _packing = lru_cache(maxsize=64)(MonoPacking)
 class _Divisors:
     """The images of the lms of a growing list of entries that divide a
     monomial, for the reducer search (``smallest``) and the criteria
-    (``criterion``): ``dividing(n, level)`` yields (entry, u) for each
-    sigma**u(lm) that divides the packed n, with u at most ``level`` less
-    the entry's window weight (``_Entry.w``), or in left mode exactly that;
-    a level of None sets no bound.
+    (``criterion``): ``dividing(n, level, start)`` yields (entry, u) for
+    each sigma**u(lm) of an entry at list position ``start`` or later that
+    divides the packed n, with u at most ``level`` less the entry's window
+    weight (``_Entry.w``), or in left mode exactly that; a level of None
+    sets no bound.
 
     Under the place shift sigma**u(lm) can divide n only where it puts the
     top variable of the lm on a variable of n with the same letter and at
     least the exponent: ``columns[letter][place]`` keeps (exponent, variable
     fields of the lm, entry) by that variable, ``ones`` the entries whose
     lm is 1, and only those shifts get a mask test, of n's variable fields
-    shifted down u places.  Left mode (one shift an entry) and the other
-    endomorphisms try every shift.
+    shifted down u places.  Left mode (one shift an entry), the other
+    endomorphisms and a search from a ``start`` past 0 (the few entries
+    appended since an earlier answer) test every shift of each entry's
+    ``lms``, under the place shift only up to n's top place.
     """
 
     __slots__ = ("entries", "seen", "columns", "ones", "packing", "left",
@@ -410,14 +431,24 @@ class _Divisors:
         self.product, self.chain = cfg.product_enabled(), cfg.chain_criterion
         self.columns = None if self.left or cfg.sigma != ShiftEndo() else {}
 
-    def dividing(self, n: int, level):
+    def dividing(self, n: int, level, start: int = 0):
         P, entries, guards = self.packing, self.entries, self.packing.guards
-        if self.columns is None:  # left or skew mode, by check_sigma
-            ng, sigma, left = n | guards, P.sigma, self.left
-            for ent in entries:
-                hi = level - ent.sdeg
+        shift = self.columns is not None
+        if start or not shift:
+            ng, left = n | guards, self.left
+            if shift:
+                top = P.top(n)
+                tn = top[0] >> LETTER_BITS if top else -1
+            for ent in entries[start:]:
+                hi = None if level is None else level - ent.w
+                if shift:  # sigma**u(lm) tops at place u + its top's
+                    cap = tn - ent.top[0] if ent.top else 0
+                    hi = cap if hi is None or cap < hi else hi
+                lms = ent.lms
+                if len(lms) <= hi:
+                    ent.shifted(hi)
                 for u in range(hi if left and hi >= 0 else 0, hi + 1):
-                    if (ng - sigma(ent.lm, u)) & guards == guards:
+                    if (ng - lms[u]) & guards == guards:
                         yield ent, u
             return
         columns = self.columns
@@ -446,16 +477,17 @@ class _Divisors:
                     if level is None or u <= level - ent.w:
                         yield ent, u
 
-    def smallest(self, m: int):
+    def smallest(self, m: int, start: int = 0):
         """The reducer search for ``_search``: (entry, shift, shifted lm)
         with the smallest (shifted lm, entry index, shift) among the images
-        that divide the term m, or None.  Every shift counts in sigma mode;
-        in skew mode the shift may not push the reducer past m's s-degree;
-        in left mode the image is the s-power multiple on m's s-degree."""
+        of the entries from list position ``start`` on that divide the term
+        m, or None.  Every shift counts in sigma mode; in skew mode the
+        shift may not push the reducer past m's s-degree; in left mode the
+        image is the s-power multiple on m's s-degree."""
         P, best = self.packing, None
         level = m >> P.sdeg_shift if P.skew else None
-        for ent, u in self.dividing(m, level):
-            img = P.sigma(ent.lm, u)
+        for ent, u in self.dividing(m, level, start):
+            img = ent.shifted(u)
             if best is None or img < best[2] or img == best[2] and (
                     ent.index, u) < (best[0].index, best[1]):
                 best = ent, u, img
@@ -469,15 +501,20 @@ class _Divisors:
         (Gebauer–Möller) asks for an image of an entry's lm that divides l
         with both its lcms below l; the images are sigma**u for u up to the
         level less the entry's window weight, or in left mode the one
-        s-power multiple on that level."""
-        P, entries = self.packing, self.entries
-        alm, blm = entries[a].lm, P.sigma(entries[b].lm, sh)
+        s-power multiple on that level.  The pair's own two images, a's at
+        shift 0 and b's at shift sh, have l as one of those lcms, so they
+        are not tried."""
+        P, ea, eb = self.packing, self.entries[a], self.entries[b]
+        alm, blm = ea.lm, eb.shifted(sh)
         if self.product and l == alm + blm:
             return "product"
         if self.chain:
+            plcm = P.lcm
             for ent, u in self.dividing(l, level):
-                img = P.sigma(ent.lm, u)
-                if P.lcm(alm, img) < l and P.lcm(img, blm) < l:
+                if ent is ea and u == 0 or ent is eb and u == sh:
+                    continue
+                img = ent.shifted(u)
+                if plcm(alm, img) < l and plcm(img, blm) < l:
                     return "chain"
         return None
 
@@ -604,6 +641,16 @@ def _family(cfg: GBConfig):
                                                            "sigma")
 
 
+def _lcm_filter(pair_filter, P: MonoPacking):
+    """A pair filter as the enumerators call it, on the packed lcm: None
+    passes every pair, a filter with a ``packed`` form gives that form
+    under P, and any other callable is called on the lcm unpacked."""
+    if pair_filter is None or hasattr(pair_filter, "packed"):
+        return pair_filter and pair_filter.packed(P)
+    unpack = P.unpack
+    return lambda l, level: pair_filter(unpack(l), level)
+
+
 def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
                   P: MonoPacking, pair_filter):
     """The in-window critical pairs of entry t against entries 0..t.
@@ -618,9 +665,10 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
     to stratum d.  That is one rule for both modes, because the letterplace
     correspondence maps the weight of an ideal of P onto the s-degree of its
     image in S.  ``pair_filter(lcm, stratum)``, when given, vetoes pairs the
-    caller knows to be irrelevant; it sees the lcm unpacked.
+    caller knows to be irrelevant; it sees the lcm packed, as
+    ``_lcm_filter`` makes it from the caller's filter.
     """
-    sigma, plcm = P.sigma, P.lcm
+    plcm = P.lcm
     d = cfg.degree_bound
     for j in range(t + 1):
         for a, b, sh0 in ((t, t, 1),) if j == t else ((j, t, 0), (t, j, 1)):
@@ -628,10 +676,13 @@ def _window_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
             wa, wb = ea.w, eb.w
             if wa > d:
                 continue
+            lm, lms = ea.lm, eb.lms
+            if len(lms) <= d - wb:
+                eb.shifted(d - wb)
             for sh in range(sh0, d - wb + 1):
-                l = plcm(ea.lm, sigma(eb.lm, sh))
+                l = plcm(lm, lms[sh])
                 stratum = max(wa, wb + sh)
-                if pair_filter is None or pair_filter(P.unpack(l), stratum):
+                if pair_filter is None or pair_filter(l, stratum):
                     yield a, b, sh, stratum, l
 
 
@@ -642,17 +693,21 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
     A pair's S-polynomial lies on its stratum in skew and left mode
     (``_Entry.spoly``), on s-degree 0 in sigma mode.  ``pair_filter(lcm,
     level)`` may veto structurally irrelevant pairs (the letterplace
-    membership filters).  Returns (entries, stats, trace); the trace is a
+    membership filters); ``_lcm_filter`` makes it a test of packed lcms
+    once per run.  Returns (entries, stats, trace); the trace is a
     list of lines when ``cfg.trace`` is set, else None.
     """
     pairs, shift = _family(cfg)
+    keep = _lcm_filter(pair_filter, P)
 
     entries: list[_Entry] = []
     stats = PairStats()
     trace = [] if cfg.trace else None
     heap: list = []
     _, reduce = _search(entries, cfg, P)
-    criterion = _Divisors(entries, cfg, P).criterion
+    divisors = _Divisors(entries, cfg, P)
+    # A left entry's tail spans s-degrees: its terms compare whole.
+    part = -1 if cfg.mode == "left" else P.base
 
     def note(a, b, sh, stratum, outcome):
         if trace is not None:
@@ -661,8 +716,7 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
     def add_element(ent):
         entries.append(ent)
         stats.added += 1
-        for a, b, sh, stratum, l in pairs(entries, ent.index, cfg, P,
-                                          pair_filter):
+        for a, b, sh, stratum, l in pairs(entries, ent.index, cfg, P, keep):
             # The running count breaks ties in the order of enumeration.
             heapq.heappush(heap, (stratum, P.degree(l), l, stats.considered,
                                   a, b, sh))
@@ -670,13 +724,15 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
         # Reduce again each older tail that an image of the new lm divides.
         # Such an image lies on the new s-degree or above, and no term it
         # divides is below the new leading term, so a tail below either is
-        # not searched.
-        hits = _Divisors([ent], cfg, P).smallest
-        lead = ent.monos[0]
+        # not searched; in skew mode a tail on one s-degree compares its
+        # P-part with the lm.
+        new = len(entries) - 1
+        lead = ent.monos[0] & part
         for old in entries[:-1]:
-            if old.sdeg < ent.sdeg or len(old.monos) == 1 or old.monos[1] < lead:
+            if old.sdeg < ent.sdeg or len(old.monos) == 1 or \
+                    old.monos[1] & part < lead:
                 continue
-            if any(hits(m) for m in old.monos[1:]):
+            if any(divisors.smallest(m, new) for m in old.monos[1:]):
                 old.take_tail(*reduce(old.den, old.tail()))
         return ent
 
@@ -686,7 +742,7 @@ def _complete(seeds, cfg: GBConfig, P: MonoPacking, pair_filter=None):
 
     while heap:
         stratum, _, l, _, a, b, sh = heapq.heappop(heap)
-        crit = criterion(a, b, sh, l, stratum)
+        crit = divisors.criterion(a, b, sh, l, stratum)
         if crit:
             if crit == "product":
                 stats.product_skipped += 1
@@ -743,14 +799,18 @@ def sigma_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     H is a set of polynomials of P; the ideal is closed under the shift, and
     every S-polynomial spoly(f, sigma**k . g) whose lcm has weight <= d
     reduces to zero modulo the shifted basis closure.  ``pair_filter`` is
-    passed to the completion (the letterplace V filter).
+    passed to the completion (the letterplace V filter): it is called as
+    ``pair_filter(lcm, stratum)`` on the lcm's tuple monomial, or, when it
+    has a ``packed`` method, ``pair_filter.packed(P)`` is called on the lcm
+    packed by P (``poly.MonoPacking``).
     """
     return _solve(H, cfg, "sigma", pair_filter)
 
 
 def skew_gbasis(H, cfg: GBConfig, pair_filter=None) -> GBResult:
     """d-truncated two-sided Gröbner basis for s-homogeneous generators;
-    ``pair_filter`` is passed to the completion (the letterplace R filter)."""
+    ``pair_filter`` is passed to the completion (the letterplace R filter),
+    under the contract of ``sigma_gbasis``."""
     return _solve(H, cfg, "skew", pair_filter)
 
 
@@ -766,15 +826,15 @@ def _left_pairs(entries: list[_Entry], t: int, cfg: GBConfig,
     entry of larger leading s-degree comes first and the other is lifted to
     meet it; on equal s-degree (shift 0) entry t comes first.  Pairs above
     s-degree d are dropped, as are those that ``pair_filter(lcm, s-degree)``
-    vetoes, when given; it sees the lcm unpacked.
+    vetoes, when given; it sees the lcm packed (``_lcm_filter``).
     """
     for j in range(t):
         da, db = entries[t].sdeg, entries[j].sdeg
         a, b, sh = (t, j, da - db) if da >= db else (j, t, db - da)
         e = max(da, db)
         if e <= cfg.degree_bound:
-            l = P.lcm(entries[a].lm, P.sigma(entries[b].lm, sh))
-            if pair_filter is None or pair_filter(P.unpack(l), e):
+            l = P.lcm(entries[a].lm, entries[b].shifted(sh))
+            if pair_filter is None or pair_filter(l, e):
                 yield a, b, sh, e, l
 
 
@@ -800,10 +860,13 @@ def _search(entries, cfg: GBConfig, P: MonoPacking):
     Returns (find, reduce).  ``find(m)`` gives the ``_nf_terms`` hit,
     (cofactor, products, shift, entry), or None.  The search is a pure
     function of the term m, whose s-degree is its level, and the entries'
-    lms, which only grow by append, so a memo keyed by m keeps each answer
-    with its products and is cleared whenever the number of entries has
-    changed since it was filled; a hit is also cleared when its entry takes
-    a new tail (``take_tail``), and rebuilt from that tail.  ``reduce(M,
+    lms, which never change and only grow by append, so a memo keyed by m
+    keeps each answer for the whole run, tagged with the number of entries
+    it saw.  When entries were appended since, only those are searched
+    (``_Divisors.smallest`` from that list position): their indices are
+    larger, so only a strictly smaller image replaces the answer, and a
+    memoized None takes the best new hit.  A hit is rebuilt from its
+    entry's tail when the entry took a new one (``take_tail``).  ``reduce(M,
     work, record=None)`` gives the ``_nf_terms`` normal form, in int form,
     of the {term: numerator} dict ``work`` over M against the family's
     closure.  The cofactor is the term less the image of the entry's
@@ -811,28 +874,25 @@ def _search(entries, cfg: GBConfig, P: MonoPacking):
     ``images`` plus the cofactor, the product ``_Entry.spoly`` uses too.
     """
     search = _Divisors(entries, cfg, P).smallest
-    sigma, over = P.sigma, P.over
+    sdeg_shift, over = P.sdeg_shift, P.over
     memo = {}
-    filled = 0
+    unseen = None, None, None, 0  # a query no entry has answered
 
     def find(m):
-        nonlocal filled
-        if len(entries) != filled:
-            memo.clear()
-            filled = len(entries)
-        hit, nums = memo.get(m, (memo, None))  # memo: a new query
-        if hit is memo:
-            hit = search(m)
-            if hit is not None:
-                ent, u, _ = hit
-                hit = m - sigma(ent.monos[0], u), None, u, ent
+        best, hit, nums, seen = memo.get(m, unseen)
+        if seen != len(entries):  # search the entries appended since
+            new = search(m, seen)
+            if new is not None and (best is None or new[2] < best[2]):
+                best, hit = new, None
         elif hit is None or hit[3].nums is nums:
             return hit
-        if hit is not None:  # new, or stale: its entry took a new tail since
-            q, _, u, ent = hit
+        if best is not None and (hit is None or hit[3].nums is not nums):
+            # New, or stale: its entry took a new tail since.
+            ent, u, img = best
+            q = m - (img | ent.sdeg << sdeg_shift)
             hit, nums = (q, tuple([q + t for t in ent.images(u)]), u,
                          ent), ent.nums
-        memo[m] = hit, nums
+        memo[m] = best, hit, nums, len(entries)
         return hit
 
     def reduce(M, work, record=None):
@@ -935,7 +995,9 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
     sub-pairs have strictly smaller lcms inside the window, so induction on
     the lcm covers them whatever the order.  On a failure the check runs
     again with both criteria off, which reduces every pair and lists the
-    failures in enumeration order; ``criteria: none`` asks for that run."""
+    failures in enumeration order; ``criteria: none`` asks for that run.
+    ``pair_filter`` vetoes pairs as in the completion, under the contract
+    of ``sigma_gbasis``: on the tuple lcm, or through its ``packed`` form."""
     cfg.check_sigma()
     basis = list(basis)
     pairs, shift = _family(cfg)
@@ -945,8 +1007,9 @@ def certify(basis, cfg: GBConfig, pair_filter=None):
         entries = _entries(basis, cfg, P)
         _, reduce = _search(entries, cfg, P)
         criterion = _Divisors(entries, cfg, P).criterion
+        keep = _lcm_filter(pair_filter, P)
         for t in range(len(entries)):
-            for a, b, sh, level, l in pairs(entries, t, cfg, P, pair_filter):
+            for a, b, sh, level, l in pairs(entries, t, cfg, P, keep):
                 if criterion(a, b, sh, l, level):
                     continue
                 if reduce(*entries[a].spoly(entries[b], sh, l))[1]:

@@ -12,7 +12,10 @@ by running the difference-ideal (or two-sided skew) completion on the
 embedded generators while discarding every critical pair whose lcm falls
 outside V (resp. R): the surviving pairs are exactly the alignments of
 shifted copies that correspond to genuine word overlaps, so no separate
-overlap enumeration is needed.
+overlap enumeration is needed.  The two filters (``_v_filter``,
+``_r_filter``) take a tuple monomial, and their ``packed`` form, which the
+engine calls, tests the engine's packed lcm with the masks of
+``poly.MonoPacking.word_length``, decoding nothing.
 
 Words are compared length first, then letter by letter from the last
 place backwards — the order induced by restricting the skew-monomial
@@ -234,13 +237,31 @@ def _validate_input(H):
     return gens
 
 
-def _v_filter(l: Monomial, stratum: int) -> bool:
-    return word_of_mono(l) is not None
+class _WordFilter:
+    """A letterplace pair filter, ``filter(lcm, level)``: the lcm passes
+    when it is the placing of a word (it lies in V), and with ``sized``
+    also when that word's length is the level (in R).  Called on a tuple
+    monomial; ``packed(P)`` is the same test on monomials packed by P
+    (``MonoPacking.word_length``), which the engine calls instead."""
+
+    __slots__ = ("sized",)
+
+    def __init__(self, sized: bool):
+        self.sized = sized
+
+    def __call__(self, l: Monomial, level: int) -> bool:
+        w = word_of_mono(l)
+        return w is not None and (not self.sized or len(w) == level)
+
+    def packed(self, P):
+        length = P.word_length
+        if self.sized:
+            return lambda l, level: length(l) == level
+        return lambda l, level: length(l) >= 0
 
 
-def _r_filter(l: Monomial, level: int) -> bool:
-    w = word_of_mono(l)
-    return w is not None and len(w) == level
+_v_filter = _WordFilter(sized=False)
+_r_filter = _WordFilter(sized=True)
 
 
 def _normalize_output(out: list) -> list:

@@ -214,11 +214,17 @@ class MonoPacking:
     degree bounds every exponent, the fields of a valid monomial and of a
     sum of two are exact.  ``pack`` and ``lcm`` raise ``Outgrown`` for
     what is not valid.  ``sigma`` is an endomorphism's ``packed`` action.
+
+    ``word_length`` tells the placings x_a(1) x_b(2) ... x_c(k) of words
+    (the letterplace image V) from the other monomials, by masks built
+    once per packing: a monomial is one iff each exponent is at most 1,
+    place 0 is empty, and its k variables lie on k distinct places, none
+    above place k.
     """
 
     __slots__ = ("width", "step", "base_shift", "deg_shift", "sdeg_shift",
                  "exps", "guards", "over", "base", "codes", "offsets",
-                 "ordering", "sigma", "skew")
+                 "ordering", "sigma", "skew", "word_length")
 
     def __init__(self, letters: int, places: int, ordering: MonomialOrdering,
                  width: int, spare: int = 0, sigma=None, skew: bool = False):
@@ -240,6 +246,31 @@ class MonoPacking:
         self.over = self.guards | (  # all but the degree's value bits
             beyond & ~(((1 << (width - 1)) - 1) << self.deg_shift))
         self.sigma = None if sigma is None else sigma.packed(self)
+        self.word_length = self._words(bits)
+
+    def _words(self, bits: int):
+        """The packing's ``word_length(m)``, over the ``bits`` of the
+        variable fields: k when the packed m is the placing of a word of
+        length k (0 for 1), else -1."""
+        exps, b, step = self.exps, self.base_shift, self.step
+        ones = self.guards >> self.width - 1 & exps  # bit 0 of each field
+        # An exponent above 1, or a variable on place 0.
+        bad = exps ^ ones | ((1 << step) - 1) << b
+        # Per place, all but the top bit of its block, and that top bit (a
+        # guard, clear): their sum sets it iff the place holds a variable.
+        blocks = ((1 << bits) - 1) // ((1 << step) - 1) << b
+        low, high = blocks * ((1 << step - 1) - 1), blocks << step - 1
+
+        def word_length(m: int) -> int:
+            v = m & exps
+            if v & bad:
+                return -1
+            k = v.bit_count()  # the degree
+            if v >> b + (k + 1) * step or ((v + low) & high).bit_count() != k:
+                return -1  # a place above k, or a place with two variables
+            return k
+
+        return word_length
 
     @staticmethod
     def extent(monomials) -> tuple[int, int]:
@@ -269,6 +300,15 @@ class MonoPacking:
             p ^= e << o
             out.append((codes[k], e))
         return tuple(out)
+
+    def top(self, p: int):
+        """The (code, exponent) of the largest variable of p, as the first
+        pair of ``unpack(p)``; None for 1."""
+        v = p & self.exps
+        if not v:
+            return None
+        k = (v.bit_length() - 1 - self.base_shift) // self.width
+        return self.codes[k], v >> self.base_shift + k * self.width
 
     def degree(self, p: int) -> int:
         return p >> self.deg_shift & ((1 << self.width) - 1)

@@ -131,8 +131,8 @@ ORACLE_ROOTS = ("_oracle_nf", "_oracle_buchberger", "_oracle_runs",
                 "_oracle_polys", "_oracle_lms", "oracle_gbasis_truncated",
                 "expand_window", "lm_window_match", "free_oracle_match")
 ENGINE_ONLY = {"_nf_terms", "_Entry", "_search", "_Divisors", "_window_pairs",
-               "_left_pairs", "_family", "_complete", "_solve", "_packed",
-               "_interreduce"}
+               "_left_pairs", "_lcm_filter", "_family", "_complete", "_solve",
+               "_packed", "_interreduce"}
 
 
 def names_reached(sources: dict, roots) -> dict:

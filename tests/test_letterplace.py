@@ -1,6 +1,7 @@
 """Tests for the free algebra, its embeddings, and free-mode bases."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -13,6 +14,8 @@ from skewgb.engine import GBConfig
 from skewgb.field import QQ
 from skewgb.letterplace import (
     FreePolynomial,
+    _r_filter,
+    _v_filter,
     certify_free,
     free_gbasis,
     free_gbasis2,
@@ -30,7 +33,17 @@ from skewgb.letterplace import (
     word_of_mono,
     xi,
 )
-from skewgb.poly import mono, mono_divides
+from skewgb.poly import (
+    DEGLEX,
+    LETTER_BITS,
+    LETTER_MASK,
+    LEX,
+    MonoPacking,
+    mono,
+    mono_divides,
+    mono_from_pairs,
+    var_code,
+)
 from skewgb.skew import SkewMonomial, skew_mul
 from skewgb.textio import parse_free, parse_poly, parse_skew
 
@@ -176,6 +189,95 @@ def test_word_of_mono():
     assert word_of_mono(mono((0, 1, 2))) is None          # square
     assert word_of_mono(mono((0, 1, 1), (1, 1, 1))) is None
     assert word_of_mono(mono((0, 0, 1))) is None          # place 0
+
+
+def near_word(rng, letters, places):
+    """A random monomial on places 0..places - 1, most of them a word's
+    placing or one edit away from one: an exponent of 2, a second letter
+    on a place, a variable on place 0, a gap."""
+    k = rng.randrange(places)
+    pairs = [(var_code(rng.randrange(letters), p), 1) for p in range(1, k + 1)]
+    edit = rng.randrange(6)
+    if edit == 0 and pairs:
+        i = rng.randrange(k)
+        pairs[i] = (pairs[i][0], 2)
+    elif edit == 1:
+        pairs.append((var_code(rng.randrange(letters),
+                               rng.randrange(places)), 1))
+    elif edit == 2:
+        pairs.append((var_code(rng.randrange(letters), 0), 1))
+    elif edit == 3 and pairs:
+        del pairs[rng.randrange(k)]
+    elif edit == 4:
+        pairs = [(var_code(rng.randrange(letters), rng.randrange(places)),
+                  rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    return mono_from_pairs(pairs)
+
+
+def test_packed_pair_filters_agree_with_the_tuple_filters():
+    # The packed forms the engine calls, against the tuple filters on the
+    # same monomials, which decode through word_of_mono.
+    rng = random.Random(2711)
+    edges = [mono(), mono((0, 1, 2)), mono((0, 1, 1), (1, 1, 1)),
+             mono((0, 0, 1)), mono((0, 0, 1), (1, 1, 1)), mono((0, 2, 1)),
+             mono((1, 3, 1), (0, 1, 1)), mono((0, 2, 1), (1, 1, 1))]
+    passed = Counter()
+    for letters, places, width in product((1, 2, 3, 5), (3, 6), (8, 16)):
+        for ordering in (LEX, DEGLEX):
+            P = MonoPacking(letters, places, ordering, width, places)
+            monos = [m for m in edges if all(
+                c & LETTER_MASK < letters and c >> LETTER_BITS < places
+                for c, _ in m)]
+            monos += [near_word(rng, letters, places) for _ in range(400)]
+            for m, level in product(monos, range(places + 1)):
+                for filt in (_v_filter, _r_filter):
+                    want = filt(m, level)
+                    assert filt.packed(P)(P.pack(m), level) is want, (m, level)
+                    passed[filt is _v_filter, want] += 1
+    # Both verdicts of both filters are reached, and R's length check
+    # refuses words that V passes.
+    assert min(passed.values()) > 1000
+    assert passed[False, True] < passed[True, True]
+    assert _r_filter(mono((0, 1, 1)), 2) is False
+    assert _v_filter(mono((0, 1, 1)), 2) is True
+
+
+class PackedOnly:
+    """A pair filter with a packed form whose tuple form must not run."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, l, level):
+        raise AssertionError("a filter with a packed form got a tuple")
+
+    def packed(self, P):
+        test = self.inner.packed(P)
+
+        def counted(l, level):
+            assert isinstance(l, int)
+            self.calls += 1
+            return test(l, level)
+
+        return counted
+
+
+def test_a_filter_with_a_packed_form_is_never_called_on_tuples():
+    H = [parse_free("x*y - y*x"), parse_free("x*x*y - y*y*x")]
+    for mode, inner, solve in (("sigma", _v_filter, engine.sigma_gbasis),
+                               ("skew", _r_filter, engine.skew_gbasis)):
+        embed = iota_prime if mode == "sigma" else iota
+        cfg = GBConfig(mode=mode, degree_bound=5)
+        gens = [embed(h) for h in H]
+        filt = PackedOnly(inner)
+        res = solve(gens, cfg, pair_filter=filt)
+        want = solve(gens, cfg, pair_filter=inner)
+        assert res.basis == want.basis and res.stats == want.stats
+        # Every enumerated pair was asked, and some were vetoed.
+        assert filt.calls > res.stats.considered > 0
+        calls = filt.calls
+        assert engine.certify(res.basis, cfg, pair_filter=filt)[0]
+        assert filt.calls > calls
 
 
 def test_in_V_in_R():

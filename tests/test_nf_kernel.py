@@ -19,11 +19,17 @@ built from a few large primes, so that most steps rescale the kernel's
 denominator and pending terms are updated across several rescales.
 """
 
+import importlib.util
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
+from pathlib import Path
 
 from randgen import random_coeff, random_mono, random_poly
+from skewgb import cli, engine
 from skewgb.endo import PowerEndo, ShiftEndo
 from skewgb.engine import (
     GBConfig,
@@ -51,6 +57,11 @@ from skewgb.poly import (
 from skewgb.textio import parse_poly
 
 SHIFT = ShiftEndo()
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+bench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
 
 
 def sigma_shifts(i, m):
@@ -571,6 +582,103 @@ def test_memo_sees_appended_entries_in_left_mode():
     memo_cases("left", lambda text, i, P: _Entry.of(
         SkewElement.of_poly(parse_poly(text)), i, P),
         lambda m: SkewMonomial(m, 0))
+
+
+def test_memo_answers_outlive_an_append(monkeypatch):
+    # A memoized answer is kept across appends, and only the entries
+    # appended since are searched: an equal image keeps the older entry, a
+    # strictly smaller one replaces it, and a memoized None takes a hit.
+    cfg = GBConfig(mode="sigma", degree_bound=3)
+    P = _packed(cfg, [WIDE], lambda P: P)
+    starts = []
+    smallest = engine._Divisors.smallest
+    monkeypatch.setattr(engine._Divisors, "smallest", lambda self, m, start=0:
+                        starts.append(start) or smallest(self, m, start))
+    entries = [_Entry.of(parse_poly("x(1) - y(0)"), 0, P)]
+    find, _ = _search(entries, cfg, P)
+    m, none = P.pack(parse_poly("x(2)*y(0)").lm()), P.pack(
+        parse_poly("x(0)*y(1)").lm())
+    assert find(m)[2:] == (1, entries[0])  # sigma(x(1)) divides
+    assert find(none) is None
+    # x(2) at shift 0 ties with sigma(x(1)): the older entry stays.
+    entries.append(_Entry.of(parse_poly("x(2) + y(0)"), 1, P))
+    assert find(m)[2:] == (1, entries[0])
+    assert find(none) is None
+    # y(0) < x(2): the new entry reduces m from now on, and sigma(y(0))
+    # = y(1) turns the memoized None into a hit.
+    entries.append(_Entry.of(parse_poly("y(0) + 1"), 2, P))
+    q = P.pack(parse_poly("x(2)").lm())
+    assert find(m) == (q, (q,), 0, entries[2])
+    assert find(none)[2:] == (1, entries[2])
+    assert find(m)[3] is find(none)[3] is entries[2]  # both answers memoized
+    assert starts == [0, 0, 1, 1, 2, 2]
+
+
+def fresh_search(entries, cfg, P, m):
+    """The reducer search from scratch, on tuple monomials: (entry, shift)
+    with the smallest (image, entry index, shift) among the images that
+    divide the term m, or None; in skew mode the shift is at most m's
+    s-degree less the entry's, in left mode exactly that."""
+    level = m >> P.sdeg_shift if P.skew else None
+    n = P.unpack(m)
+    hits = []
+    for ent in entries:
+        lm = P.unpack(ent.lm)
+        if cfg.mode == "sigma":
+            shifts = range((top_place(n) or 0) + 1)
+        elif cfg.mode == "skew":
+            shifts = range(level - ent.sdeg + 1)
+        else:
+            shifts = [level - ent.sdeg] if level >= ent.sdeg else []
+        hits += [(cfg.ordering.key(img), ent.index, u, ent)
+                 for u in shifts
+                 if mono_divides(img := cfg.sigma.mono(lm, u), n)]
+    return min(hits, key=lambda h: h[:3], default=None)
+
+
+def test_memo_answers_match_a_fresh_search(monkeypatch):
+    # Every answer of every reducer search in the completion, the
+    # interreduction and certify, in every mode, against a fresh search
+    # over the entries as they are at the query.
+    search = engine._search
+    asked = Counter()
+
+    def checked(entries, cfg, P):
+        find, _ = search(entries, cfg, P)
+        last = {}
+
+        def check(m):
+            hit = find(m)
+            want = fresh_search(entries, cfg, P, m)
+            if want is None:
+                assert hit is None
+            else:
+                q, products, u, ent = hit
+                assert (ent, u) == (want[3], want[2])
+                assert q == m - P.sigma(ent.monos[0], u)
+                assert products == tuple(q + t for t in ent.images(u))
+            asked[cfg.mode, last.get(m, len(entries)) < len(entries)] += 1
+            last[m] = len(entries)
+            return hit
+
+        return check, lambda M, work, record=None: engine._nf_terms(
+            M, work, check, P.over, record)
+
+    monkeypatch.setattr(engine, "_search", checked)
+    for header in ("", "field: 101\n", "endo: power 2\n"):
+        for mode, text in islice(bench_gen.stream(3), 300):
+            if header.startswith("endo") and mode not in ("skew", "left"):
+                continue
+            pf = cli.parse_problem(text.replace("\n\n", f"\n{header}\n", 1))
+            cfg = cli._config(pf, False)
+            gens = cli._parse_generators(pf, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                basis = cli._run_problem(pf, cfg, gens)[3]
+            assert cli._certify(pf, cfg, basis)[0]
+    # Each mode asked again after an append, where the memo answered.
+    for mode in ("sigma", "skew", "left"):
+        assert asked[mode, True] > 10, asked
 
 
 # Two letters at places 0..3: room for every random monomial of these tests.
